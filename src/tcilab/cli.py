@@ -164,11 +164,16 @@ class AnalysisConfig:
       ``alpha(a(x-y)) / (2 kappa)`` used by the verification stages;
       ``prefactor`` accepts a ratio string such as ``"1/36"``.
     - ``kappa``: contraction constant handed to the decision procedures.
-    - ``quad_epsabs`` / ``quad_epsrel``: house quadrature targets, applied
-      for the duration of the run.
+    - ``quad_epsabs`` / ``quad_epsrel``: targets of the remaining adaptive
+      integrals (moment functionals, ray integrals, divergence tests),
+      applied for the duration of the run.  The cell tables of numeric
+      measures use their own fixed per-cell targets.
     - ``seed``: base seed; stage s with counter offset k uses ``seed + k``.
     - ``dual_trials`` / ``mc_samples``: verification effort.
     - ``out_dir``: where :func:`emit_report` writes files (None = stdout only).
+
+    :meth:`validate` checks the numeric fields; :func:`run_analyze` calls it
+    before any stage runs.
     """
 
     measure: str = "exponential"
@@ -182,6 +187,31 @@ class AnalysisConfig:
     dual_trials: int = 1000
     mc_samples: int = 100000
     out_dir: Optional[str] = None
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field out of range."""
+        def integer(name):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"config field {name} must be an integer, "
+                                 f"got {val!r}")
+            return val
+
+        if integer("dual_trials") < 0:
+            raise ValueError(f"config field dual_trials must be >= 0, "
+                             f"got {self.dual_trials}")
+        if integer("mc_samples") < 1:
+            raise ValueError(f"config field mc_samples must be >= 1, "
+                             f"got {self.mc_samples}")
+        if not 0 <= integer("seed") < 2 ** 128:
+            raise ValueError(f"config field seed must lie in [0, 2**128), "
+                             f"got {self.seed}")
+        for name in ("quad_epsabs", "quad_epsrel", "kappa"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not (math.isfinite(val) and val > 0):
+                raise ValueError(f"config field {name} must be a finite "
+                                 f"number > 0, got {val!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -314,8 +344,10 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     functionals, the decision procedure matching the measure's shape (both
     are recorded when applicable), the derivative-ratio sufficiency check,
     then the numerical verifiers -- dual, integrability, concentration for
-    n in {1, 4} -- at the assembled (or overridden) scale.
+    n in {1, 4} -- at the assembled (or overridden) scale.  An invalid
+    config raises ``ValueError`` before any stage runs.
     """
+    config.validate()
     stages: List[Dict[str, str]] = []
     measure_summary: Dict[str, Any] = {}
     criteria_out: Dict[str, Any] = {}
@@ -499,7 +531,7 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
             stage("concentration", concentration, requires=(mu, alpha))
 
         conclusion = _conclude(config, primary, dual_rep,
-                               verification, integ_out)
+                               verification, integ_out, stages)
     finally:
         numerics.QUAD_ABS_TOL, numerics.QUAD_REL_TOL = saved_tols
 
@@ -516,7 +548,12 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
                           conclusion=conclusion, provenance=provenance)
 
 
-def _conclude(config, primary, dual_rep, verification, integ_out) -> str:
+#: stages a positive conclusion rests on; each must have run ``ok``
+_VERIFIER_STAGES = ("dual", "integrability", "concentration")
+
+
+def _conclude(config, primary, dual_rep, verification, integ_out,
+              stages) -> str:
     integ = verification.get("integrability", {})
     refuted = (dual_rep is not None and dual_rep.violated) \
         or integ.get("status") == FAILS
@@ -526,6 +563,12 @@ def _conclude(config, primary, dual_rep, verification, integ_out) -> str:
             # a bug in one of them, not a mathematical finding
             return ("verification refuted the assembled certificate; "
                     "treat as an implementation bug")
+        status = {s["stage"]: s["status"] for s in stages}
+        missing = [f"{name} {status.get(name, 'not run')}"
+                   for name in _VERIFIER_STAGES if status.get(name) != "ok"]
+        if missing:
+            return ("certificate assembled but not verified "
+                    f"({', '.join(missing)})")
         if config.scale is None:
             return "strong TCI certified at the assembled scale"
         return "requested cost not refuted"
@@ -616,6 +659,11 @@ def _cmd_analyze(args) -> int:
     for key, val in overrides.items():
         if val is not None:
             setattr(config, key, val)
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_analyze(config)
     if args.out or config.out_dir:
         paths = emit_report(report, args.out or config.out_dir,

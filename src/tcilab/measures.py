@@ -2,9 +2,12 @@
 
 A measure is represented by ``dmu = exp(-V(x) - logZ) dx`` on its support.
 Built-ins (two-sided exponential, exponential-power family, Gaussian, Cauchy,
-one-sided exponential) carry closed-form cdf / survival / quantile functions;
-measures built from a raw potential or a tabulated one fall back to adaptive
-quadrature against a cached monotone cdf table.
+one-sided exponential) carry closed-form cdf / survival / quantile functions.
+Measures built from a raw potential or a tabulated one carry a cell table
+instead: a partition of the mass window whose cells hold their Gauss-Kronrod
+masses, so cdf and sf are a table lookup plus one 15-point rule on the
+partial cell, and quantile and isf invert those by safeguarded Newton steps,
+all evaluated on whole arrays at once.
 
 All objects are immutable after construction and all randomness is confined
 to :func:`sample`, which takes an explicit seed.
@@ -29,8 +32,9 @@ __all__ = [
     "sample", "quantile_discretize",
 ]
 
-_QUANTILE_FTOL = 1e-12          # |F(x) - t| target for numeric quantiles
-_CDF_EPS = 1e-10                # default coverage for the cached cdf table
+_QUANTILE_TOL = 1e-13          # |F(x) - t| target for numeric quantiles
+_ISF_RTOL = 1e-12              # |S(x) - s| / s target for numeric isf
+_NEWTON_STEPS = 80
 
 
 class Measure1D:
@@ -46,13 +50,17 @@ class Measure1D:
     support : pair of floats
         Interval carrying the mass; infinite endpoints allowed.
     cdf, sf, quantile_fn : callables, optional
-        Closed forms.  When omitted they are evaluated by quadrature against
-        a cached monotone table of ``(x, F(x))`` values.
+        Closed forms.  When omitted the measure must carry a cell table
+        (built by :func:`make_from_potential` / :func:`make_from_table`).
     potential_deriv : callable, optional
         ``V'`` where available; numeric central differences otherwise.
     kink_points : tuple
         Locations where the density is not smooth; quadrature grids place
         segment boundaries there.
+
+    Numeric measures expose their cell table as ``grid`` (cell edges, which
+    bound the mass window), ``F_grid`` (cdf at the edges, 0 to 1) and the
+    matching survival values; outside the window cdf and sf are 0 or 1.
     """
 
     def __init__(self, potential, logZ, support=(-math.inf, math.inf),
@@ -73,14 +81,7 @@ class Measure1D:
         if self._cdf is None and self._table is None:
             raise ValueError("numeric measures must be built through "
                              "make_from_potential / make_from_table")
-        # cached monotone cdf table, kept also for closed-form measures so a
-        # reviewer can replay grid-based searches
-        if self._table is None:
-            ts = np.linspace(_CDF_EPS, 1.0 - _CDF_EPS, 2049)
-            g = self.quantile(ts)
-            self.grid = np.asarray(g, dtype=float)
-            self.F_grid = ts
-        else:
+        if self._table is not None:
             self.grid, self.F_grid, self._S_grid = self._table
         self.median = float(median) if median is not None else self.quantile(0.5)
 
@@ -105,22 +106,20 @@ class Measure1D:
         if self._cdf is not None:
             out = self._cdf(np.asarray(x, dtype=float))
             return out if np.ndim(x) else float(out)
-        return self._numeric_cdf(x)
+        return _shaped(self._table_cdf, x)
 
     def sf(self, x):
         """Survival function, computed upper-tail-first for accuracy."""
         if self._sf is not None:
             out = self._sf(np.asarray(x, dtype=float))
             return out if np.ndim(x) else float(out)
-        return self._numeric_sf(x)
+        return _shaped(self._table_sf, x)
 
     def quantile(self, t):
         if self._quantile is not None:
             out = self._quantile(np.asarray(t, dtype=float))
             return out if np.ndim(t) else float(out)
-        if np.ndim(t):
-            return np.array([self._numeric_quantile(float(u)) for u in t])
-        return self._numeric_quantile(float(t))
+        return _shaped(self._table_quantile, t)
 
     def isf(self, s):
         """Upper-tail quantile: the x with ``sf(x) = s``.
@@ -135,141 +134,102 @@ class Measure1D:
             # closed-form cdf but no dedicated tail inverse: best effort
             return self.quantile(1.0 - np.asarray(s, dtype=float)) \
                 if np.ndim(s) else self.quantile(1.0 - float(s))
-        if np.ndim(s):
-            return np.array([self._numeric_isf(float(u)) for u in s])
-        return self._numeric_isf(float(s))
+        return _shaped(self._table_isf, s)
 
-    # -- numeric fallbacks -------------------------------------------------
-    def _locate(self, x):
-        return int(np.clip(np.searchsorted(self.grid, x) - 1,
-                           0, len(self.grid) - 2))
-
-    def _numeric_cdf_scalar(self, x):
+    # -- cell table (numeric measures; flat float arrays in and out) -------
+    def _table_cdf(self, x):
+        """``F[k] + int_{g_k}^x rho`` on the cell ``g_k <= x < g_{k+1}``."""
         g = self.grid
-        if x <= g[0]:
-            return max(0.0, self.F_grid[0] - numerics.quad(self.density, x, g[0]))
-        if x >= g[-1]:
-            return min(1.0, self.F_grid[-1] + numerics.quad(self.density, g[-1], x))
-        k = self._locate(x)
-        return self.F_grid[k] + numerics.quad(self.density, g[k], x)
+        xc = np.clip(x, g[0], g[-1])
+        k = np.clip(np.searchsorted(g, xc, side="right") - 1, 0, len(g) - 2)
+        part, _ = numerics.gauss_kronrod(self.density, g[k], xc)
+        out = self.F_grid[k] + part
+        out = np.where(x >= g[-1], 1.0, out)
+        return np.clip(out, 0.0, 1.0)
 
-    def _numeric_cdf(self, x):
-        if np.ndim(x):
-            return np.array([self._numeric_cdf_scalar(float(u)) for u in x])
-        return self._numeric_cdf_scalar(float(x))
-
-    def _numeric_sf_scalar(self, x):
+    def _table_sf(self, x):
+        """``S[k+1] + int_x^{g_{k+1}} rho`` on the cell ``g_k < x <= g_{k+1}``."""
         g = self.grid
-        if x >= g[-1]:
-            return max(0.0, self._S_grid[-1] - numerics.quad(self.density, g[-1], x))
-        if x <= g[0]:
-            return min(1.0, self._S_grid[0] + numerics.quad(self.density, x, g[0]))
-        k = self._locate(x)
-        return self._S_grid[k + 1] + numerics.quad(self.density, x, g[k + 1])
+        xc = np.clip(x, g[0], g[-1])
+        k1 = np.clip(np.searchsorted(g, xc, side="left"), 1, len(g) - 1)
+        part, _ = numerics.gauss_kronrod(self.density, xc, g[k1])
+        out = self._S_grid[k1] + part
+        out = np.where(x <= g[0], 1.0, out)
+        return np.clip(out, 0.0, 1.0)
 
-    def _numeric_sf(self, x):
-        if np.ndim(x):
-            return np.array([self._numeric_sf_scalar(float(u)) for u in x])
-        return self._numeric_sf_scalar(float(x))
-
-    def _numeric_isf(self, s):
-        if not 0.0 < s < 1.0:
-            raise ValueError("survival level must lie strictly inside (0, 1)")
-        g, S = self.grid, self._S_grid
-        # S decreases along g: bracket the cell with S[k] >= s >= S[k+1]
-        k = int(np.clip(np.searchsorted(-S, -s) - 1, 0, len(g) - 2))
-        lo, hi = float(g[k]), float(g[k + 1])
-        while self._numeric_sf_scalar(hi) > s and hi < self.support[1]:
-            hi = min(self.support[1], hi + (hi - lo + 1.0))
-        while self._numeric_sf_scalar(lo) < s and lo > self.support[0]:
-            lo = max(self.support[0], lo - (hi - lo + 1.0))
-        x = float(np.interp(-s, -S, g))
-        if not lo <= x <= hi:
-            x = 0.5 * (lo + hi)
-        tol = 1e-12 * s
-        for _ in range(80):
-            err = self._numeric_sf_scalar(x) - s
-            if abs(err) <= tol:
-                return x
-            if err > 0.0:      # survival too large: x lies further right
-                lo = x
-            else:
-                hi = x
-            rho = float(self.density(x))
-            nxt = x + err / rho if rho > 0.0 else math.nan
-            if not math.isfinite(nxt) or not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if nxt == x:
-                return x
-            x = nxt
-        return optimize.brentq(lambda u: self._numeric_sf_scalar(u) - s,
-                               lo, hi, xtol=1e-13, rtol=8.9e-16)
-
-    def _numeric_quantile(self, t):
-        if not 0.0 < t < 1.0:
+    def _table_quantile(self, t):
+        if not np.all((t > 0.0) & (t < 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         g, F = self.grid, self.F_grid
-        k = int(np.clip(np.searchsorted(F, t) - 1, 0, len(g) - 2))
-        lo, hi = float(g[k]), float(g[k + 1])
-        # widen if the table bracket misses (tail levels)
-        while self._numeric_cdf_scalar(lo) > t and lo > self.support[0]:
-            lo = max(self.support[0], lo - (hi - lo + 1.0))
-        while self._numeric_cdf_scalar(hi) < t and hi < self.support[1]:
-            hi = min(self.support[1], hi + (hi - lo + 1.0))
-        # Newton from the table interpolant with a bisection safeguard;
-        # brentq only as a last resort (flat-density stretches)
-        x = float(np.interp(t, F, g))
-        if not lo <= x <= hi:
-            x = 0.5 * (lo + hi)
-        for _ in range(80):
-            err = self._numeric_cdf_scalar(x) - t
-            if abs(err) <= 1e-13:
-                return x
-            if err > 0.0:
-                hi = x
-            else:
-                lo = x
-            rho = float(self.density(x))
-            nxt = x - err / rho if rho > 0.0 else math.nan
-            if not math.isfinite(nxt) or not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if nxt == x:
-                return x
-            x = nxt
-        return optimize.brentq(lambda u: self._numeric_cdf_scalar(u) - t,
-                               lo, hi, xtol=1e-13, rtol=8.9e-16)
+        # F[k] <= t < F[k+1], and the table cdf hits F exactly at the edges
+        k = np.searchsorted(F, t, side="right") - 1
+        return self._invert(self._table_cdf, t, g[k], g[k + 1],
+                            np.interp(t, F, g), _QUANTILE_TOL, rising=True)
+
+    def _table_isf(self, s):
+        if not np.all((s > 0.0) & (s < 1.0)):
+            raise ValueError("survival level must lie strictly inside (0, 1)")
+        g, S = self.grid, self._S_grid
+        # S[k] >= s > S[k+1]
+        k = np.searchsorted(-S, -s, side="right") - 1
+        return self._invert(self._table_sf, s, g[k], g[k + 1],
+                            np.interp(-s, -S, g), _ISF_RTOL * s, rising=False)
+
+    def _invert(self, fn, target, lo, hi, x, tol, rising):
+        """Root of ``fn(x) = target`` in ``[lo, hi]`` for every element.
+
+        Newton steps on the density with a bisection fallback, all elements
+        at once; elements still open after ``_NEWTON_STEPS`` go to brentq.
+        ``rising`` says whether ``fn`` increases (cdf) or decreases (sf).
+        ``lo`` and ``hi`` are narrowed in place.
+        """
+        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+        tol = np.broadcast_to(tol, x.shape)
+        out = np.empty_like(x)
+        open_ = np.arange(len(x))
+        sign = 1.0 if rising else -1.0
+        for _ in range(_NEWTON_STEPS):
+            if not open_.size:
+                break
+            xi = x[open_]
+            err = fn(xi) - target[open_]
+            conv = np.abs(err) <= tol[open_]
+            right_of_root = sign * err > 0.0
+            hi[open_] = np.where(right_of_root, xi, hi[open_])
+            lo[open_] = np.where(right_of_root, lo[open_], xi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = xi - sign * err / self.density(xi)
+            li, hi_ = lo[open_], hi[open_]
+            nxt = np.where(np.isfinite(nxt) & (li < nxt) & (nxt < hi_),
+                           nxt, 0.5 * (li + hi_))
+            done = conv | (nxt == xi)
+            out[open_[done]] = xi[done]
+            x[open_] = nxt
+            open_ = open_[~done]
+        for i in open_:
+            out[i] = optimize.brentq(
+                lambda u: fn(np.array([u]))[0] - target[i],
+                lo[i], hi[i], xtol=1e-13, rtol=8.9e-16)
+        return out
 
     # -- windows -----------------------------------------------------------
     def effective_support(self, eps=1e-8):
         """Interval carrying all but ``eps`` of the mass on each side."""
         return self.quantile(eps), self.quantile(1.0 - eps)
 
-    def truncation_window(self):
-        """Window outside of which the density is below 1e-16 of its peak."""
-        peak = float(np.max(self.density(self.grid)))
-        thresh = numerics.TRUNCATION_RATIO * peak
-        m = self.median
-
-        def push(x0, direction):
-            x, step = x0, max(1.0, abs(x0 - m))
-            for _ in range(200):
-                bound = self.support[0] if direction < 0 else self.support[1]
-                if not math.isfinite(bound):
-                    pass
-                elif (direction < 0 and x <= bound) or (direction > 0 and x >= bound):
-                    return bound
-                if self.density(x) < thresh:
-                    return x
-                x += direction * step
-                step *= 1.5
-            return x
-
-        lo = push(self.quantile(1e-10), -1)
-        hi = push(self.quantile(1.0 - 1e-10), +1)
-        return lo, hi
-
     def __repr__(self):
         return f"Measure1D({self.name})"
+
+
+def _shaped(fn, x):
+    """Apply a flat-array table function to scalar or array ``x``.
+
+    A scalar goes through the same path as a length-one array, so scalar and
+    array calls agree bit for bit.
+    """
+    xa = np.asarray(x, dtype=float)
+    out = fn(xa.ravel())
+    return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -500,6 +460,21 @@ def make_from_potential(potential: Callable, support=(-math.inf, math.inf),
     Raises ``ValueError`` when ``exp(-V)`` is not integrable (the mass keeps
     growing as the truncation window doubles).
     """
+    return _numeric_measure(potential, support, potential_deriv, name,
+                            tuple(kink_points), cell_breaks=kink_points)
+
+
+#: per-cell targets of the cell table, on the density scaled to peak 1;
+#: 2048 cells x 1e-14 keep the cumulative cdf bias near machine level
+_CELL_EPSABS = 1e-14
+_CELL_EPSREL = 1e-12
+
+
+def _numeric_measure(potential, support, potential_deriv, name, kink_points,
+                     cell_breaks) -> Measure1D:
+    """Measure with a cell table; ``cell_breaks`` are forced cell edges
+    (points where the density may be less smooth than the 15-point rule
+    needs)."""
     lo_s, hi_s = float(support[0]), float(support[1])
 
     def V(x):
@@ -541,13 +516,43 @@ def make_from_potential(potential: Callable, support=(-math.inf, math.inf),
 
     w_lo, w_hi = crossing(-1), crossing(+1)
 
+    def in_window(pts):
+        pts = np.asarray(pts, dtype=float)
+        return pts[(pts > w_lo) & (pts < w_hi)]
+
+    # stage 1: provisional equal-spaced-in-x grid, cumulative masses.
+    # Overflow can only come from a density that grows without bound, which
+    # the divergence test below rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.unique(np.concatenate([np.linspace(w_lo, w_hi, 1025),
+                                         in_window(cell_breaks)]))
+        nodes, weights = numerics.composite_gauss_nodes(base, order=8)
+        seg = (shifted_density(nodes) * weights).reshape(-1, 8).sum(axis=1)
+        Fb = np.concatenate(([0.0], np.cumsum(seg)))
+        Fb = Fb / Fb[-1]
+
+        # stage 2: cells at (mostly) equal-mass levels for good
+        # conditioning, each integrated to the cell targets
+        xs = np.interp(np.linspace(0.0, 1.0, 2049), Fb, base)
+        edges = np.unique(np.concatenate(
+            [xs, base[:: max(1, len(base) // 256)], [w_lo, w_hi],
+             in_window(cell_breaks)]))
+        edges, cells = numerics.gauss_kronrod_cells(
+            shifted_density, edges, epsabs=_CELL_EPSABS, epsrel=_CELL_EPSREL)
+        total2 = float(cells.sum())
+
+    # divergence test: the window mass plus adaptive integrals over what
+    # lies between the window and +-T
+    kinks = np.asarray(kink_points, dtype=float)
+
     def mass_in(T):
         a = max(lo_s, x_peak - T)
         b = min(hi_s, x_peak + T)
-        mid = np.clip(np.array(kink_points, dtype=float), a, b) if kink_points else []
-        pts = sorted(set([a, b, *np.atleast_1d(mid).tolist()]))
-        return sum(numerics.quad(shifted_density, u, v)
-                   for u, v in zip(pts[:-1], pts[1:]))
+        pts = np.unique(np.concatenate([[a, w_lo, w_hi, b], kinks]))
+        pts = pts[(pts >= a) & (pts <= b)]
+        return total2 + sum(numerics.quad(shifted_density, u, v)
+                            for u, v in zip(pts[:-1], pts[1:])
+                            if v <= w_lo or u >= w_hi)
 
     # start the doubling schedule past the decayed window: any remaining
     # growth there is genuine divergence rather than bulk mass filling in
@@ -559,42 +564,21 @@ def make_from_potential(potential: Callable, support=(-math.inf, math.inf),
         raise ValueError("not a finite measure: exp(-potential) does not "
                          "integrate to a finite positive mass")
 
-    # stage 1: provisional equal-spaced-in-x grid, cumulative masses
-    base = np.unique(np.concatenate(
-        [np.linspace(w_lo, w_hi, 1025),
-         np.clip(np.asarray(kink_points, dtype=float), w_lo, w_hi)
-         if kink_points else []]))
-    seg = np.array([numerics.quad(shifted_density, a, b)
-                    for a, b in zip(base[:-1], base[1:])]) / total
-    Fb = np.concatenate(([0.0], np.cumsum(seg)))
-    Fb = Fb / Fb[-1]
-
-    # stage 2: final grid at (mostly) equal-mass levels for good conditioning;
-    # tight per-segment tolerances keep the cumulative cdf bias near machine
-    # level (2048 segments x 1e-14 abs each)
-    levels = np.linspace(0.0, 1.0, 2049)
-    xs = np.interp(levels, Fb, base)
-    xs = np.unique(np.concatenate(
-        [xs, base[:: max(1, len(base) // 256)], [w_lo, w_hi],
-         np.clip(np.asarray(kink_points, dtype=float), w_lo, w_hi)
-         if kink_points else []]))
-    seg2 = np.array([numerics.quad(shifted_density, a, b,
-                                   epsabs=1e-14, epsrel=1e-12)
-                     for a, b in zip(xs[:-1], xs[1:])])
-    total2 = seg2.sum()
     # the window already holds all mass above 1e-16 * peak, so normalizing by
-    # the in-window total (rather than the coarser guarded limit) pins the
-    # grid cdf endpoints to exactly 0 and 1
+    # the in-window total (rather than the guarded limit) pins the table's
+    # cdf endpoints to exactly 0 and 1
     logZ = math.log(total2) - v_min
-    F = np.concatenate(([0.0], np.cumsum(seg2) / total2))
-    F = np.clip(F, 0.0, 1.0)
+    F = np.clip(np.concatenate(([0.0], np.cumsum(cells) / total2)), 0.0, 1.0)
     F[-1] = 1.0
-    S = np.maximum(1.0 - F, 0.0)
+    # survival summed from the right keeps full relative accuracy in the
+    # upper tail
+    S = np.clip(np.concatenate((np.cumsum(cells[::-1])[::-1] / total2, [0.0])),
+                0.0, 1.0)
+    S[0] = 1.0
 
-    table = (xs, F, S)
     return Measure1D(potential, logZ, support=(lo_s, hi_s), name=name,
                      potential_deriv=potential_deriv, kink_points=kink_points,
-                     _table=table)
+                     _table=(edges, F, S))
 
 
 def make_from_table(xs: Sequence[float], vs: Sequence[float],
@@ -632,8 +616,12 @@ def make_from_table(xs: Sequence[float], vs: Sequence[float],
         inner = dinterp(np.clip(x, xs[0], xs[-1]))
         return np.where(x < xs[0], slope_l, np.where(x > xs[-1], slope_r, inner))
 
-    return make_from_potential(V, potential_deriv=dV, name=name,
-                               kink_points=tuple(xs[:: max(1, len(xs) // 64)]))
+    # the interpolant is only C1 at every abscissa, so every abscissa is a
+    # cell edge; the declared kinks stay a thinned subset, which is what the
+    # moment, ray and dual grids were sized for
+    return _numeric_measure(V, (-math.inf, math.inf), dV, name,
+                            tuple(xs[:: max(1, len(xs) // 64)]),
+                            cell_breaks=xs)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +699,8 @@ def sample(mu: Measure1D, n: int, seed: int) -> np.ndarray:
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
     if mu._quantile is not None:
         return np.asarray(mu.quantile(u), dtype=float)
-    # numeric measures: interpolated inverse of the cached table (adequate
-    # for sampling; the exact quantile root-finder stays available scalar-wise)
+    # numeric measures: interpolated inverse of the cell table (adequate for
+    # sampling; ``mu.quantile`` is the exact, costlier Newton inverse)
     return np.interp(u, mu.F_grid, mu.grid)
 
 

@@ -7,7 +7,7 @@ grids, tolerances and truncation schedules.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -132,27 +132,103 @@ def wilson_interval(successes: int, n: int, z: float = 2.5758293035489004):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# fixed 4-point Gauss-Legendre rule on [-1, 1], used for composite quadrature
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+def composite_gauss_nodes(edges: np.ndarray, order: int = 4, panels: int = 1):
+    """Nodes and weights of a composite Gauss-Legendre rule on given segments.
 
-
-def composite_gauss_nodes(edges: np.ndarray):
-    """Nodes and weights of a composite 4-point Gauss rule on given segments.
-
-    ``edges`` is the sorted array of segment boundaries; the rule integrates
-    exactly any piecewise-smooth function that is smooth within each segment.
+    ``edges`` is the sorted array of segment boundaries.  Each segment is cut
+    into ``panels`` equal panels carrying an ``order``-point rule, so the rule
+    integrates any function that is smooth within each segment.  Nodes come
+    segment by segment, panel by panel, in increasing order.
     """
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    sub = np.linspace(edges[:-1], edges[1:], panels + 1, axis=-1)
+    lo, hi = sub[:, :-1].ravel(), sub[:, 1:].ravel()
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
 
 
-def refine_edges(edges: Sequence[float], factor: int) -> np.ndarray:
-    """Subdivide every segment of ``edges`` into ``factor`` equal parts."""
+# Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15), nodes ascending; the
+# 7 Gauss nodes are the odd-indexed Kronrod nodes.
+_XK_HALF = np.array([0.991455371120812639206854697526329,
+                     0.949107912342758524526189684047851,
+                     0.864864423359769072789712788640926,
+                     0.741531185599394439863864773280788,
+                     0.586087235467691130294144845693013,
+                     0.405845151377397166906606412076961,
+                     0.207784955007898467600689403773245])
+_WK_HALF = np.array([0.022935322010529224963732008058970,
+                     0.063092092629978553290700663189204,
+                     0.104790010322250183839876322541518,
+                     0.140653259715525918745189590510238,
+                     0.169004726639267902826583426598550,
+                     0.190350578064785409913256402421014,
+                     0.204432940075298892414161999234649])
+_WK_MID = 0.209482141084727828012999174891714
+_WG_HALF = np.array([0.129484966168869693270611432679082,
+                     0.279705391489276667901467771423780,
+                     0.381830050505118944950369775488975])
+_WG_MID = 0.417959183673469387755102040816327
+_XK = np.concatenate((-_XK_HALF, [0.0], _XK_HALF[::-1]))
+_WK = np.concatenate((_WK_HALF, [_WK_MID], _WK_HALF[::-1]))
+_GAUSS7_WEIGHTS = np.concatenate((_WG_HALF, [_WG_MID], _WG_HALF[::-1]))
+_EPS = np.finfo(float).eps
+#: bisection rounds of :func:`gauss_kronrod_cells` (cells shrink to 2**-30)
+_GK_ROUNDS = 30
+
+
+def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a, b):
+    """Vectorized G7/K15 rule on the intervals ``[a_i, b_i]``.
+
+    ``f`` is called once, on an ``(n, 15)`` array of nodes.  Returns the
+    Kronrod values and QUADPACK's error estimates (``qk15``).  ``a_i > b_i``
+    gives the negated integral; ``a_i == b_i`` gives zero.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XK
+    fx = np.asarray(f(nodes), dtype=float)
+    half = np.abs(0.5 * (b - a))
+    resk = (fx * _WK).sum(axis=1)
+    resg = (fx[:, 1::2] * _GAUSS7_WEIGHTS).sum(axis=1)
+    resabs = (np.abs(fx) * _WK).sum(axis=1) * half
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _WK).sum(axis=1) * half
+    err = np.abs(resk - resg) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return resk * 0.5 * (b - a), err
+
+
+def gauss_kronrod_cells(f: Callable[[np.ndarray], np.ndarray], edges,
+                        epsabs: float, epsrel: float):
+    """Integrals of ``f`` over the cells of a partition, refined to target.
+
+    Every cell of ``edges`` gets the G7/K15 rule; a cell whose error estimate
+    exceeds ``max(epsabs, epsrel * |value|)`` is bisected, and all failing
+    cells are redone together, one ``f`` call per round.  Cells still short
+    of the target after ``_GK_ROUNDS`` rounds, or too narrow to split, are
+    kept as they are.  Returns the refined edges and one value per cell.
+    """
     edges = np.asarray(edges, dtype=float)
-    steps = np.linspace(0.0, 1.0, factor + 1)[:-1]
-    fine = (edges[:-1, None] + steps[None, :] * np.diff(edges)[:, None]).ravel()
-    return np.append(fine, edges[-1])
+    lo, hi = edges[:-1], edges[1:]
+    kept_lo, kept_val = [], []
+    for rounds_left in range(_GK_ROUNDS, -1, -1):
+        val, err = gauss_kronrod(f, lo, hi)
+        mid = 0.5 * (lo + hi)
+        split = (err > np.maximum(epsabs, epsrel * np.abs(val))) \
+            & (mid > lo) & (mid < hi) & (rounds_left > 0)
+        kept_lo.append(lo[~split])
+        kept_val.append(val[~split])
+        if not split.any():
+            break
+        lo, hi = (np.concatenate((lo[split], mid[split])),
+                  np.concatenate((mid[split], hi[split])))
+    lo = np.concatenate(kept_lo)
+    order = np.argsort(lo, kind="stable")
+    return (np.append(lo[order], edges[-1]),
+            np.concatenate(kept_val)[order])

@@ -85,19 +85,6 @@ class DualTestReport:
         return self.status == VIOLATION_FOUND
 
 
-def _gauss_nodes(breaks: np.ndarray, panels: int = 8, order: int = 4):
-    """Composite Gauss-Legendre nodes/weights: ``panels`` per break segment."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
-        weights.append((half[:, None] * wg[None, :]).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 class _DualQuadrature:
     """Fixed density-weighted nodes for the two dual integrals.
 
@@ -118,7 +105,8 @@ class _DualQuadrature:
         # 32 panels per cell keeps the corner error of the inf-convolution
         # (whose breakpoints fall inside knot cells) two orders below the
         # violation slack; measured worst relative error ~1e-8
-        nodes, w = _gauss_nodes(breaks, panels=panels)
+        nodes, w = numerics.composite_gauss_nodes(breaks, order=4,
+                                                  panels=panels)
         rho = np.asarray(mu.density(nodes), dtype=float)
         self.nodes = nodes
         self.lo, self.hi = lo, hi

@@ -88,6 +88,27 @@ class TestConfig:
         assert a.config_hash() != b.config_hash()
         assert len(a.config_hash()) == 64
 
+    @pytest.mark.parametrize("field,value", [
+        ("dual_trials", -3), ("mc_samples", 0), ("seed", -1),
+        ("seed", 2 ** 128), ("seed", 1.5), ("quad_epsabs", 0.0),
+        ("quad_epsrel", -1e-8), ("quad_epsrel", math.nan), ("kappa", 0.0),
+    ])
+    def test_bad_values_rejected_before_any_stage(self, field, value,
+                                                  monkeypatch):
+        def never(spec):
+            raise AssertionError("a stage ran on an invalid config")
+
+        monkeypatch.setattr(cli, "parse_measure_spec", never)
+        cfg = AnalysisConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        with pytest.raises(ValueError, match=field):
+            run_analyze(cfg)
+
+    def test_edge_values_accepted(self):
+        AnalysisConfig(dual_trials=0, mc_samples=1, seed=2 ** 128 - 1,
+                       kappa=1).validate()
+
 
 @pytest.fixture(scope="module")
 def small_run():
@@ -126,6 +147,25 @@ class TestRunAnalyze:
         assert not rep.errored
         stages = {s["stage"]: s["status"] for s in rep.stages}
         assert stages["dual"] == "skipped"
+
+    @pytest.mark.parametrize("verifier,stage", [
+        ("dual_check_strong", "dual"),
+        ("integrability_check", "integrability"),
+        ("concentration_mc", "concentration"),
+    ])
+    def test_failed_verifier_blocks_certificate(self, verifier, stage,
+                                                monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("verifier unavailable")
+
+        monkeypatch.setattr(cli, verifier, broken)
+        rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
+                                         dual_trials=10, mc_samples=1000))
+        stages = {s["stage"]: s["status"] for s in rep.stages}
+        assert stages["decide"] == "ok" and stages[stage] == "error"
+        assert "certified" not in rep.conclusion
+        assert rep.conclusion == ("certificate assembled but not verified "
+                                  f"({stage} error)")
 
     def test_byte_identical_reports(self):
         cfg = AnalysisConfig(measure="exponential", cost="alpha1",
@@ -193,6 +233,18 @@ class TestMainAnalyze:
         stages = {s["stage"]: s for s in doc["stages"]}
         assert stages["measure"]["status"] == "error"
         assert doc["conclusion"] == "inconclusive"
+
+    def test_bad_config_value_exits_two(self, tmp_path, capsys):
+        rc = cli.main(["analyze", "--trials", "-3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "dual_trials" in captured.err and captured.out == ""
+        # flags are validated after they override the config file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        rc = cli.main(["analyze", "--config", str(cfg_path), "--seed", "-1"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_subcommand_grammar_reports_error(self, capsys):
         rc = cli.main(["transport", "--nu", "lognormal", "--mu", "exponential",

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
+from tcilab import costs, verify
 from tcilab.measures import (DiscreteMeasure, Measure1D, is_log_concave,
                              make_builtin, make_from_potential,
                              make_from_table, quantile_discretize, residual,
@@ -103,6 +104,118 @@ class TestTables:
         xs = np.linspace(-1, 1, 11)
         with pytest.raises(ValueError, match="table rejected"):
             make_from_table(xs, np.zeros(11))
+
+
+_TABLE_XS = np.linspace(-4.0, 4.0, 129)
+_NUMERIC = {
+    # the benchmark's two tables: a log-concave quartic and an asymmetric,
+    # non-log-concave Huber + 0.3 sin x
+    "quartic": (lambda: make_from_table(_TABLE_XS, _TABLE_XS ** 4 / 4.0),
+                _TABLE_XS),
+    "huber": (lambda: make_from_table(
+        _TABLE_XS, np.where(np.abs(_TABLE_XS) <= 1.0, 0.5 * _TABLE_XS ** 2,
+                            np.abs(_TABLE_XS) - 0.5) + 0.3 * np.sin(_TABLE_XS)),
+              _TABLE_XS),
+    "gaussian": (lambda: make_from_potential(lambda x: 0.5 * np.asarray(x) ** 2),
+                 ()),
+    # declared kink at 0: |x| + x^2/10
+    "kinked": (lambda: make_from_potential(
+        lambda x: np.abs(np.asarray(x)) + 0.1 * np.asarray(x) ** 2,
+        kink_points=(0.0,)), (0.0,)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_NUMERIC))
+def numeric(request):
+    build, breaks = _NUMERIC[request.param]
+    return build(), np.asarray(breaks, dtype=float)
+
+
+def _oracle_mass(mu, a, b, breaks):
+    """Adaptive quad on the pieces between the density's break points."""
+    pts = np.unique(np.concatenate([[a, b], breaks[(breaks > a) & (breaks < b)]]))
+    return sum(integrate.quad(mu.density, u, v, epsabs=1e-15, epsrel=1e-13,
+                              limit=500)[0] for u, v in zip(pts[:-1], pts[1:]))
+
+
+class TestNumericMeasures:
+    """Cell-table cdf/sf/quantile/isf of potential and table measures."""
+
+    def test_cdf_sf_match_quad_oracle(self, numeric):
+        mu, breaks = numeric
+        # +-60 lies beyond every window: the mass outside is below 1e-16
+        xs = np.linspace(mu.quantile(1e-9), mu.isf(1e-9), 29)
+        cdf = np.array([_oracle_mass(mu, -60.0, x, breaks) for x in xs])
+        sf = np.array([_oracle_mass(mu, x, 60.0, breaks) for x in xs])
+        np.testing.assert_allclose(mu.cdf(xs), cdf, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu.sf(xs), sf, rtol=0, atol=1e-12)
+
+    def test_upper_tail_keeps_relative_accuracy(self, numeric):
+        # the table's mass ends at the window edge grid[-1]; up to there the
+        # survival function stays accurate relative to its own size
+        mu, breaks = numeric
+        xs = mu.isf(np.array([1e-12, 1e-9, 1e-6]))
+        sf = np.array([_oracle_mass(mu, x, mu.grid[-1], breaks) for x in xs])
+        np.testing.assert_allclose(mu.sf(xs), sf, rtol=1e-9)
+
+    def test_inverse_round_trips(self, numeric):
+        mu, _ = numeric
+        ts = np.array([1e-9, 1e-4, 0.02, 0.25, 0.5, 0.61, 0.9, 0.999999])
+        np.testing.assert_allclose(mu.cdf(mu.quantile(ts)), ts, rtol=0,
+                                   atol=1e-12)
+        ss = np.array([1e-12, 1e-10, 1e-7, 1e-3, 0.4, 0.95])
+        np.testing.assert_allclose(mu.sf(mu.isf(ss)), ss, rtol=1e-10)
+
+    def test_scalar_calls_equal_array_calls(self, numeric):
+        mu, _ = numeric
+        xs = np.linspace(mu.quantile(1e-6), mu.isf(1e-6), 13)
+        levels = np.array([1e-12, 0.003, 0.5, 0.77, 0.999])
+        for fn, args in ((mu.cdf, xs), (mu.sf, xs), (mu.quantile, levels),
+                         (mu.isf, levels)):
+            arr = fn(args)
+            for v, a in zip(args, arr):
+                out = fn(float(v))
+                assert type(out) is float
+                assert out == a
+
+    def test_window_edges_and_shape(self, numeric):
+        mu, _ = numeric
+        assert mu.cdf(-1e6) == 0.0 and mu.cdf(1e6) == 1.0
+        assert mu.sf(-1e6) == 1.0 and mu.sf(1e6) == 0.0
+        grid = mu.grid
+        np.testing.assert_array_equal(mu.cdf(grid[1:-1]), mu.F_grid[1:-1])
+        assert mu.cdf(np.zeros((2, 3))).shape == (2, 3)
+        with pytest.raises(ValueError, match="strictly inside"):
+            mu.quantile(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            mu.isf(0.0)
+
+    def test_table_readers_sample_the_law(self, numeric):
+        # sample and concentration_mc invert the cell table by interpolation
+        mu, _ = numeric
+        xs = np.sort(sample(mu, 20_000, seed=5))
+        emp = np.arange(1, len(xs) + 1) / len(xs)
+        assert np.max(np.abs(mu.cdf(xs) - emp)) < 0.02
+        rep = verify.concentration_mc(mu, costs.builtin_cost("alpha1"),
+                                      scale=0.25, samples=20_000, seed=5)
+        assert rep.mass_a == pytest.approx(mu.sf(0.0), abs=1e-12)
+        # points inside A = [0, inf) cost nothing: the r -> 0 row is mu(A)
+        assert rep.empirical[0] >= mu.sf(0.0) - 0.02
+
+    def test_divergence_test_on_slow_tails(self):
+        # density ~ 1/|x| has infinite mass; the Cauchy density ~ 1/x^2 is
+        # finite, and its table window ends where the density is 1e-16
+        with pytest.raises(ValueError, match="not a finite measure"):
+            make_from_potential(lambda x: 0.5 * np.log1p(np.asarray(x) ** 2))
+        c = make_from_potential(lambda x: np.log1p(np.asarray(x) ** 2))
+        assert c.logZ == pytest.approx(math.log(math.pi), abs=1e-7)
+        assert c.cdf(1.0) == pytest.approx(0.75, abs=1e-7)
+
+    def test_table_abscissae_are_cell_edges(self):
+        mu = _NUMERIC["quartic"][0]()
+        inside = _TABLE_XS[(_TABLE_XS > mu.grid[0]) & (_TABLE_XS < mu.grid[-1])]
+        assert np.isin(inside, mu.grid).all()
+        assert mu.kink_points == tuple(_TABLE_XS[::2])
 
 
 class TestDiscrete:

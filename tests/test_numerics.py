@@ -1,0 +1,98 @@
+"""Fixed quadrature rules: the composite Gauss rule and the vectorized
+Gauss-Kronrod cells behind the numeric measures."""
+
+import math
+
+import numpy as np
+import pytest
+
+from tcilab import measures, numerics, verify
+
+
+def _loop_gauss_nodes(breaks, panels, order):
+    """Reference: one ``linspace`` of panels per break segment."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(lo, hi, panels + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * np.diff(edges)
+        nodes.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
+        weights.append((half[:, None] * wg[None, :]).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestCompositeGauss:
+    @pytest.mark.parametrize("panels,order", [(1, 4), (8, 4), (32, 4), (3, 8)])
+    def test_matches_loop_reference_bitwise(self, panels, order):
+        rng = np.random.default_rng(3)
+        breaks = np.unique(np.concatenate([np.cumsum(rng.exponential(size=40))
+                                           - 7.3, [0.0, 1e-9]]))
+        nodes, weights = numerics.composite_gauss_nodes(breaks, order=order,
+                                                        panels=panels)
+        ref_n, ref_w = _loop_gauss_nodes(breaks, panels, order)
+        np.testing.assert_array_equal(nodes, ref_n)
+        np.testing.assert_array_equal(weights, ref_w)
+
+    @pytest.mark.parametrize("name", ["exponential", "cauchy"])
+    def test_dual_quadrature_nodes_unchanged(self, name, monkeypatch):
+        # the dual products replay only if the dual nodes and weights stay
+        # bit-identical to the per-segment panel loop they came from
+        mu = measures.make_builtin(name)
+        seen = {}
+        rule = numerics.composite_gauss_nodes
+
+        def spy(breaks, **kw):
+            seen["breaks"], seen["kw"] = breaks, kw
+            seen["out"] = rule(breaks, **kw)
+            return seen["out"]
+
+        monkeypatch.setattr(numerics, "composite_gauss_nodes", spy)
+        knots = np.linspace(float(mu.quantile(1e-8)), float(mu.isf(1e-8)), 64)
+        quadr = verify._DualQuadrature(mu, knots)
+        assert seen["kw"] == {"order": 4, "panels": 32}
+        ref_n, ref_w = _loop_gauss_nodes(seen["breaks"], 32, 4)
+        np.testing.assert_array_equal(quadr.nodes, ref_n)
+        np.testing.assert_array_equal(seen["out"][1], ref_w)
+
+    def test_integrates_piecewise_polynomial(self):
+        f = lambda x: np.where(x < 0.5, x ** 7, 1.0 - x)
+        nodes, weights = numerics.composite_gauss_nodes([0.0, 0.5, 2.0], order=4)
+        exact = 0.5 ** 8 / 8 - 0.375
+        assert np.dot(f(nodes), weights) == pytest.approx(exact, abs=1e-15)
+
+
+class TestGaussKronrod:
+    def test_embedded_gauss_rule(self):
+        xg, wg = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(numerics._XK[1::2], xg, atol=1e-15)
+        np.testing.assert_allclose(numerics._GAUSS7_WEIGHTS, wg, atol=1e-15)
+
+    @pytest.mark.parametrize("degree", [0, 5, 13, 22])
+    def test_exact_to_degree_22(self, degree):
+        a, b = np.array([-0.4, 1.0]), np.array([1.3, -2.0])
+        val, err = numerics.gauss_kronrod(lambda x: x ** degree, a, b)
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        np.testing.assert_allclose(val, exact, rtol=1e-14, atol=1e-15)
+        assert np.all(err >= 0.0)
+
+    def test_empty_interval_is_zero(self):
+        val, err = numerics.gauss_kronrod(np.exp, np.array([2.0]),
+                                          np.array([2.0]))
+        assert val[0] == 0.0 and err[0] == 0.0
+
+    def test_cells_refine_an_undeclared_kink(self):
+        f = lambda x: np.sqrt(np.abs(x - 0.3))
+        edges, vals = numerics.gauss_kronrod_cells(f, np.array([0.0, 1.0]),
+                                                   epsabs=1e-14, epsrel=1e-12)
+        assert len(vals) == len(edges) - 1 > 1
+        assert np.all(np.diff(edges) > 0)
+        assert vals.sum() == pytest.approx((0.3 ** 1.5 + 0.7 ** 1.5) / 1.5,
+                                           abs=1e-13)
+
+    def test_smooth_cells_are_not_split(self):
+        edges = np.linspace(0.0, 1.0, 11)
+        out, vals = numerics.gauss_kronrod_cells(np.exp, edges, epsabs=1e-14,
+                                                 epsrel=1e-12)
+        np.testing.assert_array_equal(out, edges)
+        assert vals.sum() == pytest.approx(math.e - 1.0, abs=1e-15)
