@@ -23,17 +23,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import numerics
 from .costs import (CostFunction, builtin_cost, conjugate, cost_from_table,
                     validate_admissible)
 from .criteria import (DEFAULT_KAPPA, decide_strong_tci_lip,
-                       decide_strong_tci_logconcave, int_equiv_ratio,
-                       lipschitz_check, lsi_tilde_potential, muckenhoupt,
-                       omega_bounds, rearrangement, suff_condition)
+                       decide_strong_tci_logconcave, lipschitz_check,
+                       lsi_tilde_potential, muckenhoupt, omega_bounds,
+                       rearrangement, suff_condition)
 from .measures import (Measure1D, is_log_concave, make_builtin,
                        make_from_table, quantile_discretize)
-from .transport import (cost_lp, cost_matrix, cost_monotone,
-                        cost_monotone_discrete)
+from .transport import cost_lp, cost_matrix, cost_monotone
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, _jsonify
 from .verify import (concentration_mc, dual_check_strong, integrability_check,
                      lsi_check, marton_bound_check, tensor_check)
@@ -164,10 +162,6 @@ class AnalysisConfig:
       ``alpha(a(x-y)) / (2 kappa)`` used by the verification stages;
       ``prefactor`` accepts a ratio string such as ``"1/36"``.
     - ``kappa``: contraction constant handed to the decision procedures.
-    - ``quad_epsabs`` / ``quad_epsrel``: targets of the remaining adaptive
-      integrals (moment functionals, ray integrals, divergence tests),
-      applied for the duration of the run.  The cell tables of numeric
-      measures use their own fixed per-cell targets.
     - ``seed``: base seed; stage s with counter offset k uses ``seed + k``.
     - ``dual_trials`` / ``mc_samples``: verification effort.
     - ``out_dir``: where :func:`emit_report` writes files (None = stdout only).
@@ -181,8 +175,6 @@ class AnalysisConfig:
     scale: Optional[float] = None
     prefactor: Union[str, float, None] = None
     kappa: float = DEFAULT_KAPPA
-    quad_epsabs: float = 1e-10
-    quad_epsrel: float = 1e-8
     seed: int = 0
     dual_trials: int = 1000
     mc_samples: int = 100000
@@ -206,12 +198,11 @@ class AnalysisConfig:
         if not 0 <= integer("seed") < 2 ** 128:
             raise ValueError(f"config field seed must lie in [0, 2**128), "
                              f"got {self.seed}")
-        for name in ("quad_epsabs", "quad_epsrel", "kappa"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                    or not (math.isfinite(val) and val > 0):
-                raise ValueError(f"config field {name} must be a finite "
-                                 f"number > 0, got {val!r}")
+        kappa = self.kappa
+        if isinstance(kappa, bool) or not isinstance(kappa, (int, float)) \
+                or not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"config field kappa must be a finite number "
+                             f"> 0, got {kappa!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -368,172 +359,166 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
         stages.append({"stage": name, "status": "ok", "detail": ""})
         return out
 
-    saved_tols = (numerics.QUAD_ABS_TOL, numerics.QUAD_REL_TOL)
-    numerics.QUAD_ABS_TOL = float(config.quad_epsabs)
-    numerics.QUAD_REL_TOL = float(config.quad_epsrel)
-    try:
-        mu = stage("measure", lambda: parse_measure_spec(config.measure))
-        if mu is not None:
-            measure_summary["name"] = mu.name
-            measure_summary["median"] = float(mu.median)
-            measure_summary["logZ"] = float(mu.logZ)
-            measure_summary["support"] = list(mu.support)
-        alpha = stage("cost", lambda: parse_cost_spec(config.cost),
-                      requires=(mu,))
+    mu = stage("measure", lambda: parse_measure_spec(config.measure))
+    if mu is not None:
+        measure_summary["name"] = mu.name
+        measure_summary["median"] = float(mu.median)
+        measure_summary["logZ"] = float(mu.logZ)
+        measure_summary["support"] = list(mu.support)
+    alpha = stage("cost", lambda: parse_cost_spec(config.cost),
+                  requires=(mu,))
 
-        def shape():
-            adm = validate_admissible(alpha)
-            lc = is_log_concave(mu)
-            criteria_out["admissible"] = adm.to_dict()
-            measure_summary["log_concave"] = lc.status
-            criteria_out["log_concave"] = lc.to_dict()
-            return adm, lc
+    def shape():
+        adm = validate_admissible(alpha)
+        lc = is_log_concave(mu)
+        criteria_out["admissible"] = adm.to_dict()
+        measure_summary["log_concave"] = lc.status
+        criteria_out["log_concave"] = lc.to_dict()
+        return adm, lc
 
-        shape_out = stage("shape", shape, requires=(mu, alpha))
-        lc_holds = bool(shape_out and shape_out[1].holds)
+    shape_out = stage("shape", shape, requires=(mu, alpha))
+    lc_holds = bool(shape_out and shape_out[1].holds)
 
-        def lipschitz():
-            v = lipschitz_check(mu)
-            criteria_out["lipschitz"] = v.to_dict()
-            if v.holds:
-                measure_summary["A_plus"] = v.constants["A_plus"]
-                measure_summary["A_minus"] = v.constants["A_minus"]
+    def lipschitz():
+        v = lipschitz_check(mu)
+        criteria_out["lipschitz"] = v.to_dict()
+        if v.holds:
+            measure_summary["A_plus"] = v.constants["A_plus"]
+            measure_summary["A_minus"] = v.constants["A_minus"]
+        return v
+
+    lip = stage("lipschitz", lipschitz, requires=(mu,))
+
+    def muck():
+        d_plus, d_minus = muckenhoupt(mu)
+        measure_summary["D_plus"] = d_plus
+        measure_summary["D_minus"] = d_minus
+        return d_plus, d_minus
+
+    stage("muckenhoupt", muck, requires=(mu,))
+
+    def decide():
+        # char-lm is the general criterion and is always recorded; the
+        # log-concave specialization runs only when the shape predicate
+        # certified it, and then supplies the primary certificate.
+        v_lm = decide_strong_tci_lip(mu, alpha, kappa=config.kappa)
+        criteria_out["char_lm"] = v_lm.to_dict()
+        if lc_holds:
+            v_lc = decide_strong_tci_logconcave(mu, alpha,
+                                                kappa=config.kappa)
+            criteria_out["char_logconcave"] = v_lc.to_dict()
+            return v_lc
+        criteria_out["char_logconcave"] = {
+            "status": INCONCLUSIVE,
+            "constants": {},
+            "diagnostics": {"reason": "measure not certified log-concave"},
+        }
+        return v_lm
+
+    primary = stage("decide", decide, requires=(mu, alpha))
+
+    def suff():
+        v = suff_condition(mu, alpha)
+        criteria_out["suff_cond"] = v.to_dict()
+        return v
+
+    stage("suff_cond", suff, requires=(mu, alpha))
+
+    def modulus():
+        rm = rearrangement(mu, establish_lipschitz=False)
+        h = np.linspace(0.25, 8.0, 32)
+        w_plus, w_minus, lower = omega_bounds(rm, h)
+        curves["modulus"] = {"h": h, "omega_plus": w_plus,
+                             "omega_minus": w_minus, "lower": lower}
+        return True
+
+    stage("modulus", modulus, requires=(mu,))
+
+    # scale for the verification stages: explicit override wins, else the
+    # assembled certificate alpha(a(x-y)) / (2 kappa)
+    scale_a: Optional[float] = None
+    prefactor = parse_prefactor(config.prefactor)
+    if config.scale is not None:
+        scale_a = float(config.scale)
+    elif primary is not None and primary.holds:
+        scale_a = float(primary.constants["a"])
+        if config.prefactor is None:
+            prefactor = 1.0 / (2.0 * config.kappa)
+    verification["scale"] = scale_a
+    verification["prefactor"] = prefactor
+
+    def dual():
+        rep = dual_check_strong(mu, alpha, scale=scale_a,
+                                prefactor=prefactor,
+                                trials=config.dual_trials,
+                                seed=config.seed)
+        verification["dual"] = {
+            "status": rep.status, "trials": rep.trials,
+            "worst_product": rep.worst_product,
+            "worst_label": rep.worst_label, "seed": rep.seed,
+        }
+        return rep
+
+    if scale_a is None:
+        verification["dual"] = {"status": INCONCLUSIVE,
+                                "reason": "no assembled scale"}
+        stages.append({"stage": "dual", "status": "skipped",
+                       "detail": "no assembled scale"})
+        dual_rep = None
+    else:
+        dual_rep = stage("dual", dual, requires=(mu, alpha))
+
+    def integrability():
+        if scale_a is not None:
+            v = integrability_check(mu, alpha, scale=scale_a,
+                                    prefactor=prefactor)
+            verification["integrability"] = v.to_dict()
             return v
+        # nothing was assembled: scan a geometric ladder of scales and
+        # report which of them the ray products already refute
+        scan = []
+        statuses = []
+        for a in _REFUTE_SCALES:
+            v = integrability_check(mu, alpha, scale=a,
+                                    prefactor=prefactor)
+            scan.append({"scale": a, "status": v.status})
+            statuses.append(v.status)
+        verification["integrability_scan"] = scan
+        all_refuted = bool(statuses) and all(s == FAILS for s in statuses)
+        verification["integrability"] = {
+            "status": FAILS if all_refuted else INCONCLUSIVE,
+            "reason": "every scanned scale refuted" if all_refuted
+                      else "scan not uniformly refuted",
+        }
+        return all_refuted
 
-        lip = stage("lipschitz", lipschitz, requires=(mu,))
+    integ_out = stage("integrability", integrability,
+                      requires=(mu, alpha))
 
-        def muck():
-            d_plus, d_minus = muckenhoupt(mu)
-            measure_summary["D_plus"] = d_plus
-            measure_summary["D_minus"] = d_minus
-            return d_plus, d_minus
+    def concentration():
+        tables = []
+        for n in _ANALYZE_DIMS:
+            rep = concentration_mc(mu, alpha, scale=scale_a,
+                                   prefactor=prefactor, n=n,
+                                   samples=config.mc_samples,
+                                   seed=config.seed + n)
+            tables.append({"n": n, "status": rep.verdict.status,
+                           "mass_a": rep.mass_a,
+                           "samples": rep.samples})
+            curves[f"concentration_n{n}"] = {"rows": rep.rows()}
+        verification["concentration"] = tables
+        return tables
 
-        stage("muckenhoupt", muck, requires=(mu,))
+    if scale_a is None:
+        verification["concentration"] = {"status": INCONCLUSIVE,
+                                         "reason": "no assembled scale"}
+        stages.append({"stage": "concentration", "status": "skipped",
+                       "detail": "no assembled scale"})
+    else:
+        stage("concentration", concentration, requires=(mu, alpha))
 
-        def decide():
-            # char-lm is the general criterion and is always recorded; the
-            # log-concave specialization runs only when the shape predicate
-            # certified it, and then supplies the primary certificate.
-            v_lm = decide_strong_tci_lip(mu, alpha, kappa=config.kappa)
-            criteria_out["char_lm"] = v_lm.to_dict()
-            if lc_holds:
-                v_lc = decide_strong_tci_logconcave(mu, alpha,
-                                                    kappa=config.kappa)
-                criteria_out["char_logconcave"] = v_lc.to_dict()
-                return v_lc
-            criteria_out["char_logconcave"] = {
-                "status": INCONCLUSIVE,
-                "constants": {},
-                "diagnostics": {"reason": "measure not certified log-concave"},
-            }
-            return v_lm
-
-        primary = stage("decide", decide, requires=(mu, alpha))
-
-        def suff():
-            v = suff_condition(mu, alpha)
-            criteria_out["suff_cond"] = v.to_dict()
-            return v
-
-        stage("suff_cond", suff, requires=(mu, alpha))
-
-        def modulus():
-            rm = rearrangement(mu, establish_lipschitz=False)
-            h = np.linspace(0.25, 8.0, 32)
-            w_plus, w_minus, lower = omega_bounds(rm, h)
-            curves["modulus"] = {"h": h, "omega_plus": w_plus,
-                                 "omega_minus": w_minus, "lower": lower}
-            return True
-
-        stage("modulus", modulus, requires=(mu,))
-
-        # scale for the verification stages: explicit override wins, else the
-        # assembled certificate alpha(a(x-y)) / (2 kappa)
-        scale_a: Optional[float] = None
-        prefactor = parse_prefactor(config.prefactor)
-        if config.scale is not None:
-            scale_a = float(config.scale)
-        elif primary is not None and primary.holds:
-            scale_a = float(primary.constants["a"])
-            if config.prefactor is None:
-                prefactor = 1.0 / (2.0 * config.kappa)
-        verification["scale"] = scale_a
-        verification["prefactor"] = prefactor
-
-        def dual():
-            rep = dual_check_strong(mu, alpha, scale=scale_a,
-                                    prefactor=prefactor,
-                                    trials=config.dual_trials,
-                                    seed=config.seed)
-            verification["dual"] = {
-                "status": rep.status, "trials": rep.trials,
-                "worst_product": rep.worst_product,
-                "worst_label": rep.worst_label, "seed": rep.seed,
-            }
-            return rep
-
-        if scale_a is None:
-            verification["dual"] = {"status": INCONCLUSIVE,
-                                    "reason": "no assembled scale"}
-            stages.append({"stage": "dual", "status": "skipped",
-                           "detail": "no assembled scale"})
-            dual_rep = None
-        else:
-            dual_rep = stage("dual", dual, requires=(mu, alpha))
-
-        def integrability():
-            if scale_a is not None:
-                v = integrability_check(mu, alpha, scale=scale_a,
-                                        prefactor=prefactor)
-                verification["integrability"] = v.to_dict()
-                return v
-            # nothing was assembled: scan a geometric ladder of scales and
-            # report which of them the ray products already refute
-            scan = []
-            statuses = []
-            for a in _REFUTE_SCALES:
-                v = integrability_check(mu, alpha, scale=a,
-                                        prefactor=prefactor)
-                scan.append({"scale": a, "status": v.status})
-                statuses.append(v.status)
-            verification["integrability_scan"] = scan
-            all_refuted = bool(statuses) and all(s == FAILS for s in statuses)
-            verification["integrability"] = {
-                "status": FAILS if all_refuted else INCONCLUSIVE,
-                "reason": "every scanned scale refuted" if all_refuted
-                          else "scan not uniformly refuted",
-            }
-            return all_refuted
-
-        integ_out = stage("integrability", integrability,
-                          requires=(mu, alpha))
-
-        def concentration():
-            tables = []
-            for n in _ANALYZE_DIMS:
-                rep = concentration_mc(mu, alpha, scale=scale_a,
-                                       prefactor=prefactor, n=n,
-                                       samples=config.mc_samples,
-                                       seed=config.seed + n)
-                tables.append({"n": n, "status": rep.verdict.status,
-                               "mass_a": rep.mass_a,
-                               "samples": rep.samples})
-                curves[f"concentration_n{n}"] = {"rows": rep.rows()}
-            verification["concentration"] = tables
-            return tables
-
-        if scale_a is None:
-            verification["concentration"] = {"status": INCONCLUSIVE,
-                                             "reason": "no assembled scale"}
-            stages.append({"stage": "concentration", "status": "skipped",
-                           "detail": "no assembled scale"})
-        else:
-            stage("concentration", concentration, requires=(mu, alpha))
-
-        conclusion = _conclude(config, primary, dual_rep,
-                               verification, integ_out, stages)
-    finally:
-        numerics.QUAD_ABS_TOL, numerics.QUAD_REL_TOL = saved_tols
+    conclusion = _conclude(config, primary, dual_rep,
+                           verification, integ_out, stages)
 
     cfg_for_hash = config
     provenance = {

@@ -11,8 +11,8 @@ profile with the 1/36 constant, and the exponential-bridge family
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy import interpolate, optimize
@@ -48,11 +48,6 @@ class CostFunction:
 
     def __call__(self, t):
         return self.fn(t)
-
-    def with_scale(self, a: float) -> "CostFunction":
-        if a <= 0:
-            raise ValueError("scale must be positive")
-        return replace(self, scale=float(a))
 
 
 def _numeric_deriv(fn, h=1e-6):

@@ -4,20 +4,21 @@ The reference law has density ``exp(-|x|)/2``.  Every atomless full-support
 measure ``mu`` is the push-forward of the reference law under the monotone map
 ``T = Q_mu . F_ref``; the regularity of ``T`` (Lipschitz, uniformly
 continuous) governs which transport-entropy inequalities ``mu`` satisfies and
-with which cost.  This module computes the map, its moduli, and the
-finite/infinite functionals (A+/A-, D+/D-, residual moment sups) that decide
-the criteria, returning :class:`Verdict` objects with witness constants.
+with which cost.  This module computes the map, the one-sided inverse
+moduli of its tails, and the finite/infinite functionals (A+/A-, D+/D-,
+residual moment sups, exponential moments along rays) that decide the
+criteria, returning :class:`Verdict` objects with witness constants.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import numerics
 from .costs import CostFunction, builtin_cost, validate_admissible
@@ -105,74 +106,11 @@ class RearrangementMap:
     forward: Callable
     inverse: Callable
     lipschitz_bound: Optional[float] = None
-    h_grid: Optional[np.ndarray] = None
-    delta_table: Optional[np.ndarray] = None
-    omega_table: Optional[np.ndarray] = None
-    _ref_span: float = field(default=-math.log(2.0 * _GRID_LEVEL), repr=False)
-
-    def attach_moduli(self, h_grid) -> None:
-        """Tabulate both moduli on ``h_grid`` and store them as fields."""
-        h = np.asarray(h_grid, dtype=float)
-        self.h_grid = h
-        self.delta_table = self.modulus(h)
-        self.omega_table = self.inverse_modulus(h)
-
-    def modulus(self, h) -> np.ndarray:
-        """Continuity modulus of the forward map: sup_x T(x+h) - T(x)."""
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        span = self._ref_span
-        xs = np.concatenate([-numerics.geometric_offsets(span, 256)[::-1],
-                             numerics.geometric_offsets(span, 256)[1:]])
-        out = np.empty(len(h))
-        for i, hh in enumerate(h):
-            if hh <= 0:
-                out[i] = 0.0
-                continue
-            lo = self.forward(xs)
-            hi = self.forward(xs + hh)
-            k = int(np.argmax(hi - lo))
-            a = xs[max(k - 1, 0)]
-            b = xs[min(k + 1, len(xs) - 1)]
-            _, best = numerics.golden_max(
-                lambda t: self.forward(t + hh) - self.forward(t), a, b,
-                tol=1e-10)
-            out[i] = max(best, float((hi - lo)[k]))
-        return np.maximum.accumulate(out)
-
-    def inverse_modulus(self, h) -> np.ndarray:
-        """inf over |x-y| >= h of |T^{-1}x - T^{-1}y| (attained at h)."""
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        lo_x = self.mu.quantile(_GRID_LEVEL)
-        hi_x = self.mu.quantile(1.0 - _GRID_LEVEL)
-        xs = np.linspace(lo_x, hi_x, 1024)
-        out = np.empty(len(h))
-        for i, hh in enumerate(h):
-            if hh <= 0:
-                out[i] = 0.0
-                continue
-            keep = xs[xs + hh <= hi_x]
-            if len(keep) == 0:
-                keep = np.array([lo_x])
-            gaps = self.inverse(keep + hh) - self.inverse(keep)
-            k = int(np.argmin(gaps))
-            a = keep[max(k - 1, 0)]
-            b = keep[min(k + 1, len(keep) - 1)]
-            if b > a:
-                _, neg = numerics.golden_max(
-                    lambda t: -(self.inverse(t + hh) - self.inverse(t)), a, b,
-                    tol=1e-10)
-                out[i] = min(float(gaps[k]), -neg)
-            else:
-                out[i] = float(gaps[k])
-        return np.maximum.accumulate(np.maximum(out, 0.0))
 
 
-def rearrangement(mu: Measure1D, establish_lipschitz: bool = True,
-                  h_grid=None) -> RearrangementMap:
-    """Build the monotone rearrangement map for ``mu``.
-
-    ``h_grid`` optionally tabulates both moduli at construction.
-    """
+def rearrangement(mu: Measure1D,
+                  establish_lipschitz: bool = True) -> RearrangementMap:
+    """Build the monotone rearrangement map for ``mu``."""
     m = mu.median
 
     def forward(x):
@@ -203,10 +141,7 @@ def rearrangement(mu: Measure1D, establish_lipschitz: bool = True,
         v = lipschitz_check(mu)
         if v.holds:
             bound = v.constants["lipschitz_bound"]
-    rm = RearrangementMap(mu, forward, inverse, bound)
-    if h_grid is not None:
-        rm.attach_moduli(h_grid)
-    return rm
+    return RearrangementMap(mu, forward, inverse, bound)
 
 
 def omega_bounds(rm: RearrangementMap, h_grid
@@ -306,11 +241,10 @@ def lipschitz_check(mu: Measure1D) -> Verdict:
                            "lipschitz_bound": bound}, diag)
 
 
-def muckenhoupt(mu: Measure1D, with_witness: bool = False):
+def muckenhoupt(mu: Measure1D):
     """Muckenhoupt functionals ``D+ = sup_{x>=m} sf(x) int_m^x 1/density``.
 
-    Returns ``(D_plus, D_minus)`` with ``inf`` markers on divergence, or,
-    with ``with_witness``, ``((D_plus, x_plus), (D_minus, x_minus))``.
+    Returns ``(D_plus, D_minus)`` with ``inf`` markers on divergence.
     """
     m = mu.median
     out = []
@@ -332,12 +266,12 @@ def muckenhoupt(mu: Measure1D, with_witness: bool = False):
                 ok = False
                 break
         if not ok:
-            out.append((math.inf, float(grid[i])))
+            out.append(math.inf)
             continue
         mass = mu.sf(grid) if side == "plus" else mu.cdf(grid)
         vals = mass * cum
         k = int(np.argmax(vals))
-        best, arg = float(vals[k]), float(grid[k])
+        best = float(vals[k])
         if 0 < k < len(grid) - 1:
             lo, hi = sorted((float(grid[k - 1]), float(grid[k + 1])))
             base_x, base_c = float(grid[k - 1]), cum[k - 1]
@@ -348,9 +282,9 @@ def muckenhoupt(mu: Measure1D, with_witness: bool = False):
                 w = mu.sf(x) if side == "plus" else mu.cdf(x)
                 return w * c
 
-            x_r, v_r = numerics.golden_max(f_loc, lo, hi, tol=1e-9)
+            _, v_r = numerics.golden_max(f_loc, lo, hi, tol=1e-9)
             if v_r > best:
-                best, arg = v_r, x_r
+                best = v_r
 
         span = abs(float(grid[-1]) - m)
         tail_x = [float(grid[-1])]
@@ -370,50 +304,42 @@ def muckenhoupt(mu: Measure1D, with_witness: bool = False):
 
         diverged, _ = _probe_growth(lambda d: f_ext(m + sgn * d),
                                     span, span, best)
-        out.append((math.inf, arg) if diverged else (best, arg))
-    if with_witness:
-        return tuple(out)
-    return out[0][0], out[1][0]
+        out.append(math.inf if diverged else best)
+    return out[0], out[1]
 
 
 _DECAY_NATS = 80.0
 
 
 def _decaying_tail_integral(g: Callable[[float], float],
-                            log_g: Callable[[float], float],
-                            kinks: Sequence[float],
-                            start: float = 1.0,
-                            log_parts: Optional[Callable] = None) -> float:
+                            log_parts: Callable[[float], Tuple[float, float]],
+                            kinks: Sequence[float]) -> float:
     """``int_0^inf g`` for integrands that must decay for convergence.
 
-    Doubling probes of ``log g`` look for a sustained drop of
-    ``_DECAY_NATS`` below the running peak; a probe that climbs back above
-    the drop line after the horizon, or a horizon that never appears within
-    sixty doublings, marks the integral as divergent (``inf``).  Otherwise
-    the decayed tail is negligible and a single quadrature over the horizon
-    suffices.
+    ``log_parts(z)`` returns the growth and decay log-terms of ``g(z)``
+    separately; their sum is ``log g(z)``.  Probes at ``z = 1, 2, 4, ...``
+    look for a sustained drop of ``_DECAY_NATS`` below the running peak; a
+    probe that climbs back above the drop line after the horizon, or a
+    horizon that never appears within sixty doublings, marks the integral as
+    divergent (``inf``).  Otherwise the decayed tail is negligible and a
+    single quadrature over the horizon suffices.
 
-    ``log_parts``, when given, returns the growth and decay log-terms
-    separately so a probe where they cancel below their own rounding noise
-    can be recognized: such a probe carries no information and is skipped
-    instead of feeding a bogus horizon or re-rise (at a critical balance
-    both terms reach ~1e30 while their true sum stays order one).
+    A probe where the two log-terms cancel below their own rounding noise
+    carries no information and is skipped instead of feeding a bogus
+    horizon or re-rise (at a critical balance both terms reach ~1e30 while
+    their true sum stays order one).
     """
     peak = -math.inf
     horizon = None
-    T = max(start, 1e-3)
+    T = 1.0
     for _ in range(61):
         with np.errstate(over="ignore", invalid="ignore"):
-            if log_parts is not None:
-                up, down = log_parts(T)
-                up, down = float(up), float(down)
-                v = up + down
-                if (math.isfinite(v)
-                        and abs(v) < (abs(up) + abs(down)) * 2.0 ** -45):
-                    T *= 2.0
-                    continue
-            else:
-                v = float(log_g(T))
+            up, down = log_parts(T)
+        up, down = float(up), float(down)
+        v = up + down
+        if math.isfinite(v) and abs(v) < (abs(up) + abs(down)) * 2.0 ** -45:
+            T *= 2.0
+            continue
         if math.isnan(v):
             v = -math.inf  # numerically dead counts as fully decayed
         if v > peak:
@@ -433,6 +359,22 @@ def _decaying_tail_integral(g: Callable[[float], float],
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return numerics.quad(g, 0.0, horizon, points=pts or None)
+
+
+def _ray_integrand(mu: Measure1D, cost: Callable[[float], float], x0: float,
+                   sgn: float):
+    """``g`` and ``log_parts`` of ``z -> e^{cost(z)} rho(x0 + sgn z)`` for
+    :func:`_decaying_tail_integral`; ``g`` caps the exponent at 700 so it
+    stays finite."""
+
+    def g(z):
+        return math.exp(min(float(cost(z)), 700.0)) \
+            * float(mu.density(x0 + sgn * z))
+
+    def log_parts(z):
+        return float(cost(z)), float(mu.log_density(x0 + sgn * z))
+
+    return g, log_parts
 
 
 def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
@@ -455,20 +397,8 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
         mass = mu.sf(x) if side == "plus" else mu.cdf(x)
         if mass <= 1e-300:
             return math.nan  # beyond double range: no information, not growth
-
-        def g(z):
-            return math.exp(min(alpha.fn(b * z), 700.0)) \
-                * float(mu.density(x + sgn * z))
-
-        def log_g(z):
-            return float(alpha.fn(b * z)) \
-                + float(mu.log_density(x + sgn * z))
-
-        def log_parts(z):
-            return (float(alpha.fn(b * z)),
-                    float(mu.log_density(x + sgn * z)))
-
-        val = _decaying_tail_integral(g, log_g, kinks, log_parts=log_parts)
+        g, log_parts = _ray_integrand(mu, lambda z: alpha.fn(b * z), x, sgn)
+        val = _decaying_tail_integral(g, log_parts, kinks)
         return val / mass if math.isfinite(val) else math.inf
 
     best, arg = -math.inf, m
@@ -573,21 +503,9 @@ def _moment_integral(mu: Measure1D, alpha: CostFunction, b: float) -> float:
         | {float(p) for p in mu.kink_points}
     for sgn in (1.0, -1.0):
         offs = sorted(sgn * (x - m) for x in x_marks)
-
-        def g(z, _s=sgn):
-            x = m + _s * z
-            return math.exp(min(alpha.fn(b * x), 700.0)) \
-                * float(mu.density(x))
-
-        def log_g(z, _s=sgn):
-            x = m + _s * z
-            return float(alpha.fn(b * x)) + float(mu.log_density(x))
-
-        def log_parts(z, _s=sgn):
-            x = m + _s * z
-            return float(alpha.fn(b * x)), float(mu.log_density(x))
-
-        half = _decaying_tail_integral(g, log_g, offs, log_parts=log_parts)
+        g, log_parts = _ray_integrand(
+            mu, lambda z, _s=sgn: alpha.fn(b * (m + _s * z)), m, sgn)
+        half = _decaying_tail_integral(g, log_parts, offs)
         if not math.isfinite(half):
             return math.inf
         total += half
@@ -831,7 +749,7 @@ def int_equiv_ratio(Phi: Callable[[float], float], x_probes,
         px = Phi(x)
         val = _decaying_tail_integral(
             lambda t: math.exp(-min(Phi(x + t) - px, 700.0)),
-            lambda t: -(Phi(x + t) - px), ())
+            lambda t: (0.0, -(Phi(x + t) - px)), ())
         out.append(float(dPhi(x)) * val)
     return np.asarray(out)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import interpolate, optimize, special
@@ -690,13 +690,16 @@ def is_log_concave(mu: Measure1D, n_grid: int = 2048, tol: float = 1e-7,
     return Verdict(HOLDS, {}, diag)
 
 
-def sample(mu: Measure1D, n: int, seed: int) -> np.ndarray:
-    """``n`` iid draws by inverse-cdf of uniforms from ``default_rng(seed)``."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(int(n))
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
+def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
+    """iid draws of the given shape by inverse-cdf of uniforms.
+
+    The uniforms come from the counter-based ``Generator(Philox(key=seed))``
+    stream that the verifiers also use, clipped to ``[1e-16, 1 - 1e-16]``.
+    """
+    if np.min(shape) < 1:
+        raise ValueError(f"sample shape {shape!r} has no draws")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    u = np.clip(rng.random(shape), 1e-16, 1.0 - 1e-16)
     if mu._quantile is not None:
         return np.asarray(mu.quantile(u), dtype=float)
     # numeric measures: interpolated inverse of the cell table (adequate for

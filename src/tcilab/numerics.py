@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-#: absolute / relative targets used by adaptive quadrature throughout.
+#: absolute / relative targets of :func:`quad` unless a caller passes its own.
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 
@@ -121,15 +121,19 @@ def sup_on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     return best_v, best_x
 
 
-def wilson_interval(successes: int, n: int, z: float = 2.5758293035489004):
-    """Wilson score interval; default z is the two-sided 99% quantile."""
+def wilson_interval(p, n: int, z: float = 2.5758293035489004):
+    """Wilson score interval around the observed fraction(s) ``p`` of ``n``.
+
+    ``p`` may be an array; the default z is the two-sided 99% quantile.  The
+    limits are not clipped to [0, 1].
+    """
     if n <= 0:
         raise ValueError("sample size must be positive")
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return max(0.0, center - half), min(1.0, center + half)
+    z2 = z ** 2
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2.0 * n)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n ** 2)) / denom
+    return center - half, center + half
 
 
 def composite_gauss_nodes(edges: np.ndarray, order: int = 4, panels: int = 1):

@@ -24,7 +24,8 @@ from .measures import DiscreteMeasure, Measure1D
 __all__ = [
     "GridFunction", "TransportPlan", "cost_monotone", "cost_monotone_discrete",
     "northwest_plan", "cost_matrix", "cost_lp", "relative_entropy",
-    "inf_convolution", "inf_convolution_exact", "dual_lower_bound",
+    "inf_convolution", "inf_convolution_exact", "ExactInfConvolution",
+    "dual_lower_bound",
 ]
 
 
@@ -115,11 +116,7 @@ def cost_monotone(nu: Measure1D, mu: Measure1D, alpha: CostFunction,
     def q(a, b, limit=60, points=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            v, _ = integrate.quad(integrand, a, b,
-                                  epsabs=numerics.QUAD_ABS_TOL,
-                                  epsrel=numerics.QUAD_REL_TOL,
-                                  limit=limit, points=points)
-        return v
+            return numerics.quad(integrand, a, b, limit=limit, points=points)
 
     # end-truncated integral over [d, 1-d]; halving d (doubling the window
     # sharpness) only adds two edge slivers, so divergence detection walks
@@ -279,9 +276,8 @@ def _relative_entropy_continuous(nu: Measure1D, mu: Measure1D) -> float:
         pts = [p for p in kinks if a < p < b]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(integrand, a, b, points=pts or None,
-                                    epsabs=1e-11, epsrel=1e-9, limit=300)
-        return val
+            return numerics.quad(integrand, a, b, points=pts or None,
+                                 epsabs=1e-11, epsrel=1e-9, limit=300)
 
     q25, q75 = nu.quantile(0.25), nu.quantile(0.75)
     start = max(1.0, q75 - q25)
@@ -341,44 +337,56 @@ def _stationary_offsets(alpha: CostFunction, a: float, prefactor: float,
     return solve
 
 
+class ExactInfConvolution:
+    """Continuum inf-convolution of piecewise-linear potentials.
+
+    ``q(values)`` is ``Q phi(x) = min_y phi(y) + c(x - y)`` at every query
+    point for the potential taking ``values`` on the fixed ``knots`` (linear
+    between them, constant beyond).  Every local minimizer of
+    ``y -> phi(y) + c(x - y)`` is then a knot, an offset where ``c`` has a
+    kink, or a stationary point where ``c'`` matches a segment slope.
+    Enumerating those candidates gives the exact infimum, up to
+    interpolation of ``c'`` on its strictly monotone branches.  The knot
+    cost matrix is built once, so potentials sharing the query and knot
+    arrays cost one enumeration each.
+    """
+
+    def __init__(self, query, knots, alpha: CostFunction,
+                 scale: Optional[float] = None, prefactor: float = 1.0):
+        a, c = _ground(alpha, scale, prefactor)
+        self._c = c
+        self.query = np.asarray(query, dtype=float)
+        self.knots = np.asarray(knots, dtype=float)
+        self.knot_cost = c(self.query[:, None] - self.knots[None, :])
+        span = ((self.knots[-1] - self.knots[0])
+                + (self.query.max() - self.query.min()) + 1.0)
+        self._span = span
+        self._solve = _stationary_offsets(alpha, a, prefactor, span)
+        self._kink_offs = np.array([k / a for k in alpha.kinks], dtype=float)
+
+    def q(self, vals: np.ndarray) -> np.ndarray:
+        best = np.min(vals[None, :] + self.knot_cost, axis=1)
+        slopes = np.diff(vals) / np.diff(self.knots)
+        pos = np.unique(np.abs(np.concatenate(([0.0], slopes))))
+        offs = np.unique(np.concatenate(
+            [self._solve(pos).ravel(), self._kink_offs, [0.0]]))
+        offs = offs[offs <= self._span]
+        coffs = np.asarray(self._c(offs), dtype=float)
+        for sign in (1.0, -1.0):
+            shifted = self.query[:, None] - sign * offs[None, :]
+            phi_sh = np.interp(shifted.ravel(), self.knots, vals)
+            cand = phi_sh.reshape(shifted.shape) + coffs[None, :]
+            best = np.minimum(best, cand.min(axis=1))
+        return best
+
+
 def inf_convolution_exact(phi: GridFunction, alpha: CostFunction, out_x,
                           scale: Optional[float] = None,
                           prefactor: float = 1.0) -> np.ndarray:
-    """Continuum inf-convolution of a piecewise-linear ``phi``.
-
-    For piecewise-linear ``phi`` (constant beyond its knots) every local
-    minimizer of ``y -> phi(y) + c(x - y)`` is a knot of ``phi``, an offset
-    where ``c`` has a kink, or a stationary point where ``c'`` matches a
-    segment slope.  Enumerating those candidates gives the exact infimum, up
-    to interpolation of ``c'`` on its strictly monotone branches.
-    """
-    x = np.asarray(out_x, dtype=float)
-    a, c = _ground(alpha, scale, prefactor)
-    knots = phi.grid
-    vals = phi.values
-    span = (knots[-1] - knots[0]) + (x.max() - x.min()) + 1.0
-    solve = _stationary_offsets(alpha, a, prefactor, span)
-
-    slopes = np.diff(vals) / np.diff(knots)
-    slopes = np.concatenate(([0.0], slopes, [0.0]))  # constant extensions
-    pos = np.unique(np.abs(slopes))
-    offs = solve(pos)                                 # (n_slopes, n_branches)
-    kink_offs = np.array([k / a for k in alpha.kinks], dtype=float)
-    all_offs = np.unique(np.concatenate([offs.ravel(), kink_offs, [0.0]]))
-    all_offs = all_offs[all_offs <= span]
-
-    # candidate minimizers: knots, x - d and x + d for each offset d
-    best = np.full(len(x), np.inf)
-    chunk = max(1, int(4e6 // max(len(knots), 1)))
-    for s in range(0, len(x), chunk):
-        xs = x[s:s + chunk, None]
-        best[s:s + chunk] = np.min(vals[None, :] + c(xs - knots[None, :]), axis=1)
-    coffs = c(all_offs)
-    for d, cd in zip(all_offs, coffs):
-        best = np.minimum(best, phi(x - d) + cd)
-        if d > 0:
-            best = np.minimum(best, phi(x + d) + cd)
-    return best
+    """Continuum inf-convolution of a piecewise-linear ``phi`` at ``out_x``;
+    see :class:`ExactInfConvolution`."""
+    return ExactInfConvolution(out_x, phi.grid, alpha, scale,
+                               prefactor).q(phi.values)
 
 
 def dual_lower_bound(nu: DiscreteMeasure, mu: DiscreteMeasure,

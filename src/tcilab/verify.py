@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import numerics, transport
 from .costs import CostFunction
-from .criteria import _decaying_tail_integral
-from .measures import DiscreteMeasure, Measure1D
+from .criteria import _decaying_tail_integral, _ray_integrand
+from .measures import DiscreteMeasure, Measure1D, sample
 from .transport import GridFunction
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
@@ -42,8 +42,6 @@ _PHI_SLOPE = 20.0
 #: takes over outside); the integration window leaves far less.
 _PHI_MASS_GAP = 1e-8
 _WINDOW_MASS = 1e-16
-
-_WILSON_Z = 2.5758293035489004  # two-sided 99% normal quantile
 
 _TENSOR_SLACK = 1e-7
 _PRODUCT_STATE_CAP = 1296       # 6**4; largest product LP we will pose
@@ -93,7 +91,7 @@ class _DualQuadrature:
     exactly one, which makes ``phi == 0`` give the product 1.0 exactly.
     """
 
-    def __init__(self, mu: Measure1D, knots: np.ndarray, panels: int = 32):
+    def __init__(self, mu: Measure1D, knots: np.ndarray):
         lo = min(float(mu.quantile(_WINDOW_MASS)), knots[0] - 1.0)
         hi = max(float(mu.isf(_WINDOW_MASS)), knots[-1] + 1.0)
         breaks = np.unique(np.concatenate([
@@ -105,8 +103,7 @@ class _DualQuadrature:
         # 32 panels per cell keeps the corner error of the inf-convolution
         # (whose breakpoints fall inside knot cells) two orders below the
         # violation slack; measured worst relative error ~1e-8
-        nodes, w = numerics.composite_gauss_nodes(breaks, order=4,
-                                                  panels=panels)
+        nodes, w = numerics.composite_gauss_nodes(breaks, order=4, panels=32)
         rho = np.asarray(mu.density(nodes), dtype=float)
         self.nodes = nodes
         self.lo, self.hi = lo, hi
@@ -126,42 +123,6 @@ class _DualQuadrature:
     def mean(self, vals: np.ndarray, left: float, right: float) -> float:
         return (float(np.dot(self.rho_w, vals))
                 + self.tail_lo * left + self.tail_hi * right)
-
-
-class _InfConvEngine:
-    """Exact inf-convolution of knot potentials at a fixed query array.
-
-    Same candidate enumeration as :func:`transport.inf_convolution_exact`
-    (knots, cost-kink offsets, stationary offsets solved per slope), with the
-    knot cost matrix hoisted out of the per-potential loop.
-    """
-
-    def __init__(self, query: np.ndarray, knots: np.ndarray,
-                 alpha: CostFunction, scale: Optional[float], prefactor: float):
-        a, c = transport._ground(alpha, scale, prefactor)
-        self._c = c
-        self.query = query
-        self.knots = knots
-        self.knot_cost = c(query[:, None] - knots[None, :])
-        span = (knots[-1] - knots[0]) + (query.max() - query.min()) + 1.0
-        self._span = span
-        self._solve = transport._stationary_offsets(alpha, a, prefactor, span)
-        self._kink_offs = np.array([k / a for k in alpha.kinks], dtype=float)
-
-    def q(self, vals: np.ndarray) -> np.ndarray:
-        best = np.min(vals[None, :] + self.knot_cost, axis=1)
-        slopes = np.diff(vals) / np.diff(self.knots)
-        pos = np.unique(np.abs(np.concatenate(([0.0], slopes))))
-        offs = np.unique(np.concatenate(
-            [self._solve(pos).ravel(), self._kink_offs, [0.0]]))
-        offs = offs[offs <= self._span]
-        coffs = np.asarray(self._c(offs), dtype=float)
-        for sign in (1.0, -1.0):
-            shifted = self.query[:, None] - sign * offs[None, :]
-            phi_sh = np.interp(shifted.ravel(), self.knots, vals)
-            cand = phi_sh.reshape(shifted.shape) + coffs[None, :]
-            best = np.minimum(best, cand.min(axis=1))
-        return best
 
 
 def _adversarial_potentials(mu: Measure1D, knots: np.ndarray):
@@ -204,22 +165,27 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     """Stress-test ``int e^{Q phi} dmu * int e^{-phi} dmu <= 1``.
 
     ``Q phi(x) = inf_y phi(y) + prefactor * alpha(scale * (x - y))`` is
-    computed exactly for each piecewise-linear candidate.  The family holds
-    ``trials`` random bounded walks on a 64-knot grid covering all but
-    ``1e-8`` of the mass (values within +-10, slopes within +-20), plus
-    adversarial candidates: constants, smoothed two-level ramps off a ray,
-    and window wells/plateaus.  With ``plain=True`` the second factor is
-    ``exp(-int phi dmu)`` (the weaker plain form).
+    computed exactly for each piecewise-linear candidate by one
+    :class:`transport.ExactInfConvolution` built on the shared knots and
+    quadrature nodes.  The family holds ``trials`` random bounded walks on a
+    64-knot grid covering all but ``1e-8`` of the mass (values within +-10,
+    slopes within +-20), plus adversarial candidates: constants, smoothed
+    two-level ramps off a ray, and window wells/plateaus.  With
+    ``plain=True`` the second factor is ``exp(-int phi dmu)`` (the weaker
+    plain form).
 
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     lo_k = float(mu.quantile(_PHI_MASS_GAP / 2.0))
     hi_k = float(mu.isf(_PHI_MASS_GAP / 2.0))
     knots = np.linspace(lo_k, hi_k, _PHI_KNOTS)
     quadr = _DualQuadrature(mu, knots)
     query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
-    engine = _InfConvEngine(query, knots, alpha, scale, prefactor)
+    engine = transport.ExactInfConvolution(query, knots, alpha, scale,
+                                           prefactor)
 
     def product(vals: np.ndarray) -> float:
         qv = engine.q(vals)
@@ -269,25 +235,11 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 def _ray_moment(mu: Measure1D, c, a: float, kinks, x0: float,
                 side: float = 1.0) -> float:
     """``int_0^inf e^{c(z)} rho(x0 + side*z) dz`` with the decay-horizon rule."""
-
-    def lin(z):
-        with np.errstate(over="ignore"):
-            return float(np.exp(np.minimum(np.asarray(c(z), dtype=float), 709.0))
-                         * mu.density(x0 + side * z))
-
-    def logi(z):
-        return float(np.asarray(c(z), dtype=float)
-                     + mu.log_density(x0 + side * z))
-
-    def log_parts(z):
-        return (float(np.asarray(c(z), dtype=float)),
-                float(mu.log_density(x0 + side * z)))
-
+    g, log_parts = _ray_integrand(mu, c, x0, side)
     pts = sorted({k / a for k in kinks}
                  | {side * (p - x0) for p in mu.kink_points
                     if side * (p - x0) > 0})
-    return _decaying_tail_integral(lin, logi, pts, start=1.0,
-                                   log_parts=log_parts)
+    return _decaying_tail_integral(g, log_parts, pts)
 
 
 def integrability_check(mu: Measure1D, alpha: CostFunction,
@@ -480,6 +432,8 @@ def tensor_check(mu_discrete: DiscreteMeasure, cost: CostFunction, n: int,
     candidate is ``nu = mu^n`` (both sides zero).  Worst slack
     ``transport - entropy`` is reported; beyond ``1e-7`` the check fails.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     k = len(mu_discrete)
     n = int(n)
     if k > 12:
@@ -572,8 +526,11 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     enlargement is exact: with the ground cost nondecreasing in distance,
     a point belongs to ``A_c^r`` iff the per-coordinate distances ``d_i``
     to the interval satisfy ``sum_i g(d_i) <= r`` -- no inner optimization.
-    Draws come from a counter-based generator keyed by ``seed``.
+    Draws come from :func:`measures.sample`, the counter-based stream keyed
+    by ``seed``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     a, c = transport._ground(alpha, scale, prefactor)
     lo, hi = float(A[0]), float(A[1])
     if not lo < hi:
@@ -587,23 +544,12 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     mass1 = _cdf_ext(mu, hi) - _cdf_ext(mu, lo)
     mass_n = mass1 ** n
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = np.clip(rng.random((samples, n)), 1e-16, 1.0 - 1e-16)
-    if mu._quantile is not None:
-        X = np.asarray(mu.quantile(u), dtype=float)
-    else:
-        X = np.interp(u, mu.F_grid, mu.grid)
+    X = sample(mu, (samples, n), seed)
     D = np.maximum(np.maximum(lo - X, X - hi), 0.0)
     costs = np.sort(np.asarray(c(D), dtype=float).sum(axis=1))
     emp = np.searchsorted(costs, r_grid, side="right") / float(samples)
 
-    z2 = _WILSON_Z ** 2
-    denom = 1.0 + z2 / samples
-    center = (emp + z2 / (2.0 * samples)) / denom
-    half = _WILSON_Z * np.sqrt(emp * (1.0 - emp) / samples
-                               + z2 / (4.0 * samples ** 2)) / denom
-    lower = center - half
-    upper = center + half
+    lower, upper = numerics.wilson_interval(emp, samples)
     bound = 1.0 - np.exp(-r_grid) / mass_n if mass_n > 0.0 \
         else np.full_like(r_grid, -math.inf)
 

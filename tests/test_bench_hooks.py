@@ -1,0 +1,31 @@
+"""The benchmark's traced run wraps layer functions by name.
+
+A refactor that removes or renames one of them would otherwise go unnoticed
+until someone runs the benchmark with ``--trace 1``.
+"""
+
+from pathlib import Path
+
+from tcilab import costs, measures
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_finds_every_hook_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+    finally:
+        tracer.uninstall()
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original
+    # read, not wrapped: the table marker and conjugate's inner evaluator
+    assert measures.make_builtin("exponential")._table is None
+    inner = [c.co_name for c in costs.conjugate.__code__.co_consts
+             if hasattr(c, "co_name")]
+    assert "value" in inner

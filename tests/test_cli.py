@@ -2,7 +2,6 @@
 round-trips, the analyze stages, report emission, and the subcommands."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -79,8 +78,10 @@ class TestConfig:
         assert again.config_hash() == cfg.config_hash()
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            AnalysisConfig.from_dict({"measure": "exponential", "bogus": 1})
+        # quad_epsabs was a config field once; old files carrying it fail too
+        for key in ("bogus", "quad_epsabs"):
+            with pytest.raises(ValueError, match="unknown"):
+                AnalysisConfig.from_dict({"measure": "exponential", key: 1})
 
     def test_hash_tracks_content(self):
         a = AnalysisConfig(seed=0)
@@ -90,8 +91,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dual_trials", -3), ("mc_samples", 0), ("seed", -1),
-        ("seed", 2 ** 128), ("seed", 1.5), ("quad_epsabs", 0.0),
-        ("quad_epsrel", -1e-8), ("quad_epsrel", math.nan), ("kappa", 0.0),
+        ("seed", 2 ** 128), ("seed", 1.5), ("kappa", 0.0),
     ])
     def test_bad_values_rejected_before_any_stage(self, field, value,
                                                   monkeypatch):

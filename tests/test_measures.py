@@ -297,3 +297,11 @@ class TestSampling:
     def test_size_validation(self, mu1):
         with pytest.raises(ValueError):
             sample(mu1, 0, seed=0)
+
+    def test_philox_inverse_cdf(self, mu1):
+        # the verifiers' counter-based stream, pushed through the quantile
+        u = np.random.Generator(np.random.Philox(key=9)).random((7, 3))
+        expect = mu1.quantile(np.clip(u, 1e-16, 1.0 - 1e-16))
+        np.testing.assert_array_equal(sample(mu1, (7, 3), seed=9), expect)
+        with pytest.raises(ValueError, match="no draws"):
+            sample(mu1, (7, 0), seed=9)

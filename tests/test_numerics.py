@@ -62,6 +62,27 @@ class TestCompositeGauss:
         assert np.dot(f(nodes), weights) == pytest.approx(exact, abs=1e-15)
 
 
+class TestWilsonInterval:
+    def test_array_matches_closed_form(self):
+        n, z = 400, 2.5758293035489004
+        p = np.array([0.0, 0.0125, 0.5, 0.9875, 1.0])
+        lower, upper = numerics.wilson_interval(p, n)
+        for pi, lo, hi in zip(p, lower, upper):
+            denom = 1.0 + z * z / n
+            center = (pi + z * z / (2.0 * n)) / denom
+            half = z / denom * math.sqrt(pi * (1.0 - pi) / n
+                                         + z * z / (4.0 * n * n))
+            assert lo == pytest.approx(center - half, rel=1e-14, abs=1e-16)
+            assert hi == pytest.approx(center + half, rel=1e-14, abs=1e-16)
+        # the interval is symmetric about one half
+        np.testing.assert_allclose(lower, 1.0 - upper[::-1], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            numerics.wilson_interval(0.5, n)
+
+
 class TestGaussKronrod:
     def test_embedded_gauss_rule(self):
         xg, wg = np.polynomial.legendre.leggauss(7)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tcilab import costs, measures, verify
+from tcilab import costs, measures, numerics, verify
 from tcilab.verify import (
     NO_VIOLATION,
     VIOLATION_FOUND,
@@ -175,6 +175,35 @@ class TestConcentration:
                                samples=2000, seed=1)
         assert rep.verdict.status == "inconclusive"
         assert "too small" in rep.verdict.diagnostics["reason"]
+
+
+    def test_empirical_curve_from_sample_draws(self, mu1, alpha1):
+        r = np.array([0.05, 0.5, 2.0])
+        rep = concentration_mc(mu1, alpha1, scale=SCALE, prefactor=PREF,
+                               A=(-0.5, 1.0), n=2, r_grid=r, samples=3000,
+                               seed=6)
+        X = measures.sample(mu1, (3000, 2), seed=6)
+        d = np.maximum(np.maximum(-0.5 - X, X - 1.0), 0.0)
+        cost = (PREF * alpha1.fn(SCALE * d)).sum(axis=1)
+        expect = np.array([np.count_nonzero(cost <= v) / 3000.0 for v in r])
+        np.testing.assert_array_equal(rep.empirical, expect)
+        lower, upper = numerics.wilson_interval(expect, 3000)
+        np.testing.assert_array_equal(rep.lower_ci, lower)
+        np.testing.assert_array_equal(rep.upper_ci, upper)
+
+
+@pytest.mark.parametrize("verifier,arg,value", [
+    ("dual_check_strong", "trials", -3),
+    ("tensor_check", "trials", -1),
+    ("concentration_mc", "samples", 0),
+])
+def test_bad_effort_rejected_at_entry(mu1, alpha1, verifier, arg, value):
+    if verifier == "tensor_check":
+        target, extra = measures.quantile_discretize(mu1, 3), {"n": 2}
+    else:
+        target, extra = mu1, {}
+    with pytest.raises(ValueError, match=f"{arg} must be"):
+        getattr(verify, verifier)(target, alpha1, **extra, **{arg: value})
 
 
 class TestLsiCheck:
