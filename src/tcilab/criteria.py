@@ -309,72 +309,104 @@ def muckenhoupt(mu: Measure1D):
 
 
 _DECAY_NATS = 80.0
+#: probe offsets z = 1, 2, 4, ..., 2**60 of the decay-horizon rule
+_PROBES = 2.0 ** np.arange(61)
+#: per-cell targets of the ray cells; the absolute floor sits far below the
+#: integrals callers take (a conditional moment is at least 1, a plain ray
+#: moment at least the mass ahead of its anchor)
+_RAY_EPSABS = 1e-16
+_RAY_EPSREL = 1e-12
+#: cells handed to one refinement call (a quarter MB per node array)
+_RAY_CELLS = 2048
 
 
-def _decaying_tail_integral(g: Callable[[float], float],
-                            log_parts: Callable[[float], Tuple[float, float]],
-                            kinks: Sequence[float]) -> float:
-    """``int_0^inf g`` for integrands that must decay for convergence.
+def _decay_horizons(log_parts: Callable, n: int) -> np.ndarray:
+    """Decay horizon of each of ``n`` rays, ``inf`` where the ray diverges.
 
-    ``log_parts(z)`` returns the growth and decay log-terms of ``g(z)``
-    separately; their sum is ``log g(z)``.  Probes at ``z = 1, 2, 4, ...``
-    look for a sustained drop of ``_DECAY_NATS`` below the running peak; a
-    probe that climbs back above the drop line after the horizon, or a
-    horizon that never appears within sixty doublings, marks the integral as
-    divergent (``inf``).  Otherwise the decayed tail is negligible and a
-    single quadrature over the horizon suffices.
+    ``log_parts(i, z)`` returns the growth and decay log-terms of ray
+    ``i``'s integrand at offsets ``z >= 0`` (``i`` and ``z`` broadcast
+    against each other).  Probes at ``z = 1, 2, 4, ...`` look for a
+    sustained drop of ``_DECAY_NATS`` below the running peak; the horizon
+    is the first probe on the drop line.  A probe that climbs back above
+    the line after the horizon, or a horizon that never appears within
+    sixty doublings, marks the ray as divergent.
 
     A probe where the two log-terms cancel below their own rounding noise
     carries no information and is skipped instead of feeding a bogus
     horizon or re-rise (at a critical balance both terms reach ~1e30 while
     their true sum stays order one).
     """
-    peak = -math.inf
-    horizon = None
-    T = 1.0
-    for _ in range(61):
-        with np.errstate(over="ignore", invalid="ignore"):
-            up, down = log_parts(T)
-        up, down = float(up), float(down)
-        v = up + down
-        if math.isfinite(v) and abs(v) < (abs(up) + abs(down)) * 2.0 ** -45:
-            T *= 2.0
-            continue
-        if math.isnan(v):
-            v = -math.inf  # numerically dead counts as fully decayed
-        if v > peak:
-            peak = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, down = log_parts(np.arange(n)[:, None], _PROBES)
+        v = np.broadcast_to(up + down, (n, len(_PROBES)))
+        skip = np.isfinite(v) \
+            & (np.abs(v) < (np.abs(up) + np.abs(down)) * 2.0 ** -45)
+    v = np.where(np.isnan(v), -np.inf, v)  # numerically dead: fully decayed
+    peak = np.maximum.accumulate(np.where(skip, -np.inf, v), axis=1)
+    with np.errstate(invalid="ignore"):
         # difference first: "peak - NATS" would absorb the offset once the
         # peak exceeds ~1e17 and misread a growing sequence as decayed
-        dropped = (peak - v >= _DECAY_NATS) or (v == -math.inf)
-        if horizon is None:
-            if dropped and math.isfinite(peak):
-                horizon = T
-        elif not dropped:
-            return math.inf  # integrand re-rises past the drop line
-        T *= 2.0
-    if horizon is None:
-        return math.inf
-    pts = [p for p in kinks if 0.0 < p < horizon]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return numerics.quad(g, 0.0, horizon, points=pts or None)
+        dropped = (peak - v >= _DECAY_NATS) | (v == -np.inf)
+    found = ~skip & dropped & np.isfinite(peak)
+    first = np.argmax(found, axis=1)
+    rerise = ~skip & ~dropped & (np.arange(len(_PROBES)) > first[:, None])
+    finite = found.any(axis=1) & ~rerise.any(axis=1)
+    return np.where(finite, _PROBES[first], math.inf)
 
 
-def _ray_integrand(mu: Measure1D, cost: Callable[[float], float], x0: float,
-                   sgn: float):
-    """``g`` and ``log_parts`` of ``z -> e^{cost(z)} rho(x0 + sgn z)`` for
-    :func:`_decaying_tail_integral`; ``g`` caps the exponent at 700 so it
-    stays finite."""
+def _decaying_tail_integral(log_parts: Callable, anchors, kinks=(),
+                            marks=(), sides=1.0, log_mass=0.0) -> np.ndarray:
+    """``int_0^inf exp(up + down - log_mass) dz`` along every ray at once.
 
-    def g(z):
-        return math.exp(min(float(cost(z)), 700.0)) \
-            * float(mu.density(x0 + sgn * z))
+    Ray ``i`` starts at ``anchors[i]`` and runs in direction ``sides[i]``;
+    ``log_parts`` is as in :func:`_decay_horizons` and ``log_mass`` (per ray
+    or shared) rescales the result.  A divergent ray gives ``inf``.  On the
+    others the decayed tail is negligible and ``[0, horizon]`` is
+    integrated in cells cut at the doubling probes, at the shared offsets
+    ``kinks`` and at the positions ``marks`` that lie ahead of the anchor;
+    the cells of all rays are refined together.
+    """
+    anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
+    n = len(anchors)
+    horizons = _decay_horizons(log_parts, n)
+    out = np.full(n, math.inf)
+    rows = np.nonzero(np.isfinite(horizons))[0]
+    if not len(rows):
+        return out
+    sides = np.broadcast_to(np.asarray(sides, dtype=float), (n,))
+    log_mass = np.broadcast_to(np.asarray(log_mass, dtype=float), (n,))
 
-    def log_parts(z):
-        return float(cost(z)), float(mu.log_density(x0 + sgn * z))
+    horizon = horizons[rows, None]
+    ahead = sides[rows, None] * (np.asarray(marks, dtype=float)
+                                 - anchors[rows, None])
+    shared = np.concatenate((_PROBES, np.asarray(kinks, dtype=float)))
+    cuts = np.concatenate(
+        (np.broadcast_to(shared, (len(rows), len(shared))), ahead), axis=1)
+    cuts = np.where((cuts > 0.0) & (cuts < horizon), cuts, horizon)
+    cuts = np.sort(np.concatenate((np.zeros((len(rows), 1)), cuts, horizon),
+                                  axis=1), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    cell = hi > lo
+    owner = np.broadcast_to(np.arange(len(rows))[:, None], cell.shape)[cell]
+    lo, hi = lo[cell], hi[cell]
 
-    return g, log_parts
+    def integrand(z, own):
+        ray = rows[own]
+        with np.errstate(over="ignore", invalid="ignore"):
+            up, down = log_parts(ray, z)
+            e = up + down - log_mass[ray]
+        return np.exp(np.where(np.isnan(e), -np.inf, e))
+
+    total = np.zeros(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(lo), _RAY_CELLS):
+            part = slice(s, s + _RAY_CELLS)
+            own, val = numerics.gauss_kronrod_cells(
+                integrand, (lo[part], hi[part]), _RAY_EPSABS, _RAY_EPSREL,
+                owner=owner[part])
+            total += np.bincount(own, weights=val, minlength=len(rows))
+    out[rows] = total
+    return out
 
 
 def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
@@ -383,43 +415,51 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
 
     For the plus side this is ``sup_{x>=m} int_0^inf e^{alpha(b z)}
     d(residual law at x)``; ``inf`` when any inner integral or the sup
-    itself diverges.
+    itself diverges.  All scan anchors go through one
+    :func:`_decaying_tail_integral` call.
     """
     if b <= 0:
         raise ValueError("b must be positive")
     m = mu.median
     sgn = 1.0 if side == "plus" else -1.0
     grid = _scan_grid(mu, side, n_grid)
-    kinks = sorted({k / b for k in alpha.kinks if k > 0})
+    kinks = [k / b for k in alpha.kinks if k > 0]
 
-    def inner(x: float) -> float:
-        x = float(x)
-        mass = mu.sf(x) if side == "plus" else mu.cdf(x)
-        if mass <= 1e-300:
-            return math.nan  # beyond double range: no information, not growth
-        g, log_parts = _ray_integrand(mu, lambda z: alpha.fn(b * z), x, sgn)
-        val = _decaying_tail_integral(g, log_parts, kinks)
-        return val / mass if math.isfinite(val) else math.inf
+    def inner(xs) -> np.ndarray:
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        mass = np.asarray(mu.sf(xs) if side == "plus" else mu.cdf(xs),
+                          dtype=float)
+        out = np.full(len(xs), math.nan)
+        live = mass > 1e-300  # beyond: no information, not growth
+        x0 = xs[live]
 
-    best, arg = -math.inf, m
-    for x in grid:
-        v = inner(x)
-        if math.isnan(v):
-            continue
-        if math.isinf(v):
-            return math.inf
-        if v > best:
-            best, arg = v, float(x)
-    if not math.isfinite(best):
+        def log_parts(i, z):
+            return alpha.fn(b * z), mu.log_density(x0[i] + sgn * z)
+
+        if np.isinf(_decay_horizons(log_parts, len(x0))).any():
+            out[live] = math.inf  # one divergent ray settles the sup
+        elif len(x0):
+            out[live] = _decaying_tail_integral(
+                log_parts, x0, kinks, mu.kink_points, sgn,
+                np.log(mass[live]))
+        return out
+
+    def inner1(x: float) -> float:
+        return float(inner(x)[0])
+
+    vals = inner(grid)
+    if np.isinf(vals).any() or np.isnan(vals).all():
         return math.inf
-    k = int(np.argmin(np.abs(grid - arg)))
+    k = int(np.nanargmax(vals))
+    best = float(vals[k])
     if 0 < k < len(grid) - 1:
         lo, hi = sorted((float(grid[k - 1]), float(grid[k + 1])))
-        x_r, v_r = numerics.golden_max(inner, lo, hi, tol=1e-8)
+        x_r, v_r = numerics.golden_max(inner1, lo, hi, tol=1e-8)
         if math.isfinite(v_r):
             best = max(best, v_r)
     span = abs(float(grid[-1]) - m)
-    diverged, _ = _probe_growth(lambda d: inner(m + sgn * d), span, span, best)
+    diverged, _ = _probe_growth(lambda d: inner1(m + sgn * d), span, span,
+                                best)
     return math.inf if diverged else best
 
 
@@ -498,18 +538,16 @@ def decide_strong_tci_lip(mu: Measure1D, alpha: CostFunction,
 def _moment_integral(mu: Measure1D, alpha: CostFunction, b: float) -> float:
     """``int exp(alpha(b x)) d mu``, each tail truncated at its decay horizon."""
     m = mu.median
-    total = 0.0
-    x_marks = {k / b for k in alpha.kinks} | {-k / b for k in alpha.kinks} \
-        | {float(p) for p in mu.kink_points}
-    for sgn in (1.0, -1.0):
-        offs = sorted(sgn * (x - m) for x in x_marks)
-        g, log_parts = _ray_integrand(
-            mu, lambda z, _s=sgn: alpha.fn(b * (m + _s * z)), m, sgn)
-        half = _decaying_tail_integral(g, log_parts, offs)
-        if not math.isfinite(half):
-            return math.inf
-        total += half
-    return total
+    sides = np.array([1.0, -1.0])
+    marks = [s * k / b for k in alpha.kinks for s in (1.0, -1.0)] \
+        + list(mu.kink_points)
+
+    def log_parts(i, z):
+        x = m + sides[i] * z
+        return alpha.fn(b * x), mu.log_density(x)
+
+    halves = _decaying_tail_integral(log_parts, [m, m], (), marks, sides)
+    return float(halves.sum()) if np.isfinite(halves).all() else math.inf
 
 
 def decide_strong_tci_logconcave(mu: Measure1D, alpha: CostFunction,
@@ -737,21 +775,19 @@ def int_equiv_ratio(Phi: Callable[[float], float], x_probes,
 
     Returns ``r(x) = Phi'(x) e^{Phi(x)} int_x^inf e^{-Phi}`` at each probe,
     computed in the shifted form ``int_x^inf e^{-(Phi(t)-Phi(x))} dt`` so
-    that huge exponents cancel before quadrature.
+    that huge exponents cancel before quadrature.  ``Phi`` must accept
+    arrays: every probe's integral comes from one
+    :func:`_decaying_tail_integral` call.
     """
     if dPhi is None:
         dPhi = lambda x: (Phi(x + 1e-6 * max(1.0, abs(x)))
                           - Phi(x - 1e-6 * max(1.0, abs(x)))) \
             / (2e-6 * max(1.0, abs(x)))
-    out = []
-    for x in np.atleast_1d(np.asarray(x_probes, dtype=float)):
-        x = float(x)
-        px = Phi(x)
-        val = _decaying_tail_integral(
-            lambda t: math.exp(-min(Phi(x + t) - px, 700.0)),
-            lambda t: (0.0, -(Phi(x + t) - px)), ())
-        out.append(float(dPhi(x)) * val)
-    return np.asarray(out)
+    xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    px = np.asarray(Phi(xs), dtype=float)
+    vals = _decaying_tail_integral(
+        lambda i, t: (0.0, -(Phi(xs[i] + t) - px[i])), xs)
+    return np.array([float(dPhi(float(x))) for x in xs]) * vals
 
 
 # ---------------------------------------------------------------------------

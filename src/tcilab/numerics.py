@@ -182,6 +182,9 @@ _GAUSS7_WEIGHTS = np.concatenate((_WG_HALF, [_WG_MID], _WG_HALF[::-1]))
 _EPS = np.finfo(float).eps
 #: bisection rounds of :func:`gauss_kronrod_cells` (cells shrink to 2**-30)
 _GK_ROUNDS = 30
+#: cells one owner's integral may reach before it stops splitting (the
+#: subinterval limit :func:`quad` passes to QUADPACK)
+_GK_OWNER_CELLS = 200
 
 
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a, b):
@@ -209,7 +212,7 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a, b):
 
 
 def gauss_kronrod_cells(f: Callable[[np.ndarray], np.ndarray], edges,
-                        epsabs: float, epsrel: float):
+                        epsabs: float, epsrel: float, owner=None):
     """Integrals of ``f`` over the cells of a partition, refined to target.
 
     Every cell of ``edges`` gets the G7/K15 rule; a cell whose error estimate
@@ -217,21 +220,43 @@ def gauss_kronrod_cells(f: Callable[[np.ndarray], np.ndarray], edges,
     cells are redone together, one ``f`` call per round.  Cells still short
     of the target after ``_GK_ROUNDS`` rounds, or too narrow to split, are
     kept as they are.  Returns the refined edges and one value per cell.
+
+    With ``owner`` (one integer per cell) the cells belong to separate
+    integrals: ``edges`` is then the pair ``(lo, hi)`` of cell-bound arrays,
+    ``f`` is called as ``f(nodes, owners)`` with the owners as an ``(n, 1)``
+    column, halves inherit their parent's owner, and the result is the
+    owner and the value of every refined cell, in no particular order.  An
+    owner stops splitting once it holds ``_GK_OWNER_CELLS`` cells, which
+    bounds the work on integrands whose rounding noise no rule resolves.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    kept_lo, kept_val = [], []
+    if owner is None:
+        edges = np.asarray(edges, dtype=float)
+        lo, hi = edges[:-1], edges[1:]
+    else:
+        lo, hi = (np.asarray(e, dtype=float) for e in edges)
+        owner = np.asarray(owner)
+        held = np.bincount(owner)
+    kept_lo, kept_val, kept_owner = [], [], []
     for rounds_left in range(_GK_ROUNDS, -1, -1):
-        val, err = gauss_kronrod(f, lo, hi)
+        rule = f if owner is None else (lambda x, o=owner[:, None]: f(x, o))
+        val, err = gauss_kronrod(rule, lo, hi)
         mid = 0.5 * (lo + hi)
         split = (err > np.maximum(epsabs, epsrel * np.abs(val))) \
             & (mid > lo) & (mid < hi) & (rounds_left > 0)
+        if owner is not None:
+            split &= held[owner] < _GK_OWNER_CELLS
+            held += np.bincount(owner[split], minlength=len(held))
         kept_lo.append(lo[~split])
         kept_val.append(val[~split])
+        if owner is not None:
+            kept_owner.append(owner[~split])
+            owner = np.concatenate((owner[split], owner[split]))
         if not split.any():
             break
         lo, hi = (np.concatenate((lo[split], mid[split])),
                   np.concatenate((mid[split], hi[split])))
+    if owner is not None:
+        return np.concatenate(kept_owner), np.concatenate(kept_val)
     lo = np.concatenate(kept_lo)
     order = np.argsort(lo, kind="stable")
     return (np.append(lo[order], edges[-1]),

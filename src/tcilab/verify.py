@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics, transport
 from .costs import CostFunction
-from .criteria import _decaying_tail_integral, _ray_integrand
+from .criteria import _decaying_tail_integral
 from .measures import DiscreteMeasure, Measure1D, sample
 from .transport import GridFunction
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
@@ -158,6 +158,17 @@ def _adversarial_potentials(mu: Measure1D, knots: np.ndarray):
     return out
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an ``int``; a fraction is rejected, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 def dual_check_strong(mu: Measure1D, alpha: CostFunction,
                       scale: Optional[float] = None, prefactor: float = 1.0,
                       trials: int = 200, seed: int = 0,
@@ -177,6 +188,7 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
     """
+    trials = _whole("trials", trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     lo_k = float(mu.quantile(_PHI_MASS_GAP / 2.0))
@@ -202,17 +214,16 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     candidates = _adversarial_potentials(mu, knots)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    n_random = int(trials)
-    if n_random:
+    if trials:
         dx = np.diff(knots)
-        slopes = rng.uniform(-_PHI_SLOPE, _PHI_SLOPE, size=(n_random, _PHI_KNOTS - 1))
-        walks = np.empty((n_random, _PHI_KNOTS))
-        walks[:, 0] = rng.uniform(-_PHI_AMP, _PHI_AMP, size=n_random)
+        slopes = rng.uniform(-_PHI_SLOPE, _PHI_SLOPE, size=(trials, _PHI_KNOTS - 1))
+        walks = np.empty((trials, _PHI_KNOTS))
+        walks[:, 0] = rng.uniform(-_PHI_AMP, _PHI_AMP, size=trials)
         for j in range(_PHI_KNOTS - 1):
             # clipping only ever shortens a step, so slopes stay in bounds
             walks[:, j + 1] = np.clip(walks[:, j] + slopes[:, j] * dx[j],
                                       -_PHI_AMP, _PHI_AMP)
-        candidates.extend((f"random_{i}", walks[i]) for i in range(n_random))
+        candidates.extend((f"random_{i}", walks[i]) for i in range(trials))
 
     worst = -math.inf
     worst_vals = np.zeros(_PHI_KNOTS)
@@ -232,14 +243,14 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 # integrability along left rays
 # ---------------------------------------------------------------------------
 
-def _ray_moment(mu: Measure1D, c, a: float, kinks, x0: float,
-                side: float = 1.0) -> float:
-    """``int_0^inf e^{c(z)} rho(x0 + side*z) dz`` with the decay-horizon rule."""
-    g, log_parts = _ray_integrand(mu, c, x0, side)
-    pts = sorted({k / a for k in kinks}
-                 | {side * (p - x0) for p in mu.kink_points
-                    if side * (p - x0) > 0})
-    return _decaying_tail_integral(g, log_parts, pts)
+def _ray_moment(mu: Measure1D, c, a: float, kinks, x0, side=1.0):
+    """``int_0^inf e^{c(z)} rho(x0 + side*z) dz`` along every ray ``(x0,
+    side)`` at once, with the decay-horizon rule."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    side = np.broadcast_to(np.asarray(side, dtype=float), x0.shape)
+    return _decaying_tail_integral(
+        lambda i, z: (c(z), mu.log_density(x0[i] + side[i] * z)),
+        x0, [k / a for k in kinks], mu.kink_points, side)
 
 
 def integrability_check(mu: Measure1D, alpha: CostFunction,
@@ -266,12 +277,17 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
         x_grid = np.asarray(x_grid, dtype=float)
     tol = 1e-9
 
+    m = mu.median
+    n = len(x_grid)
+    moments = _ray_moment(mu, c, a, alpha.kinks,
+                          np.concatenate((x_grid, [m, m])),
+                          np.concatenate((np.ones(n), [1.0, -1.0])))
     rows = []
     violations = []
-    for x in x_grid:
+    for x, M in zip(x_grid, moments[:n]):
         F = float(mu.cdf(x))
         S = float(mu.sf(x))
-        M = _ray_moment(mu, c, a, alpha.kinks, float(x))
+        M = float(M)
         ray = (F + M) * F
         cond = M / S if S > 0.0 else math.inf
         bound = 1.0 / F + 1.0 if F > 0.0 else math.inf
@@ -283,10 +299,8 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
             violations.append(
                 f"residual moment {cond:.6g} > {bound:.6g} at x={x:.6g}")
 
-    m = mu.median
     Fm, Sm = float(mu.cdf(m)), float(mu.sf(m))
-    M_sym = (_ray_moment(mu, c, a, alpha.kinks, m, side=1.0)
-             + _ray_moment(mu, c, a, alpha.kinks, m, side=-1.0))
+    M_sym = float(moments[n] + moments[n + 1])
     g_bound = 1.0 / (Fm * Sm) - 1.0 if Fm > 0.0 and Sm > 0.0 else math.inf
     if M_sym > g_bound + tol * (1.0 + abs(g_bound)):
         violations.append(
@@ -432,10 +446,11 @@ def tensor_check(mu_discrete: DiscreteMeasure, cost: CostFunction, n: int,
     candidate is ``nu = mu^n`` (both sides zero).  Worst slack
     ``transport - entropy`` is reported; beyond ``1e-7`` the check fails.
     """
+    trials = _whole("trials", trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     k = len(mu_discrete)
-    n = int(n)
+    n = _whole("n", n)
     if k > 12:
         raise ValueError("state-space cap exceeded: at most 12 atoms")
     if not 2 <= n <= 4:
@@ -462,7 +477,7 @@ def tensor_check(mu_discrete: DiscreteMeasure, cost: CostFunction, n: int,
     worst_case = ""
     pairs = [("mu_n", mu_prod, None)]
     pairs += [(f"trial_{i}", random_measure(), random_measure())
-              for i in range(int(trials))]
+              for i in range(trials)]
     for name, nu, beta in pairs:
         T, _ = transport.cost_lp(nu, mu_prod, C, max_atoms=_PRODUCT_STATE_CAP)
         H = transport.relative_entropy(nu, mu_prod)
@@ -529,6 +544,10 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     Draws come from :func:`measures.sample`, the counter-based stream keyed
     by ``seed``.
     """
+    n = _whole("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    samples = _whole("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     a, c = transport._ground(alpha, scale, prefactor)
@@ -538,8 +557,6 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     if r_grid is None:
         r_grid = np.arange(0.5, 6.001, 0.5)
     r_grid = np.asarray(r_grid, dtype=float)
-    n = int(n)
-    samples = int(samples)
 
     mass1 = _cdf_ext(mu, hi) - _cdf_ext(mu, lo)
     mass_n = mass1 ** n

@@ -4,9 +4,10 @@ A refactor that removes or renames one of them would otherwise go unnoticed
 until someone runs the benchmark with ``--trace 1``.
 """
 
+import inspect
 from pathlib import Path
 
-from tcilab import costs, measures
+from tcilab import costs, criteria, measures, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +30,11 @@ def test_tracer_finds_every_hook_point(monkeypatch):
     inner = [c.co_name for c in costs.conjugate.__code__.co_consts
              if hasattr(c, "co_name")]
     assert "value" in inner
+
+
+def test_hooked_signatures_still_match():
+    # the tracer counts b-scan steps from K_moment's positional args[3] and
+    # wraps the ray engine where verify looks it up
+    params = list(inspect.signature(criteria.K_moment).parameters)
+    assert params.index("side") == 3
+    assert verify._decaying_tail_integral is criteria._decaying_tail_integral

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from tcilab import costs, measures
 from tcilab.criteria import (
     K_moment,
+    _decaying_tail_integral,
     assemble_rate,
     decide_strong_tci_lip,
     decide_strong_tci_logconcave,
@@ -137,6 +138,83 @@ class TestMomentConstant:
             assert K_moment(cauchy, alpha1, b) == math.inf
 
 
+def _alpha1_closed_form(b):
+    """``int_0^inf e^{alpha1(b z) - z} dz`` for 0 < b < 1: a Gaussian piece
+    up to the kink ``z = 1/b`` (via erfi) plus the linear tail."""
+    c = 1.0 / (2.0 * b * b)
+    body = (math.exp(-c / 2.0) * math.sqrt(math.pi) / (2.0 * b)
+            * (special.erfi(b * (1.0 / b - c)) - special.erfi(-b * c)))
+    return body + math.exp(1.0 - 1.0 / b) / (1.0 - b)
+
+
+class TestMomentClosedForm:
+    @pytest.mark.parametrize("b,closed", [(0.25, 1.1645867087269364),
+                                          (0.5, 1.8119178961684215)])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_reference_law(self, mu1, alpha1, b, closed, side):
+        # the conditional residual law of the reference law is Exp(1) at
+        # every anchor, so the sup is the closed form itself
+        assert closed == pytest.approx(_alpha1_closed_form(b), rel=1e-14)
+        assert K_moment(mu1, alpha1, b, side) == pytest.approx(closed,
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("law,cost,b", [
+        ("cauchy", "alpha1", 1.0), ("cauchy", "alpha1", 0.5),
+        ("cauchy", "alpha1", 0.25), ("cauchy", "alpha1", 2.0 ** -5),
+        ("exponential", "alpha1", 1.0), ("gaussian", "theta_p", 1.0)])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_divergent_moments_are_infinite(self, law, cost, b, side):
+        alpha = costs.builtin_cost(cost, **({"p": 2} if cost == "theta_p"
+                                            else {}))
+        assert K_moment(measures.make_builtin(law), alpha, b, side) == math.inf
+
+
+def _quartic_table():
+    xs = np.linspace(-4.0, 4.0, 129)
+    return measures.make_from_table(xs, xs ** 4 / 4.0)
+
+
+_ORACLE_CASES = {
+    "exponential-alpha1": (lambda: measures.make_builtin("exponential"),
+                           lambda: costs.builtin_cost("alpha1"), 0.5),
+    "gaussian-theta2": (lambda: measures.make_builtin("gaussian"),
+                        lambda: costs.builtin_cost("theta_p", p=2), 0.5),
+    "exp_power1.5-alpha1": (lambda: measures.make_builtin("exp_power", p=1.5),
+                            lambda: costs.builtin_cost("alpha1"), 1.0),
+    "quartic_table-alpha1": (_quartic_table,
+                             lambda: costs.builtin_cost("alpha1"), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_ray_engine_matches_adaptive_quad(case, side):
+    """Per-anchor residual moments of the vectorized engine against scipy's
+    adaptive quadrature, split at every kink and doubling point."""
+    make_mu, make_alpha, b = _ORACLE_CASES[case]
+    mu, alpha = make_mu(), make_alpha()
+    sgn = 1.0 if side == "plus" else -1.0
+    levels = np.array([0.5, 0.2, 1e-2, 1e-4, 1e-7])
+    # the anchors' conditioning masses are the levels themselves
+    x0 = mu.isf(levels) if side == "plus" else mu.quantile(levels)
+    kinks = [k / b for k in alpha.kinks if k > 0]
+    got = _decaying_tail_integral(
+        lambda i, z: (alpha.fn(b * z), mu.log_density(x0[i] + sgn * z)),
+        x0, kinks, mu.kink_points, sgn, np.log(levels))
+
+    for x, w, val in zip(x0, levels, got):
+        def f(z):
+            return math.exp(float(alpha.fn(b * z))
+                            + float(mu.log_density(x + sgn * z)) - math.log(w))
+        cuts = sorted({0.0} | set(kinks) | {2.0 ** k for k in range(12)}
+                      | {sgn * (p - x) for p in mu.kink_points
+                         if sgn * (p - x) > 0})
+        pieces = list(zip(cuts, cuts[1:])) + [(cuts[-1], np.inf)]
+        want = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                  limit=200)[0] for lo, hi in pieces)
+        assert val == pytest.approx(want, rel=1e-9)
+
+
 class TestAssembleRate:
     def test_unit_case_exact(self, alpha1):
         # a0 = 1, b = 2, K = e: third term is 1 / ((2/2) * inv(1)) = 1
@@ -247,6 +325,13 @@ class TestIntEquivRatio:
     def test_three_halves_probe(self):
         r = int_equiv_ratio(lambda t: t ** 1.5, [10.0])
         assert r[0] == pytest.approx(0.98987377, abs=1e-7)
+
+    def test_values_pinned(self):
+        # not the acceptance window: a drift of the ray engine shows here
+        r = int_equiv_ratio(lambda t: t * t, [10.0])
+        assert r[0] == pytest.approx(0.9950731877867987, rel=1e-8)
+        r = int_equiv_ratio(lambda t: t ** 1.5, [10.0])
+        assert r[0] == pytest.approx(0.989873774843709, rel=1e-8)
 
     def test_linear_probe_exact(self):
         # for a linear growth function the two quantities coincide exactly

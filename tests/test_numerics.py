@@ -117,3 +117,32 @@ class TestGaussKronrod:
                                                  epsrel=1e-12)
         np.testing.assert_array_equal(out, edges)
         assert vals.sum() == pytest.approx(math.e - 1.0, abs=1e-15)
+
+    def test_owner_cells_integrate_separately(self):
+        # owner 0 integrates sqrt|x - 0.3| over two cells, owner 1 the rate-3
+        # exponential over one; each refines on its own integrand
+        scale = np.array([0.0, 3.0])
+
+        def f(x, own):
+            return np.where(own == 0, np.sqrt(np.abs(x - 0.3)),
+                            scale[own] * np.exp(-scale[own] * x))
+
+        own, vals = numerics.gauss_kronrod_cells(
+            f, (np.array([0.0, 0.5, 0.0]), np.array([0.5, 1.0, 1.0])),
+            epsabs=1e-14, epsrel=1e-12, owner=np.array([0, 0, 1]))
+        assert len(own) == len(vals) > 3
+        sums = np.bincount(own, weights=vals)
+        assert sums[0] == pytest.approx((0.3 ** 1.5 + 0.7 ** 1.5) / 1.5,
+                                        abs=1e-13)
+        assert sums[1] == pytest.approx(1.0 - math.exp(-3.0), rel=1e-13)
+
+    def test_owner_stops_splitting_at_its_cell_limit(self):
+        # ~300 jumps per unit: without the limit the cell around each jump
+        # would be bisected for all 30 rounds
+        def f(x, own):
+            return np.sign(np.sin(1e3 * x))
+
+        own, _ = numerics.gauss_kronrod_cells(
+            f, (np.array([0.0, 0.0]), np.array([1.0, 2.0])),
+            epsabs=1e-14, epsrel=1e-12, owner=np.array([0, 1]))
+        assert np.all(np.bincount(own) <= 2 * numerics._GK_OWNER_CELLS)

@@ -206,6 +206,36 @@ def test_bad_effort_rejected_at_entry(mu1, alpha1, verifier, arg, value):
         getattr(verify, verifier)(target, alpha1, **extra, **{arg: value})
 
 
+@pytest.mark.parametrize("verifier,arg,value", [
+    ("dual_check_strong", "trials", 2.5),
+    ("tensor_check", "trials", 2.7),
+    ("tensor_check", "n", 2.5),
+    ("concentration_mc", "n", 1.5),
+    ("concentration_mc", "samples", 100.5),
+])
+def test_fractional_effort_rejected_at_entry(mu1, alpha1, verifier, arg,
+                                            value):
+    # a fraction is refused with the argument named, never truncated
+    if verifier == "tensor_check":
+        target, extra = measures.quantile_discretize(mu1, 3), {"n": 2}
+    else:
+        target, extra = mu1, {}
+    extra[arg] = value
+    with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+        getattr(verify, verifier)(target, alpha1, **extra)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_concentration_dimension_rejected_at_entry(mu1, alpha1, monkeypatch,
+                                                   n):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sample drawn before n was checked")
+
+    monkeypatch.setattr(verify, "sample", no_draws)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        verify.concentration_mc(mu1, alpha1, n=n)
+
+
 class TestLsiCheck:
     def test_gaussian_profile_holds(self, gauss_half, theta2):
         beta = costs.conjugate(theta2)
