@@ -20,9 +20,8 @@ from .measures import (DiscreteMeasure, Measure1D, is_log_concave,
                        stochastically_dominated)
 from .transport import (GridFunction, TransportPlan, cost_lp, cost_matrix,
                         cost_monotone, cost_monotone_discrete,
-                        dual_lower_bound, inf_convolution,
-                        inf_convolution_exact, northwest_plan,
-                        relative_entropy)
+                        dual_lower_bound, inf_convolution_exact,
+                        northwest_plan, relative_entropy)
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 from .verify import (ConcentrationReport, DualTestReport, concentration_mc,
                      dual_check_strong, integrability_check, lsi_check,
@@ -42,7 +41,7 @@ __all__ = [
     # transport
     "GridFunction", "TransportPlan", "cost_monotone",
     "cost_monotone_discrete", "northwest_plan", "cost_matrix", "cost_lp",
-    "relative_entropy", "inf_convolution", "inf_convolution_exact",
+    "relative_entropy", "inf_convolution_exact",
     "dual_lower_bound",
     # criteria
     "rearrangement", "omega_bounds", "lipschitz_check", "muckenhoupt",

@@ -24,7 +24,7 @@ from .measures import DiscreteMeasure, Measure1D
 __all__ = [
     "GridFunction", "TransportPlan", "cost_monotone", "cost_monotone_discrete",
     "northwest_plan", "cost_matrix", "cost_lp", "relative_entropy",
-    "inf_convolution", "inf_convolution_exact", "ExactInfConvolution",
+    "inf_convolution_exact", "ExactInfConvolution",
     "dual_lower_bound",
 ]
 
@@ -83,8 +83,8 @@ class TransportPlan:
 
 def _ground(alpha: CostFunction, scale: Optional[float], prefactor: float):
     a = alpha.scale if scale is None else float(scale)
-    if a <= 0 or prefactor <= 0:
-        raise ValueError("scale and prefactor must be positive")
+    if not (0.0 < a < math.inf and 0.0 < prefactor < math.inf):
+        raise ValueError("scale and prefactor must be finite and positive")
 
     def c(d):
         return prefactor * np.asarray(alpha.fn(a * np.asarray(d, dtype=float)),
@@ -185,10 +185,8 @@ def cost_monotone_discrete(nu: DiscreteMeasure, mu: DiscreteMeasure,
                            alpha: CostFunction, scale: Optional[float] = None,
                            prefactor: float = 1.0) -> float:
     """Cost of the monotone coupling of two discrete measures."""
-    _, c = _ground(alpha, scale, prefactor)
-    plan = northwest_plan(nu, mu)
-    d = nu.atoms[:, None] - mu.atoms[None, :]
-    return float(np.sum(plan.matrix * c(d)))
+    return northwest_plan(nu, mu).cost(
+        cost_matrix(nu, mu, alpha, scale, prefactor))
 
 
 def cost_matrix(nu: DiscreteMeasure, mu: DiscreteMeasure, alpha: CostFunction,
@@ -289,66 +287,21 @@ def _relative_entropy_continuous(nu: Measure1D, mu: Measure1D) -> float:
 # inf-convolution
 # ---------------------------------------------------------------------------
 
-def inf_convolution(phi: GridFunction, alpha: CostFunction, out_grid,
-                    scale: Optional[float] = None,
-                    prefactor: float = 1.0) -> GridFunction:
-    """Lattice inf-convolution ``Q(x) = min_y phi(y) + c(x - y)``.
-
-    The minimum ranges over the union of ``phi``'s knots and ``out_grid``
-    (with ``phi`` evaluated by its own piecewise-linear rule), which makes
-    ``Q <= phi`` pointwise on the output grid.
-    """
-    out = np.asarray(out_grid, dtype=float)
-    _, c = _ground(alpha, scale, prefactor)
-    cands = np.union1d(phi.grid, out)
-    pv = phi(cands)
-    vals = np.empty(len(out))
-    chunk = max(1, int(4e6 // max(len(cands), 1)))
-    for s in range(0, len(out), chunk):
-        x = out[s:s + chunk, None]
-        vals[s:s + chunk] = np.min(pv[None, :] + c(x - cands[None, :]), axis=1)
-    return GridFunction(out, vals)
-
-
-def _stationary_offsets(alpha: CostFunction, a: float, prefactor: float,
-                        u_max: float, samples: int = 513):
-    """Solver for ``c'(d) = s`` with ``c(d) = prefactor * alpha(a d)``.
-
-    Returns a function mapping an array of nonnegative slopes to a matrix of
-    candidate offsets (one column per monotone branch of ``c'``).
-    """
-    ks = [k / a for k in alpha.kinks if 0.0 < k / a < u_max]
-    edges = np.array([0.0, *ks, u_max])
-    branches = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        d = np.linspace(lo, hi, samples)
-        cp = prefactor * a * np.asarray(alpha.deriv(a * d), dtype=float)
-        if cp[-1] - cp[0] > 1e-14:          # strictly increasing branch
-            # enforce monotonicity for interpolation
-            cp = np.maximum.accumulate(cp)
-            branches.append((cp, d))
-
-    def solve(slopes: np.ndarray) -> np.ndarray:
-        cols = [np.interp(slopes, cp, d) for cp, d in branches]
-        if not cols:
-            return np.zeros((len(slopes), 1))
-        return np.stack(cols, axis=1)
-
-    return solve
-
-
 class ExactInfConvolution:
     """Continuum inf-convolution of piecewise-linear potentials.
 
     ``q(values)`` is ``Q phi(x) = min_y phi(y) + c(x - y)`` at every query
     point for the potential taking ``values`` on the fixed ``knots`` (linear
     between them, constant beyond).  Every local minimizer of
-    ``y -> phi(y) + c(x - y)`` is then a knot, an offset where ``c`` has a
-    kink, or a stationary point where ``c'`` matches a segment slope.
-    Enumerating those candidates gives the exact infimum, up to
-    interpolation of ``c'`` on its strictly monotone branches.  The knot
-    cost matrix is built once, so potentials sharing the query and knot
-    arrays cost one enumeration each.
+    ``y -> phi(y) + c(x - y)`` is a knot, an offset ``x - y`` of zero or at
+    a kink of ``c``, or a stationary point ``y = x - sign(s_j) d``,
+    ``c'(d) = |s_j|``, inside the segment ``j`` of slope ``s_j``; where
+    ``c'`` is monotone it is tried only at the sorted queries that put
+    ``y`` there.  The enumeration is exact up to interpolation of ``c'``.
+
+    Knot costs are stored knot-major.  A minimum over knots alone bounds
+    ``Q phi`` from above: ``upper_bounds`` yields it over every fourth knot,
+    then over all, and ``refine`` lowers the latter to ``Q phi`` in place.
     """
 
     def __init__(self, query, knots, alpha: CostFunction,
@@ -357,27 +310,71 @@ class ExactInfConvolution:
         self._c = c
         self.query = np.asarray(query, dtype=float)
         self.knots = np.asarray(knots, dtype=float)
-        self.knot_cost = c(self.query[:, None] - self.knots[None, :])
-        span = ((self.knots[-1] - self.knots[0])
-                + (self.query.max() - self.query.min()) + 1.0)
-        self._span = span
-        self._solve = _stationary_offsets(alpha, a, prefactor, span)
-        self._kink_offs = np.array([k / a for k in alpha.kinks], dtype=float)
+        self.knot_cost = np.array([c(self.query - k) for k in self.knots])
+        self._order = np.argsort(self.query, kind="stable")
+        self._sorted = self.query[self._order]
+        self._span = span = ((self.knots[-1] - self.knots[0])
+                             + (self.query.max() - self.query.min()) + 1.0)
+        kinks = [k / a for k in alpha.kinks if 0.0 < k / a < span]
+        self._fixed = np.array([0.0, *kinks])
+        # increasing branches of c' between kinks: interp(s, cp, d) = c'^-1(s)
+        edges = [0.0, *kinks, span]
+        self._branches, self._dense = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            d = np.linspace(lo, hi, 513)
+            cp = prefactor * a * np.asarray(alpha.deriv(a * d), dtype=float)
+            if cp[-1] - cp[0] > 1e-14:
+                to = self._branches if np.diff(cp).min() >= 0 else self._dense
+                to.append((np.maximum.accumulate(cp), d))
+
+    def upper_bounds(self, vals: np.ndarray):
+        """Yield, in one array lowered in place, the minimum over every
+        fourth knot and then over all knots: upper bounds on ``Q phi``."""
+        best = self.knot_cost[0] + vals[0]
+        tmp = np.empty_like(best)
+        K = len(self.knots)
+        for rows in (range(4, K, 4), [k for k in range(K) if k % 4]):
+            for k in rows:
+                np.add(self.knot_cost[k], vals[k], out=tmp)
+                np.minimum(best, tmp, out=best)
+            yield best
+
+    def knot_min(self, vals: np.ndarray) -> np.ndarray:
+        """``min_k vals_k + c(x - knot_k)`` at every query point."""
+        *_, best = self.upper_bounds(vals)
+        return best
+
+    def refine(self, vals: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Lower ``best`` (the knot minimum) in place to ``Q phi``."""
+        slopes = np.diff(vals) / np.diff(self.knots)
+        mag = np.abs(slopes)
+        # at every query, both signs: zero, the kink offsets and, on a branch
+        # where c' falls somewhere, every stationary offset of every slope
+        offs = np.unique(np.concatenate([self._fixed] + [
+            np.interp(np.concatenate(([0.0], mag)), cp, d)
+            for cp, d in self._dense]))
+        offs = offs[offs <= self._span]
+        for off, coff in zip(offs, self._c(offs)):
+            for sign in (1.0, -1.0):
+                cand = np.interp(self.query - sign * off, self.knots, vals)
+                np.minimum(best, cand + coff, out=best)
+        for cp, d in self._branches:
+            seg = np.flatnonzero((mag > cp[0]) & (mag <= cp[-1]))
+            off = np.interp(mag[seg], cp, d)
+            shift = np.sign(slopes[seg]) * off
+            # y = x - shift lies in segment j for x in [k_j, k_j+1] + shift
+            lo = np.searchsorted(self._sorted, self.knots[seg] + shift)
+            n = np.searchsorted(self._sorted, self.knots[seg + 1] + shift,
+                                side="right") - lo
+            run = np.repeat(np.arange(len(seg)), n)
+            pos = np.arange(len(run)) + np.repeat(lo - np.cumsum(n) + n, n)
+            cand = (np.interp(self._sorted[pos] - shift[run], self.knots, vals)
+                    + self._c(off)[run])
+            np.minimum.at(best, self._order[pos], cand)
+        return best
 
     def q(self, vals: np.ndarray) -> np.ndarray:
-        best = np.min(vals[None, :] + self.knot_cost, axis=1)
-        slopes = np.diff(vals) / np.diff(self.knots)
-        pos = np.unique(np.abs(np.concatenate(([0.0], slopes))))
-        offs = np.unique(np.concatenate(
-            [self._solve(pos).ravel(), self._kink_offs, [0.0]]))
-        offs = offs[offs <= self._span]
-        coffs = np.asarray(self._c(offs), dtype=float)
-        for sign in (1.0, -1.0):
-            shifted = self.query[:, None] - sign * offs[None, :]
-            phi_sh = np.interp(shifted.ravel(), self.knots, vals)
-            cand = phi_sh.reshape(shifted.shape) + coffs[None, :]
-            best = np.minimum(best, cand.min(axis=1))
-        return best
+        return self.refine(vals, self.knot_min(vals))
 
 
 def inf_convolution_exact(phi: GridFunction, alpha: CostFunction, out_x,
@@ -399,8 +396,7 @@ def dual_lower_bound(nu: DiscreteMeasure, mu: DiscreteMeasure,
     includes every atom of ``mu``, which guarantees the bound never exceeds
     the LP optimum for the matching cost matrix.
     """
-    _, c = _ground(alpha, scale, prefactor)
     cands = np.union1d(phi.grid, mu.atoms)
-    pv = phi(cands)
-    q = np.min(pv[None, :] + c(nu.atoms[:, None] - cands[None, :]), axis=1)
+    q = ExactInfConvolution(nu.atoms, cands, alpha, scale,
+                            prefactor).knot_min(phi(cands))
     return float(np.sum(nu.weights * q) - np.sum(mu.weights * phi(mu.atoms)))

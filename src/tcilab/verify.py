@@ -59,8 +59,9 @@ class DualTestReport:
     ``int e^{Q phi} dmu * int e^{-phi} dmu`` (strong form), or with second
     factor ``exp(-int phi dmu)`` when ``plain_form`` is set.
 
-    ``trials`` counts every potential evaluated, adversarial candidates
-    included.  ``status`` is forced consistent with ``worst_product``.
+    ``trials`` counts every potential, adversarial ones included, and
+    ``screened`` those the screening bound decided alone.  ``status`` is
+    forced consistent with ``worst_product``.
     """
 
     trials: int
@@ -70,6 +71,7 @@ class DualTestReport:
     seed: int
     worst_label: str = ""
     plain_form: bool = False
+    screened: int = 0
 
     def __post_init__(self):
         expected = (VIOLATION_FOUND if self.worst_product > 1.0 + DUAL_SLACK
@@ -125,14 +127,26 @@ class _DualQuadrature:
                 + self.tail_lo * left + self.tail_hi * right)
 
 
-def _adversarial_potentials(mu: Measure1D, knots: np.ndarray):
-    """Constants, two-level ramps off a ray, and window wells/plateaus.
+def _whole(name: str, value, least: Optional[int] = None) -> int:
+    """``value`` as an int >= ``least``; a fraction raises, not truncates."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be >= {least}, got {whole}")
+    return whole
 
-    All are expressed on the shared knot grid, so ramp corners sit on knots
-    (the knot spacing is the smoothing width) and slopes stay within the
-    family bound.
-    """
-    K = len(knots)
+
+def _dual_family(mu: Measure1D, trials: int, seed: int):
+    """The knots and candidates ``(label, values)``, adversarial first; ramp
+    corners sit on knots (the spacing is the smoothing width), so slopes
+    stay within the family bound."""
+    knots = np.linspace(float(mu.quantile(_PHI_MASS_GAP / 2.0)),
+                        float(mu.isf(_PHI_MASS_GAP / 2.0)), _PHI_KNOTS)
+    K = _PHI_KNOTS
     idx = np.arange(K, dtype=float)
 
     def at(level: float) -> int:
@@ -155,18 +169,19 @@ def _adversarial_potentials(mu: Measure1D, knots: np.ndarray):
             shape = np.clip(np.minimum(idx - (ia - 1), (ib + 1) - idx), 0.0, 1.0)
             out.append((f"well_p{p:g}_q{qa:g}_{qb:g}", -p * shape))
             out.append((f"plateau_p{p:g}_q{qa:g}_{qb:g}", p * shape))
-    return out
 
-
-def _whole(name: str, value) -> int:
-    """``value`` as an ``int``; a fraction is rejected, not truncated."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return whole
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    if trials:
+        dx = np.diff(knots)
+        slopes = rng.uniform(-_PHI_SLOPE, _PHI_SLOPE, size=(trials, K - 1))
+        walks = np.empty((trials, K))
+        walks[:, 0] = rng.uniform(-_PHI_AMP, _PHI_AMP, size=trials)
+        for j in range(K - 1):
+            # clipping only ever shortens a step, so slopes stay in bounds
+            walks[:, j + 1] = np.clip(walks[:, j] + slopes[:, j] * dx[j],
+                                      -_PHI_AMP, _PHI_AMP)
+        out.extend((f"random_{i}", walks[i]) for i in range(trials))
+    return knots, out
 
 
 def dual_check_strong(mu: Measure1D, alpha: CostFunction,
@@ -185,58 +200,54 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     ``plain=True`` the second factor is ``exp(-int phi dmu)`` (the weaker
     plain form).
 
+    Screening: a minimum over knots only bounds ``Q phi``, so a candidate
+    whose product formed from it is at most ``worst * (1 - 1e-12)`` cannot
+    be the argmax and skips the exact pass; the margin absorbs rounding.
+    The report is the unscreened one bit for bit; non-finite products raise.
+
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
     """
-    trials = _whole("trials", trials)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    lo_k = float(mu.quantile(_PHI_MASS_GAP / 2.0))
-    hi_k = float(mu.isf(_PHI_MASS_GAP / 2.0))
-    knots = np.linspace(lo_k, hi_k, _PHI_KNOTS)
+    trials = _whole("trials", trials, 0)
+    transport._ground(alpha, scale, prefactor)
+    knots, candidates = _dual_family(mu, trials, seed)
     quadr = _DualQuadrature(mu, knots)
     query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
     engine = transport.ExactInfConvolution(query, knots, alpha, scale,
                                            prefactor)
 
-    def product(vals: np.ndarray) -> float:
-        qv = engine.q(vals)
-        body, q_lo, q_hi = qv[:-2], float(qv[-2]), float(qv[-1])
-        first = quadr.exp_integral(body, q_lo, q_hi)
+    def first(qv: np.ndarray) -> float:
+        return quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
+
+    def second(vals: np.ndarray) -> float:
         left, right = float(vals[0]), float(vals[-1])
         phi_nodes = np.interp(quadr.nodes, knots, vals)
         if plain:
-            second = math.exp(-quadr.mean(phi_nodes, left, right))
-        else:
-            second = quadr.exp_integral(-phi_nodes, -left, -right)
-        return first * second
+            return math.exp(-quadr.mean(phi_nodes, left, right))
+        return quadr.exp_integral(-phi_nodes, -left, -right)
 
-    candidates = _adversarial_potentials(mu, knots)
-
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    if trials:
-        dx = np.diff(knots)
-        slopes = rng.uniform(-_PHI_SLOPE, _PHI_SLOPE, size=(trials, _PHI_KNOTS - 1))
-        walks = np.empty((trials, _PHI_KNOTS))
-        walks[:, 0] = rng.uniform(-_PHI_AMP, _PHI_AMP, size=trials)
-        for j in range(_PHI_KNOTS - 1):
-            # clipping only ever shortens a step, so slopes stay in bounds
-            walks[:, j + 1] = np.clip(walks[:, j] + slopes[:, j] * dx[j],
-                                      -_PHI_AMP, _PHI_AMP)
-        candidates.extend((f"random_{i}", walks[i]) for i in range(trials))
-
-    worst = -math.inf
-    worst_vals = np.zeros(_PHI_KNOTS)
-    worst_label = ""
+    worst, worst_vals, worst_label = -math.inf, np.zeros(_PHI_KNOTS), ""
+    screened = 0
     for label, vals in candidates:
-        p = product(vals)
-        if p > worst:
-            worst, worst_vals, worst_label = p, vals, label
+        factor = second(vals)
+        cut = worst * (1.0 - 1e-12)        # see the docstring
+        for upper in engine.upper_bounds(vals):
+            # Q phi <= max(phi) as well, which keeps exp of the bound finite
+            if first(np.minimum(upper, vals.max())) * factor <= cut:
+                screened += 1
+                break
+        else:       # no bound decided: the exact product
+            p = first(engine.refine(vals, upper)) * factor
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite dual product {p!r} of {label}")
+            if p > worst:
+                worst, worst_vals, worst_label = p, vals, label
     status = VIOLATION_FOUND if worst > 1.0 + DUAL_SLACK else NO_VIOLATION
     return DualTestReport(trials=len(candidates), worst_product=float(worst),
                           worst_phi=GridFunction(knots, worst_vals),
                           status=status, seed=int(seed),
-                          worst_label=worst_label, plain_form=bool(plain))
+                          worst_label=worst_label, plain_form=bool(plain),
+                          screened=screened)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +457,7 @@ def tensor_check(mu_discrete: DiscreteMeasure, cost: CostFunction, n: int,
     candidate is ``nu = mu^n`` (both sides zero).  Worst slack
     ``transport - entropy`` is reported; beyond ``1e-7`` the check fails.
     """
-    trials = _whole("trials", trials)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    trials = _whole("trials", trials, 0)
     k = len(mu_discrete)
     n = _whole("n", n)
     if k > 12:
@@ -544,12 +553,8 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     Draws come from :func:`measures.sample`, the counter-based stream keyed
     by ``seed``.
     """
-    n = _whole("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    samples = _whole("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    n = _whole("n", n, 1)
+    samples = _whole("samples", samples, 1)
     a, c = transport._ground(alpha, scale, prefactor)
     lo, hi = float(A[0]), float(A[1])
     if not lo < hi:

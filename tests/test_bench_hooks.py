@@ -38,3 +38,14 @@ def test_hooked_signatures_still_match():
     params = list(inspect.signature(criteria.K_moment).parameters)
     assert params.index("side") == 3
     assert verify._decaying_tail_integral is criteria._decaying_tail_integral
+
+
+def test_dual_trials_count_screened_potentials(mu1, alpha1):
+    # the tracer's dual_hook derives verify.dual.potentials and
+    # us_per_potential from DualTestReport.trials, which must keep counting
+    # every candidate, those decided by the screening bound included
+    _knots, adversarial = verify._dual_family(mu1, 0, 0)
+    rep = verify.dual_check_strong(mu1, alpha1, prefactor=1.0 / 36.0,
+                                   trials=30, seed=0)
+    assert rep.screened > 0
+    assert rep.trials == len(adversarial) + 30

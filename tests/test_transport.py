@@ -5,13 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from tcilab.costs import builtin_cost
+from tcilab import transport, verify
+from tcilab.costs import builtin_cost, cost_from_table
 from tcilab.measures import DiscreteMeasure, make_builtin, quantile_discretize
-from tcilab.transport import (GridFunction, cost_lp, cost_matrix,
-                              cost_monotone, cost_monotone_discrete,
-                              dual_lower_bound, inf_convolution,
+from tcilab.transport import (ExactInfConvolution, GridFunction, cost_lp,
+                              cost_matrix, cost_monotone,
+                              cost_monotone_discrete, dual_lower_bound,
                               inf_convolution_exact, northwest_plan,
                               relative_entropy)
+
+
+def inf_convolution(phi, alpha, out_grid, scale=None, prefactor=1.0):
+    """Lattice inf-convolution ``Q(x) = min_y phi(y) + c(x - y)``, the
+    oracle of the exact engine.
+
+    The minimum ranges over the union of ``phi``'s knots and ``out_grid``
+    (with ``phi`` evaluated by its own piecewise-linear rule), which makes
+    ``Q <= phi`` pointwise on the output grid.
+    """
+    out = np.asarray(out_grid, dtype=float)
+    _, c = transport._ground(alpha, scale, prefactor)
+    cands = np.union1d(phi.grid, out)
+    pv = phi(cands)
+    vals = np.empty(len(out))
+    chunk = max(1, int(4e6 // max(len(cands), 1)))
+    for s in range(0, len(out), chunk):
+        x = out[s:s + chunk, None]
+        vals[s:s + chunk] = np.min(pv[None, :] + c(x - cands[None, :]), axis=1)
+    return GridFunction(out, vals)
 
 
 def _random_discrete(rng, k):
@@ -169,6 +190,97 @@ class TestInfConvolution:
         np.testing.assert_allclose(q, 0.0, atol=1e-14)
 
 
+def _dense_q(engine, vals):
+    """The exact engine without restriction: the knot minimum, then every
+    stationary offset of every segment slope, zero and the kink offsets,
+    each at every query point with both signs."""
+    best = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
+    slopes = np.diff(vals) / np.diff(engine.knots)
+    mags = np.unique(np.abs(np.concatenate(([0.0], slopes))))
+    offs = np.unique(np.concatenate(
+        [np.interp(mags, cp, d)
+         for cp, d in engine._branches + engine._dense]
+        + [engine._fixed]))
+    coffs = np.asarray(engine._c(offs), dtype=float)
+    for sign in (1.0, -1.0):
+        shifted = engine.query[:, None] - sign * offs[None, :]
+        cand = np.interp(shifted, engine.knots, vals) + coffs[None, :]
+        best = np.minimum(best, cand.min(axis=1))
+    return best
+
+
+_ENGINE_COSTS = [("alpha1", {}), ("theta_p", {"p": 2.0}),
+                 ("alpha_p", {"p": 1.5})]
+_ENGINE_SETTINGS = [(None, 1.0 / 36.0), (1.0, 10.0), (0.25, 0.5)]
+
+
+@pytest.fixture(scope="module")
+def dual_setup(mu1):
+    """The dual check's knots and query nodes on the exponential law, with
+    every seventh adversarial potential and three random walks."""
+    knots, cands = verify._dual_family(mu1, 3, 0)
+    quadr = verify._DualQuadrature(mu1, knots)
+    query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
+    return knots, query, [v for _, v in cands[::7] + cands[-3:]]
+
+
+class TestScreenedEngine:
+    @pytest.mark.parametrize("name,params", _ENGINE_COSTS)
+    def test_knot_min_is_the_broadcast_min(self, dual_setup, name, params):
+        knots, query, potentials = dual_setup
+        alpha = builtin_cost(name, **params)
+        for scale, pref in _ENGINE_SETTINGS:
+            engine = ExactInfConvolution(query, knots, alpha, scale, pref)
+            assert engine.knot_cost.shape == (len(knots), len(query))
+            assert engine.knot_cost.flags.c_contiguous
+            for vals in potentials:
+                broadcast = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
+                np.testing.assert_array_equal(engine.knot_min(vals), broadcast)
+
+    @pytest.mark.parametrize("name,params", _ENGINE_COSTS)
+    @pytest.mark.parametrize("scale,pref", _ENGINE_SETTINGS)
+    def test_restricted_pass_matches_dense(self, dual_setup, name, params,
+                                           scale, pref):
+        knots, query, potentials = dual_setup
+        alpha = builtin_cost(name, **params)
+        engine = ExactInfConvolution(query, knots, alpha, scale, pref)
+        _, c = transport._ground(alpha, scale, pref)
+        sub = np.arange(0, len(query), 97)
+        lattice = np.linspace(query.min(), query.max(), 4001)
+        for vals in potentials:
+            got, dense = engine.q(vals), _dense_q(engine, vals)
+            # fewer candidates than the dense pass, never more
+            assert np.all(got >= dense)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+            phi = GridFunction(knots, vals)
+            slopes = np.diff(vals) / np.diff(knots)
+            branches = engine._branches + engine._dense
+            offs = np.concatenate([np.interp(np.abs(slopes), cp, d)
+                                   for cp, d in branches])
+            signs = np.tile(np.sign(slopes), len(branches))
+            for i in sub:
+                x = query[i]
+                ys = np.concatenate([lattice, knots, x - signs * offs])
+                brute = np.min(phi(ys) + c(x - ys))
+                assert got[i] >= brute - 1e-12
+                assert got[i] <= brute + 1e-12
+
+    def test_non_monotone_derivative_keeps_the_dense_pass(self, dual_setup):
+        # a PCHIP table's numeric c' dips, so a stationary offset need not
+        # land in its own segment: those branches keep the all-query,
+        # both-sign pass and the result is the dense enumeration's exactly
+        knots, query, potentials = dual_setup
+        ts = np.linspace(0.0, 8.0, 33)
+        table = cost_from_table(ts, np.where(ts <= 1.0, ts * ts,
+                                             2.0 * ts - 1.0))
+        for scale, pref in ((0.25, 1.0 / 36.0), (1.0, 10.0)):
+            engine = ExactInfConvolution(query, knots, table, scale, pref)
+            assert engine._dense
+            for vals in potentials:
+                np.testing.assert_array_equal(engine.q(vals),
+                                              _dense_q(engine, vals))
+
+
 class TestWeakDuality:
     def test_dual_never_exceeds_lp(self, alpha1, theta2):
         rng = np.random.default_rng(21)
@@ -181,3 +293,21 @@ class TestWeakDuality:
                 lower = dual_lower_bound(nu, mu, cost, phi)
                 vl, _ = cost_lp(nu, mu, cost_matrix(nu, mu, cost))
                 assert lower <= vl + 1e-9
+
+    def test_dual_lower_bound_is_the_inline_formula(self, alpha1, theta2):
+        # the engine's knot minimum over union(phi.grid, mu.atoms) replaces
+        # the broadcast minimum the bound used to compute inline
+        rng = np.random.default_rng(21)
+        for cost in (alpha1, theta2):
+            for _ in range(5):
+                nu, mu = _random_discrete(rng, 9), _random_discrete(rng, 7)
+                span = np.linspace(min(nu.atoms.min(), mu.atoms.min()) - 1,
+                                   max(nu.atoms.max(), mu.atoms.max()) + 1, 25)
+                phi = GridFunction(span, rng.uniform(-1, 1, len(span)))
+                _, c = transport._ground(cost, None, 1.0)
+                cands = np.union1d(phi.grid, mu.atoms)
+                q = np.min(phi(cands)[None, :]
+                           + c(nu.atoms[:, None] - cands[None, :]), axis=1)
+                inline = float(np.sum(nu.weights * q)
+                               - np.sum(mu.weights * phi(mu.atoms)))
+                assert dual_lower_bound(nu, mu, cost, phi) == inline

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tcilab import costs, measures, numerics, verify
+from tcilab import costs, measures, numerics, transport, verify
 from tcilab.verify import (
     NO_VIOLATION,
     VIOLATION_FOUND,
@@ -66,6 +66,76 @@ class TestDualCheck:
                               trials=25, seed=7)
         assert a.worst_product == b.worst_product
         assert a.worst_label == b.worst_label
+
+
+def _unscreened_dual(mu, alpha, scale, prefactor, trials, seed, plain):
+    """The dual loop with no screening: every candidate's exact product
+    through ``engine.q``, then the first strict argmax."""
+    knots, candidates = verify._dual_family(mu, trials, seed)
+    quadr = verify._DualQuadrature(mu, knots)
+    query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
+    engine = transport.ExactInfConvolution(query, knots, alpha, scale,
+                                           prefactor)
+    worst, worst_vals, worst_label = -math.inf, None, ""
+    for label, vals in candidates:
+        qv = engine.q(vals)
+        first = quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
+        left, right = float(vals[0]), float(vals[-1])
+        phi_nodes = np.interp(quadr.nodes, knots, vals)
+        if plain:
+            second = math.exp(-quadr.mean(phi_nodes, left, right))
+        else:
+            second = quadr.exp_integral(-phi_nodes, -left, -right)
+        p = first * second
+        if p > worst:
+            worst, worst_vals, worst_label = p, vals, label
+    return worst, worst_vals, worst_label, len(candidates)
+
+
+@pytest.mark.parametrize("law,cost,params,scale,prefactor,trials,plain", [
+    # criterion 1's family, criterion 2's refutation, the plain form, and
+    # a gaussian with the quadratic-power cost
+    ("exponential", "alpha1", {}, None, 1.0 / 36.0, 300, False),
+    ("exponential", "alpha1", {}, 1.0, 10.0, 200, False),
+    ("exponential", "alpha1", {}, SCALE, PREF, 100, True),
+    ("gaussian", "theta_p", {"p": 2.0}, 0.5, PREF, 200, False),
+    # heavy tails: the knot-only bound at the far window edges would
+    # overflow exp without the max(phi) cap
+    ("cauchy", "alpha_p", {"p": 1.5}, 0.1, 1.0 / 36.0, 60, False),
+])
+def test_screening_keeps_the_unscreened_argmax(law, cost, params, scale,
+                                               prefactor, trials, plain):
+    mu = measures.make_builtin(law)
+    alpha = costs.builtin_cost(cost, **params)
+    rep = dual_check_strong(mu, alpha, scale=scale, prefactor=prefactor,
+                            trials=trials, seed=0, plain=plain)
+    worst, vals, label, count = _unscreened_dual(mu, alpha, scale, prefactor,
+                                                 trials, 0, plain)
+    assert rep.worst_product == worst
+    assert rep.worst_label == label
+    np.testing.assert_array_equal(rep.worst_phi.values, vals)
+    assert rep.status == (VIOLATION_FOUND if worst > 1.0 + verify.DUAL_SLACK
+                          else NO_VIOLATION)
+    assert rep.trials == count
+    if prefactor == 1.0 / 36.0:
+        assert rep.screened > 0
+    assert 0 <= rep.screened < rep.trials
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"prefactor": math.nan}, {"scale": math.nan}, {"scale": math.inf},
+    {"prefactor": math.inf}, {"scale": 0.0}, {"prefactor": -1.0},
+])
+def test_dual_rejects_bad_scale_or_prefactor(mu1, alpha1, kwargs):
+    # a NaN product used to be skipped by the argmax, which then reported
+    # no_violation with worst_product -inf
+    with pytest.raises(ValueError, match="finite and positive"):
+        dual_check_strong(mu1, alpha1, trials=5, **kwargs)
+
+
+def test_integrability_rejects_nan_prefactor(mu1, alpha1):
+    with pytest.raises(ValueError, match="finite and positive"):
+        integrability_check(mu1, alpha1, prefactor=math.nan)
 
 
 class TestIntegrability:
