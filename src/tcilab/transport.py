@@ -310,7 +310,11 @@ class ExactInfConvolution:
         self._c = c
         self.query = np.asarray(query, dtype=float)
         self.knots = np.asarray(knots, dtype=float)
-        self.knot_cost = np.array([c(self.query - k) for k in self.knots])
+        # knot-major, built in blocks of about 2**16 entries per call of c
+        rows, kn = max(1, 2 ** 16 // max(len(self.query), 1)), self.knots
+        self.knot_cost = np.empty((len(kn), len(self.query)))
+        for i in range(0, len(kn), rows):
+            self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
         self._order = np.argsort(self.query, kind="stable")
         self._sorted = self.query[self._order]
         self._span = span = ((self.knots[-1] - self.knots[0])
@@ -341,6 +345,8 @@ class ExactInfConvolution:
 
     def knot_min(self, vals: np.ndarray) -> np.ndarray:
         """``min_k vals_k + c(x - knot_k)`` at every query point."""
+        if self.knot_cost.size <= 2 ** 16:     # small: one broadcast pass
+            return np.min(self.knot_cost + vals[:, None], axis=0)
         *_, best = self.upper_bounds(vals)
         return best
 
@@ -396,7 +402,7 @@ def dual_lower_bound(nu: DiscreteMeasure, mu: DiscreteMeasure,
     includes every atom of ``mu``, which guarantees the bound never exceeds
     the LP optimum for the matching cost matrix.
     """
+    _, c = _ground(alpha, scale, prefactor)
     cands = np.union1d(phi.grid, mu.atoms)
-    q = ExactInfConvolution(nu.atoms, cands, alpha, scale,
-                            prefactor).knot_min(phi(cands))
+    q = np.min(phi(cands) + c(nu.atoms[:, None] - cands), axis=1)
     return float(np.sum(nu.weights * q) - np.sum(mu.weights * phi(mu.atoms)))

@@ -237,6 +237,19 @@ class TestScreenedEngine:
                 broadcast = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
                 np.testing.assert_array_equal(engine.knot_min(vals), broadcast)
 
+    def test_small_engine_knot_min_is_the_row_passes(self, dual_setup):
+        # a matrix of at most 2**16 entries takes its knot minimum in one
+        # broadcast pass; it must be the row passes' result bit for bit
+        knots, query, potentials = dual_setup
+        alpha = builtin_cost("alpha1")
+        for n in (5, 1024):
+            engine = ExactInfConvolution(query[::len(query) // n][:n], knots,
+                                         alpha, 0.25, 1.0 / 36.0)
+            assert engine.knot_cost.size <= 2 ** 16
+            for vals in potentials:
+                *_, rows = engine.upper_bounds(vals)
+                np.testing.assert_array_equal(engine.knot_min(vals), rows)
+
     @pytest.mark.parametrize("name,params", _ENGINE_COSTS)
     @pytest.mark.parametrize("scale,pref", _ENGINE_SETTINGS)
     def test_restricted_pass_matches_dense(self, dual_setup, name, params,
@@ -295,8 +308,7 @@ class TestWeakDuality:
                 assert lower <= vl + 1e-9
 
     def test_dual_lower_bound_is_the_inline_formula(self, alpha1, theta2):
-        # the engine's knot minimum over union(phi.grid, mu.atoms) replaces
-        # the broadcast minimum the bound used to compute inline
+        # the bound is the broadcast minimum over union(phi.grid, mu.atoms)
         rng = np.random.default_rng(21)
         for cost in (alpha1, theta2):
             for _ in range(5):

@@ -2,6 +2,7 @@
 two-set bounds, tensorized transport, Monte Carlo concentration, and the
 entropy inequality checker."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_screening_keeps_the_unscreened_argmax(law, cost, params, scale,
     if prefactor == 1.0 / 36.0:
         assert rep.screened > 0
     assert 0 <= rep.screened < rep.trials
+
+
+@pytest.mark.parametrize("scale,prefactor", [(1.0, 1.0), (0.25, 4.0),
+                                              (1.0, 10.0)])
+def test_screening_with_positive_cost_at_zero(mu1, alpha1, scale, prefactor):
+    # alpha(0) > 0: Q phi can exceed max(phi) by c(0), so the bound's cap
+    # must be max(phi) + c(0) or the true argmax may be screened out
+    lifted = dataclasses.replace(alpha1, name="alpha1+1", admissible=False,
+                                 fn=lambda t: alpha1.fn(t) + 1.0)
+    rep = dual_check_strong(mu1, lifted, scale=scale, prefactor=prefactor,
+                            trials=60, seed=0)
+    worst, vals, label, count = _unscreened_dual(mu1, lifted, scale,
+                                                 prefactor, 60, 0, False)
+    assert rep.worst_product == worst
+    assert rep.worst_label == label
+    np.testing.assert_array_equal(rep.worst_phi.values, vals)
+    assert rep.trials == count
 
 
 @pytest.mark.parametrize("kwargs", [
