@@ -13,7 +13,6 @@ criteria, returning :class:`Verdict` objects with witness constants.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -45,47 +44,28 @@ _TINY_LEVEL = 1e-15
 _GRID_LEVEL = 1e-10
 
 
-def _scan_grid(mu: Measure1D, side: str, n: int = 512) -> np.ndarray:
-    """Geometric-progression grid from the median out to the far quantile."""
+#: per-cell targets of the cell integrals (ray moments and the Muckenhoupt
+#: weight); the absolute floor sits far below the integrals callers take (a
+#: conditional moment is at least 1, a plain ray moment at least the mass
+#: ahead of its anchor)
+_CELL_EPSABS = 1e-16
+_CELL_EPSREL = 1e-12
+#: the columns of :func:`_scan_grids`: right tail, then left tail
+_PLUS = np.array([True, False])
+
+
+def _scan_grids(mu: Measure1D) -> np.ndarray:
+    """Geometric-progression grids from the median out to the far quantile
+    of each tail, as the columns of one array (see ``_PLUS``)."""
     m = mu.median
-    if side == "plus":
-        far = mu.quantile(1.0 - _GRID_LEVEL)
-        return m + numerics.geometric_offsets(far - m, n - 1)
-    far = mu.quantile(_GRID_LEVEL)
-    return m - numerics.geometric_offsets(m - far, n - 1)
+    right = numerics.geometric_offsets(mu.quantile(1.0 - _GRID_LEVEL) - m, 511)
+    left = numerics.geometric_offsets(m - mu.quantile(_GRID_LEVEL), 511)
+    return m + np.stack((right, -left), axis=1)
 
 
-def _probe_growth(f: Callable[[float], float], x_end: float, span: float,
-                  best: float) -> Tuple[bool, list]:
-    """Divergence probes beyond a scan grid.
-
-    Evaluates ``f`` at doubling distances past ``x_end``; reports divergence
-    when the value grows by more than the 10% rule twice in a row (relative
-    to the running maximum including ``best``), or when a probe returns
-    ``+inf``.  A ``nan`` probe means both numerator and denominator have
-    underflowed -- the probes stop there without claiming divergence.
-    """
-    vals = []
-    prev = best
-    streak = 0
-    step = max(span, 1.0)
-    for k in range(6):
-        x = x_end + step * (2.0 ** k)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = float(f(x))
-        vals.append((x, v))
-        if math.isnan(v):
-            break
-        if math.isinf(v):
-            return True, vals
-        if v > prev * (1.0 + numerics.DIVERGENCE_GROWTH):
-            streak += 1
-            if streak >= 2:
-                return True, vals
-        else:
-            streak = 0
-        prev = max(prev, v)
-    return False, vals
+def _tail(mu: Measure1D, x, plus) -> np.ndarray:
+    """Mass outward of ``x``: ``sf`` where ``plus``, ``cdf`` elsewhere."""
+    return np.where(plus, mu.sf(x), mu.cdf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -151,41 +131,29 @@ def omega_bounds(rm: RearrangementMap, h_grid
     ``omega_plus(h)`` is the infimum over ``x >= m`` of the residual tail
     exponent ``-log(sf(x+h)/sf(x))``; ``omega_minus`` mirrors it left of the
     median; the combined bound is ``min(omega_plus(h/2), omega_minus(h/2))``.
-    All three are nondecreasing in h.
+    All three are nondecreasing in h, which must be finite and
+    nondecreasing.  Every h and h/2 of both sides is one column of a single
+    :func:`numerics.sup_on_grid` scan of ``-omega``.
     """
     mu = rm.mu
     h = np.atleast_1d(np.asarray(h_grid, dtype=float))
-    grids = {"plus": _scan_grid(mu, "plus"), "minus": _scan_grid(mu, "minus")}
+    if not np.isfinite(h).all() or (np.diff(h) < 0).any():
+        raise ValueError("h_grid must be finite and nondecreasing")
+    # columns: plus at h, minus at h, plus at h/2, minus at h/2
+    hh = np.concatenate((h, h, h / 2.0, h / 2.0))
+    plus = np.tile(np.repeat(_PLUS, len(h)), 2)
+    shift = np.where(plus, hh, -hh)
 
-    def one_side(side: str, hh: float) -> float:
-        if hh <= 0:
-            return 0.0
-        g = grids[side]
+    def neg_omega(x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if side == "plus":
-                vals = -np.log(mu.sf(g + hh) / mu.sf(g))
-            else:
-                vals = -np.log(mu.cdf(g - hh) / mu.cdf(g))
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        k = int(np.argmin(vals))
-        best = float(vals[k])
-        if 0 < k < len(g) - 1 and math.isfinite(best):
-            if side == "plus":
-                f = lambda x: math.log(mu.sf(x) / max(mu.sf(x + hh), 1e-320))
-            else:
-                f = lambda x: math.log(mu.cdf(x) / max(mu.cdf(x - hh), 1e-320))
-            _, neg = numerics.golden_max(lambda x: -f(x),
-                                         float(g[k - 1]), float(g[k + 1]),
-                                         tol=1e-10)
-            best = min(best, -neg)
-        return max(best, 0.0)
+            v = np.log(_tail(mu, x + shift, plus) / _tail(mu, x, plus))
+        return np.where(np.isnan(v), -np.inf, v)
 
-    w_plus = np.maximum.accumulate([one_side("plus", v) for v in h])
-    w_minus = np.maximum.accumulate([one_side("minus", v) for v in h])
-    w_half_p = np.maximum.accumulate([one_side("plus", v / 2.0) for v in h])
-    w_half_m = np.maximum.accumulate([one_side("minus", v / 2.0) for v in h])
-    lower = np.minimum(w_half_p, w_half_m)
-    return np.asarray(w_plus), np.asarray(w_minus), lower
+    grid = _scan_grids(mu)[:, np.where(plus, 0, 1)]
+    sup, _, _, _ = numerics.sup_on_grid(neg_omega, grid, tol=1e-10)
+    w = np.where(hh > 0, np.maximum(-sup, 0.0), 0.0).reshape(4, len(h))
+    w = np.maximum.accumulate(w, axis=1)
+    return w[0], w[1], np.minimum(w[2], w[3])
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +169,25 @@ def lipschitz_check(mu: Measure1D) -> Verdict:
     ``exp(-a h)``.
     """
     m = mu.median
-    sides = {}
-    for side in ("plus", "minus"):
-        grid = _scan_grid(mu, side)
 
-        def f(x, _s=side):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                num = mu.sf(x) if _s == "plus" else mu.cdf(x)
-                val = num / mu.density(x)
-            return val
+    def ratio(x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _tail(mu, x, _PLUS) / mu.density(x)
 
-        sup, arg = numerics.sup_on_grid(f, grid if side == "plus"
-                                        else grid[::-1])
-        span = abs(float(grid[-1]) - m)
-        sgn = 1.0 if side == "plus" else -1.0
-        diverged, probes = _probe_growth(
-            lambda d, _s=side: float(f(np.array([m + sgn * d]))[0]),
-            span, span, sup)
-        sides[side] = (sup, arg, diverged, probes)
-
-    a_plus, arg_p, div_p, pr_p = sides["plus"]
-    a_minus, arg_m, div_m, pr_m = sides["minus"]
-    diag = {"argmax_plus": arg_p, "argmax_minus": arg_m,
-            "growth_probes_plus": pr_p, "growth_probes_minus": pr_m}
-    if div_p or div_m or not (math.isfinite(a_plus) and math.isfinite(a_minus)):
+    sup, arg, diverged, probes = numerics.sup_on_grid(ratio, _scan_grids(mu))
+    a_plus, a_minus = float(sup[0]), float(sup[1])
+    diag = {"argmax_plus": float(arg[0]), "argmax_minus": float(arg[1]),
+            "growth_probes_plus": probes[0], "growth_probes_minus": probes[1]}
+    if diverged.any() or not np.isfinite(sup).all():
         diag["reason"] = "A diverges"
         return Verdict(FAILS, {}, diag)
     bound = max(a_plus, a_minus)
     a = 1.0 / bound
     # spot-check the equivalent residual-tail domination exp(-a h)
-    worst = -math.inf
-    for x in np.linspace(m, mu.quantile(1.0 - 1e-6), 9):
-        for h in (0.5, 1.0, 2.0, 5.0):
-            tail = mu.sf(x + h) / max(mu.sf(x), 1e-320)
-            worst = max(worst, tail - math.exp(-a * h))
-    diag["tail_domination_excess"] = worst
+    xs = np.linspace(m, mu.quantile(1.0 - 1e-6), 9)[:, None]
+    hs = np.array([0.5, 1.0, 2.0, 5.0])
+    excess = mu.sf(xs + hs) / np.maximum(mu.sf(xs), 1e-320) - np.exp(-a * hs)
+    diag["tail_domination_excess"] = float(excess.max())
     return Verdict(HOLDS, {"A_plus": a_plus, "A_minus": a_minus, "a": a,
                            "lipschitz_bound": bound}, diag)
 
@@ -244,78 +195,43 @@ def lipschitz_check(mu: Measure1D) -> Verdict:
 def muckenhoupt(mu: Measure1D):
     """Muckenhoupt functionals ``D+ = sup_{x>=m} sf(x) int_m^x 1/density``.
 
-    Returns ``(D_plus, D_minus)`` with ``inf`` markers on divergence.
+    Returns ``(D_plus, D_minus)`` with ``inf`` markers on divergence.  The
+    weight ``int 1/density`` is cumulated over the scan-grid cells; off the
+    grid it adds the cell integral from the grid node behind the point.  A
+    point whose weight overflows reads ``nan``: a growth probe there stops
+    without claiming divergence.
     """
     m = mu.median
-    out = []
-    for side in ("plus", "minus"):
-        grid = _scan_grid(mu, side)
-        sgn = 1.0 if side == "plus" else -1.0
+    grid = _scan_grids(mu)
+    dist = np.abs(grid - m)
 
-        def inv_rho(x):
-            rho = float(mu.density(x))
-            return 1.0 / rho if rho > 0.0 else math.inf
+    def weight(a, b):
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            own, val = numerics.gauss_kronrod_cells(
+                lambda x, _own: 1.0 / mu.density(x), (lo, hi),
+                _CELL_EPSABS, _CELL_EPSREL, owner=np.arange(lo.size))
+            total = np.bincount(own, weights=val, minlength=lo.size)
+        return total.reshape(np.shape(a))
 
-        cum = np.zeros(len(grid))
-        ok = True
-        for i in range(1, len(grid)):
-            inc = numerics.quad(inv_rho, min(grid[i - 1], grid[i]),
-                                max(grid[i - 1], grid[i]))
-            cum[i] = cum[i - 1] + inc
-            if not math.isfinite(cum[i]):
-                ok = False
-                break
-        if not ok:
-            out.append(math.inf)
-            continue
-        mass = mu.sf(grid) if side == "plus" else mu.cdf(grid)
-        vals = mass * cum
-        k = int(np.argmax(vals))
-        best = float(vals[k])
-        if 0 < k < len(grid) - 1:
-            lo, hi = sorted((float(grid[k - 1]), float(grid[k + 1])))
-            base_x, base_c = float(grid[k - 1]), cum[k - 1]
+    cum = np.concatenate((np.zeros((1, 2)),
+                          np.cumsum(weight(grid[:-1], grid[1:]), axis=0)))
 
-            def f_loc(x):
-                c = base_c + numerics.quad(inv_rho, min(base_x, x),
-                                           max(base_x, x))
-                w = mu.sf(x) if side == "plus" else mu.cdf(x)
-                return w * c
+    def product(x):
+        behind = (dist <= np.abs(x - m)[:, None, :]).sum(axis=1) - 1
+        node = np.take_along_axis(grid, behind, axis=0)
+        c = np.take_along_axis(cum, behind, axis=0) + weight(node, x)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(c), _tail(mu, x, _PLUS) * c, np.nan)
 
-            _, v_r = numerics.golden_max(f_loc, lo, hi, tol=1e-9)
-            if v_r > best:
-                best = v_r
-
-        span = abs(float(grid[-1]) - m)
-        tail_x = [float(grid[-1])]
-        tail_c = [cum[-1]]
-
-        def f_ext(x):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                inc = numerics.quad(inv_rho, min(tail_x[-1], x),
-                                    max(tail_x[-1], x))
-            if not math.isfinite(inc):
-                return math.nan  # weight integral exceeds double range
-            tail_c.append(tail_c[-1] + inc)
-            tail_x.append(x)
-            w = mu.sf(x) if side == "plus" else mu.cdf(x)
-            return w * tail_c[-1]
-
-        diverged, _ = _probe_growth(lambda d: f_ext(m + sgn * d),
-                                    span, span, best)
-        out.append(math.inf if diverged else best)
-    return out[0], out[1]
+    sup, _, diverged, _ = numerics.sup_on_grid(product, grid, tol=1e-9)
+    d_plus, d_minus = np.where(diverged, math.inf, sup)
+    return float(d_plus), float(d_minus)
 
 
 _DECAY_NATS = 80.0
 #: probe offsets z = 1, 2, 4, ..., 2**60 of the decay-horizon rule
 _PROBES = 2.0 ** np.arange(61)
-#: per-cell targets of the ray cells; the absolute floor sits far below the
-#: integrals callers take (a conditional moment is at least 1, a plain ray
-#: moment at least the mass ahead of its anchor)
-_RAY_EPSABS = 1e-16
-_RAY_EPSREL = 1e-12
 #: cells handed to one refinement call (a quarter MB per node array)
 _RAY_CELLS = 2048
 
@@ -402,7 +318,7 @@ def _decaying_tail_integral(log_parts: Callable, anchors, kinks=(),
         for s in range(0, len(lo), _RAY_CELLS):
             part = slice(s, s + _RAY_CELLS)
             own, val = numerics.gauss_kronrod_cells(
-                integrand, (lo[part], hi[part]), _RAY_EPSABS, _RAY_EPSREL,
+                integrand, (lo[part], hi[part]), _CELL_EPSABS, _CELL_EPSREL,
                 owner=owner[part])
             total += np.bincount(own, weights=val, minlength=len(rows))
     out[rows] = total
@@ -410,57 +326,38 @@ def _decaying_tail_integral(log_parts: Callable, anchors, kinks=(),
 
 
 def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
-                        side: str = "plus", n_grid: int = 512) -> float:
+             side: str = "plus") -> float:
     """``sup_x`` of the exponential moment of the residual at ``x``.
 
     For the plus side this is ``sup_{x>=m} int_0^inf e^{alpha(b z)}
     d(residual law at x)``; ``inf`` when any inner integral or the sup
-    itself diverges.  All scan anchors go through one
-    :func:`_decaying_tail_integral` call.
+    itself diverges.  Each scan step (the grid, a golden step, the growth
+    probes) sends its anchors through one :func:`_decaying_tail_integral`
+    call.
     """
     if b <= 0:
         raise ValueError("b must be positive")
-    m = mu.median
     sgn = 1.0 if side == "plus" else -1.0
-    grid = _scan_grid(mu, side, n_grid)
     kinks = [k / b for k in alpha.kinks if k > 0]
 
     def inner(xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        mass = np.asarray(mu.sf(xs) if side == "plus" else mu.cdf(xs),
-                          dtype=float)
-        out = np.full(len(xs), math.nan)
+        xs = np.asarray(xs, dtype=float)
+        mass = _tail(mu, xs, side == "plus")
+        out = np.full(xs.shape, math.nan)
         live = mass > 1e-300  # beyond: no information, not growth
         x0 = xs[live]
 
         def log_parts(i, z):
             return alpha.fn(b * z), mu.log_density(x0[i] + sgn * z)
 
-        if np.isinf(_decay_horizons(log_parts, len(x0))).any():
-            out[live] = math.inf  # one divergent ray settles the sup
-        elif len(x0):
-            out[live] = _decaying_tail_integral(
-                log_parts, x0, kinks, mu.kink_points, sgn,
-                np.log(mass[live]))
+        out[live] = _decaying_tail_integral(log_parts, x0, kinks,
+                                            mu.kink_points, sgn,
+                                            np.log(mass[live]))
         return out
 
-    def inner1(x: float) -> float:
-        return float(inner(x)[0])
-
-    vals = inner(grid)
-    if np.isinf(vals).any() or np.isnan(vals).all():
-        return math.inf
-    k = int(np.nanargmax(vals))
-    best = float(vals[k])
-    if 0 < k < len(grid) - 1:
-        lo, hi = sorted((float(grid[k - 1]), float(grid[k + 1])))
-        x_r, v_r = numerics.golden_max(inner1, lo, hi, tol=1e-8)
-        if math.isfinite(v_r):
-            best = max(best, v_r)
-    span = abs(float(grid[-1]) - m)
-    diverged, _ = _probe_growth(lambda d: inner1(m + sgn * d), span, span,
-                                best)
-    return math.inf if diverged else best
+    grid = _scan_grids(mu)[:, _PLUS if side == "plus" else ~_PLUS]
+    sup, _, diverged, _ = numerics.sup_on_grid(inner, grid, tol=1e-8)
+    return math.inf if diverged[0] else float(sup[0])
 
 
 def assemble_rate(a0: float, b: float, K: float, alpha: CostFunction) -> float:

@@ -92,33 +92,79 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return x2, f2
 
 
-def geometric_offsets(span: float, n: int, tiny: float = 1e-8) -> np.ndarray:
+def geometric_offsets(span: float, n: int) -> np.ndarray:
     """Offsets 0 < d_1 < ... < d_n = span in geometric progression, with 0."""
     if span <= 0:
         return np.zeros(1)
-    lo = span * tiny
-    return np.concatenate(([0.0], np.geomspace(lo, span, n)))
+    return np.concatenate(([0.0], np.geomspace(span * 1e-8, span, n)))
 
 
 def sup_on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-                refine: bool = True, tol: float = 1e-12):
-    """Supremum of a vectorized ``f`` over a 1D grid + golden refinement.
+                tol: float = 1e-12):
+    """Supremum of ``f`` along each column of a scan grid, with growth probes.
 
-    Returns ``(sup, argmax)``.  Refinement brackets the best grid point by its
-    neighbours, so the grid must be sorted.
+    Column j of the ``(n, C)`` ``grid`` runs outward from ``grid[0, j]``;
+    ``f`` maps an ``(r, C)`` array of points to values, column by column.
+    A ``nan`` or ``+inf`` grid value makes the sup ``inf`` at the first such
+    point.  Every best interior point is refined by golden-section search
+    between its neighbours, all columns at once (:func:`golden_max`'s steps
+    and stopping rule, one ``f`` call per step).  Then ``f`` is probed past
+    the grid at the offsets ``span + max(span, 1) 2**k``, k < 6: a column
+    diverges at an infinite probe or at the second growth in a row above
+    ``DIVERGENCE_GROWTH`` times the running maximum (which starts at the
+    sup); a ``nan`` probe ends its column's probes with no verdict.
+
+    Returns ``(sup, argmax, diverged, probes)``: three length-C arrays and,
+    per column, the ``(offset, value)`` pairs up to the deciding probe.
     """
     vals = np.asarray(f(grid), dtype=float)
-    if np.any(np.isinf(vals)) or np.any(np.isnan(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        return math.inf, float(grid[bad])
-    k = int(np.argmax(vals))
-    best_x, best_v = float(grid[k]), float(vals[k])
-    if refine and len(grid) > 2 and 0 < k < len(grid) - 1:
-        x, v = golden_max(lambda t: float(f(np.array([t]))[0]),
-                          float(grid[k - 1]), float(grid[k + 1]), tol=tol)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_v, best_x
+    vals = np.where(np.isnan(vals), math.inf, vals)
+    cols = np.arange(grid.shape[1])
+    k = np.argmax(vals, axis=0)  # the first inf, if any
+    arg, sup = grid[k, cols], vals[k, cols]
+    live = (k > 0) & (k < len(grid) - 1) & np.isfinite(sup)
+    if live.any():
+        rows = np.clip(k + np.array([[-1], [1]]), 0, len(grid) - 1)
+        lo, hi = np.sort(grid[rows, cols], axis=0)
+        x, v = _golden_columns(f, lo, hi, live, tol)
+        better = live & (v > sup)
+        arg, sup = np.where(better, x, arg), np.where(better, v, sup)
+
+    span = np.abs(grid[-1] - grid[0])
+    offsets = span + np.maximum(span, 1.0) * 2.0 ** np.arange(6)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pv = np.asarray(f(grid[0] + np.sign(grid[-1] - grid[0]) * offsets),
+                        dtype=float)
+    prev, streak, diverged = sup, 0, np.zeros(len(cols), dtype=bool)
+    seen = np.full(len(cols), len(pv))  # probes up to the deciding one
+    for i, v in enumerate(pv):
+        streak = np.where(v > prev * (1.0 + DIVERGENCE_GROWTH), streak + 1, 0)
+        hit = (seen == len(pv)) & (np.isinf(v) | (streak >= 2))
+        seen = np.where((seen == len(pv)) & (hit | np.isnan(v)), i + 1, seen)
+        diverged |= hit
+        prev = np.fmax(prev, v)
+    probes = [[(float(offsets[i, j]), float(pv[i, j])) for i in range(seen[j])]
+              for j in cols]
+    return sup, arg, diverged, probes
+
+
+def _golden_columns(f, a, b, live, tol):
+    """:func:`golden_max` on the brackets ``[a_j, b_j]`` of the ``live``
+    columns at once; ``f`` is called on ``(r, C)`` rows."""
+    x = np.stack((b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)))
+    fx = np.asarray(f(x), dtype=float)
+    for _ in range(200):
+        live = live & ((b - a) > tol * (1.0 + np.abs(a) + np.abs(b)))
+        if not live.any():
+            break
+        up = fx[0] < fx[1]  # keep the right point as the new left one
+        a, b = np.where(live & up, x[0], a), np.where(live & ~up, x[1], b)
+        new = np.where(up, a + _INV_PHI * (b - a), b - _INV_PHI * (b - a))
+        fn = np.asarray(f(new[None, :]), dtype=float)[0]
+        x = np.where(live, np.where(up, (x[1], new), (new, x[0])), x)
+        fx = np.where(live, np.where(up, (fx[1], fn), (fn, fx[0])), fx)
+    left = fx[0] >= fx[1]
+    return np.where(left, x[0], x[1]), np.where(left, fx[0], fx[1])
 
 
 def wilson_interval(p, n: int, z: float = 2.5758293035489004):

@@ -49,3 +49,26 @@ def test_dual_trials_count_screened_potentials(mu1, alpha1):
                                    trials=30, seed=0)
     assert rep.screened > 0
     assert rep.trials == len(adversarial) + 30
+
+
+def test_scan_sups_call_through_the_wrapped_module_attributes(monkeypatch):
+    # the traced run sees the scan-sup only where criteria looks it up as
+    # numerics.sup_on_grid, and the Muckenhoupt weight runs without quad
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    mu = measures.make_builtin("exponential")
+    rm = criteria.rearrangement(mu, establish_lipschitz=False)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        criteria.muckenhoupt(mu)
+        criteria.omega_bounds(rm, [0.5, 1.0])
+    finally:
+        tracer.uninstall()
+    names = [row[0] for row in tracer.spans]
+    assert names.count("numerics.sup_on_grid") == 2
+    assert "numerics.quad" not in names
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original

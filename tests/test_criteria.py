@@ -68,6 +68,22 @@ class TestOmegaBounds:
         assert np.all(lower <= op + 1e-12)
         assert np.all(lower <= om + 1e-12)
 
+    def test_symmetric_law_has_equal_moduli(self):
+        # both tails are refined between the neighbours of their grid
+        # minimum, so a symmetric law gives the same curve on each side
+        rm = rearrangement(measures.make_builtin("exp_power", p=1.5),
+                           establish_lipschitz=False)
+        op, om, _ = omega_bounds(rm, np.geomspace(0.01, 20.0, 64))
+        np.testing.assert_allclose(om, op, rtol=1e-12)
+        assert np.isfinite(op[:58]).all()
+
+    @pytest.mark.parametrize("h", [[4.0, 1.0], [1.0, math.nan]])
+    def test_bad_h_grid_rejected(self, gaussian, h):
+        rm = rearrangement(gaussian, establish_lipschitz=False)
+        with pytest.raises(ValueError, match="h_grid"):
+            omega_bounds(rm, h)
+        assert omega_bounds(rm, [1.0])[0][0] == pytest.approx(1.148, abs=1e-3)
+
 
 class TestLipschitz:
     def test_reference_law(self, mu1):
@@ -117,6 +133,23 @@ class TestMuckenhoupt:
     def test_heavy_tail_is_infinite(self, cauchy):
         dp, dm = muckenhoupt(cauchy)
         assert dp == math.inf and dm == math.inf
+
+    def test_exponential_closed_form(self, mu1):
+        # sup_x (1 - e^{-x}) on the scan grid ends where sf = 1e-10; the
+        # probes past it must stop at the overflowing weight, not diverge
+        dp, dm = muckenhoupt(mu1)
+        assert dp == pytest.approx(1.0 - 2e-10, rel=1e-12)
+        assert dm == pytest.approx(1.0 - 2e-10, rel=1e-12)
+
+    def test_one_sided_exponential_left_closed_form(self):
+        # (1 - 1/u)(2 - u) for u = e^x in (1, 2) peaks at u = sqrt 2
+        _, dm = muckenhoupt(measures.make_builtin("one_sided_exp", rate=1.0))
+        assert dm == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), rel=1e-12)
+
+    def test_quartic_table(self):
+        dp, dm = muckenhoupt(_quartic_table())
+        assert dp == pytest.approx(0.4186467504364798, rel=1e-9)
+        assert dm == pytest.approx(0.41864675043648214, rel=1e-9)
 
 
 class TestMomentConstant:

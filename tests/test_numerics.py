@@ -1,5 +1,5 @@
-"""Fixed quadrature rules: the composite Gauss rule and the vectorized
-Gauss-Kronrod cells behind the numeric measures."""
+"""Fixed quadrature rules (the composite Gauss rule and the vectorized
+Gauss-Kronrod cells behind the numeric measures) and the scan-grid sup."""
 
 import math
 
@@ -146,3 +146,73 @@ class TestGaussKronrod:
             f, (np.array([0.0, 0.0]), np.array([1.0, 2.0])),
             epsabs=1e-14, epsrel=1e-12, owner=np.array([0, 1]))
         assert np.all(np.bincount(own) <= 2 * numerics._GK_OWNER_CELLS)
+
+
+def _columns(fns):
+    """One vectorized ``f`` whose column j is ``fns[j]``."""
+    return lambda x: np.stack([fn(x[:, j]) for j, fn in enumerate(fns)],
+                              axis=1)
+
+
+def _parabola(c):
+    return lambda x: -(x - c) ** 2
+
+
+def _plateau(c):
+    return lambda x: -np.maximum(np.abs(x - c) - 0.3, 0.0) ** 2
+
+
+def _column_reference(fn, grid, tol):
+    """The one-column scan: grid argmax, then golden_max on its bracket."""
+    vals = fn(grid)
+    if not np.isfinite(vals).all():
+        k = int(np.argmax(~np.isfinite(vals)))
+        return math.inf, grid[k]
+    k = int(np.argmax(vals))
+    best_x, best_v = grid[k], vals[k]
+    if 0 < k < len(grid) - 1:
+        x, v = numerics.golden_max(lambda t: float(fn(np.array([t]))[0]),
+                                   min(grid[k - 1], grid[k + 1]),
+                                   max(grid[k - 1], grid[k + 1]), tol=tol)
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_v, best_x
+
+
+class TestSupOnGrid:
+    def test_columns_match_golden_max_one_by_one(self):
+        def pole(x):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.abs(x - 2.5)
+
+        fns = [_parabola(1.3), _parabola(2.71), _plateau(3.05),
+               _plateau(-0.4), lambda x: x, pole]
+        out = np.linspace(0.0, 5.0, 41)
+        grid = np.stack([out, out, out, -out, out, out], axis=1)
+        for tol in (1e-12, 1e-8):
+            sup, arg, _, _ = numerics.sup_on_grid(_columns(fns), grid, tol)
+            for j, fn in enumerate(fns):
+                ref_v, ref_x = _column_reference(fn, grid[:, j], tol)
+                assert sup[j] == pytest.approx(ref_v, abs=1e-15)
+                assert arg[j] == pytest.approx(ref_x, abs=1e-15)
+        # the grid-end column is not refined; the pole column reads inf at
+        # the pole
+        assert (sup[4], arg[4]) == (5.0, 5.0)
+        assert (sup[5], arg[5]) == (math.inf, 2.5)
+
+    def test_growth_probes(self):
+        def stops(x):
+            return np.where(x > 7.0, np.nan, 1.0)
+
+        fns = [_parabola(1.0), lambda x: x, stops]
+        out = np.linspace(0.0, 5.0, 11)
+        sup, _, diverged, probes = numerics.sup_on_grid(
+            _columns(fns), np.stack([out] * 3, axis=1))
+        offsets = [5.0 + 5.0 * 2.0 ** k for k in range(6)]
+        assert diverged.tolist() == [False, True, False]
+        # decaying: all six probes; growing: cut at the second 10 % rise;
+        # nan: cut at the first probe, with no verdict
+        assert [d for d, _ in probes[0]] == offsets
+        assert probes[1] == [(10.0, 10.0), (15.0, 15.0)]
+        assert len(probes[2]) == 1 and math.isnan(probes[2][0][1])
+        assert sup[2] == 1.0
