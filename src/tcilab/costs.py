@@ -315,51 +315,68 @@ def validate_admissible(cost: CostFunction, n_grid: int = 4096,
 def conjugate(cost: CostFunction) -> CostFunction:
     """Convex (Legendre) conjugate ``alpha*(y) = sup_x (x y - alpha(x))``.
 
-    Evaluated by bracket growth plus golden-section refinement on the
-    positive axis (a dense scan first when the profile is not convex, in
-    which case this is the conjugate of the convex envelope).  Slope-capped
-    profiles give ``inf`` beyond the cap.
+    Evaluated for a whole array of ``y`` at once, on the positive axis.  The
+    bracket ``[0, 2 hi]`` doubles ``hi`` from 1 until ``x |y| - alpha(x)``
+    stops growing, per entry; an entry whose increments still grow past
+    ``hi = 1e12``, or that finds no bracket in 80 doublings, lies beyond a
+    slope cap and gives ``inf``.  All brackets are then refined together by
+    one golden-section column search (tol 1e-13, one call of ``alpha`` per
+    step).  When the profile is not convex a 2049-point scan of each bracket
+    (in blocks of about 2**16 entries) picks the bracket of the search first,
+    so the result is the conjugate of the convex envelope.  ``nan`` gives
+    ``nan``; a scalar gives a float.
     """
     base = cost.fn
 
+    def g(x, y):
+        return x * y - np.asarray(base(x), dtype=float)
+
     def value(y):
-        y = abs(float(y))
-        if y == 0.0:
-            return 0.0
-
-        def g(x):
-            return x * y - float(base(x))
-
-        hi, g_hi, prev_inc = 1.0, None, -math.inf
-        g_hi = g(hi)
+        y = np.abs(y)
+        # 0 at 0, nan at nan, inf unless a bracket is found below
+        out = np.where(y == 0.0, 0.0, np.where(np.isnan(y), math.nan,
+                                                   math.inf))
+        idx = np.flatnonzero((y > 0.0) & (y < math.inf))
+        y = y[idx]
+        hi, prev = np.ones(len(y)), np.full(len(y), -math.inf)
+        g_hi = g(hi, y)
+        act = np.arange(len(y))          # entries still growing a bracket
+        found = np.zeros(len(y), dtype=bool)
         for _ in range(80):
-            g_next = g(2.0 * hi)
-            inc = g_next - g_hi
-            if inc <= 0:
+            if not act.size:
                 break
-            if hi > 1e12 and inc >= prev_inc > 0:
-                return math.inf      # slope cap below y: linear growth forever
-            prev_inc, hi, g_hi = inc, 2.0 * hi, g_next
-        else:
-            return math.inf
-        if cost.convex:
-            x_star, best = numerics.golden_max(g, 0.0, 2.0 * hi, tol=1e-13)
-        else:
-            xs = np.linspace(0.0, 2.0 * hi, 2049)
-            vals = xs * y - np.asarray(base(xs), dtype=float)
-            k = int(np.argmax(vals))
-            lo_b = xs[max(k - 1, 0)]
-            hi_b = xs[min(k + 1, len(xs) - 1)]
-            x_star, best = numerics.golden_max(g, float(lo_b), float(hi_b),
-                                               tol=1e-13)
-            best = max(best, float(vals[k]))
-        return max(best, 0.0)
+            g_next = g(2.0 * hi[act], y[act])
+            inc = g_next - g_hi[act]
+            stop = inc <= 0
+            found[act[stop]] = True
+            # slope cap below y: linear growth forever
+            grow = ~stop & ~((hi[act] > 1e12) & (inc >= prev[act])
+                             & (prev[act] > 0))
+            act, inc, g_next = act[grow], inc[grow], g_next[grow]
+            prev[act], hi[act], g_hi[act] = inc, 2.0 * hi[act], g_next
+        idx, y = idx[found], y[found]
+        lo, hi = np.zeros(len(y)), 2.0 * hi[found]
+        scan = np.full(len(y), -math.inf)
+        if not cost.convex:
+            # search between the neighbours of the best scan point
+            cols = max(1, 2 ** 16 // 2049)
+            for j in range(0, len(y), cols):
+                xs = np.linspace(0.0, hi[j:j + cols], 2049)
+                vals = g(xs, y[j:j + cols])
+                k, c = np.argmax(vals, axis=0), np.arange(xs.shape[1])
+                scan[j:j + cols] = vals[k, c]
+                lo[j:j + cols] = xs[np.maximum(k - 1, 0), c]
+                hi[j:j + cols] = xs[np.minimum(k + 1, 2048), c]
+        best = numerics._golden_columns(lambda x: g(x, y), lo, hi,
+                                        np.ones(len(y), dtype=bool), 1e-13)[1]
+        best = np.maximum(best, scan)
+        out[idx] = np.maximum(best, 0.0)
+        return out
 
     def fn(t):
         t = np.asarray(t, dtype=float)
-        if t.ndim:
-            return np.array([value(u) for u in t.ravel()]).reshape(t.shape)
-        return value(float(t))
+        out = value(t.ravel())
+        return out.reshape(t.shape) if t.ndim else float(out[0])
 
     return CostFunction(f"conjugate({cost.name})", fn, _numeric_deriv(fn),
                         _numeric_inverse(fn), admissible=False, convex=True,

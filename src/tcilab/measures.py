@@ -366,7 +366,7 @@ def _cauchy():
 
     return Measure1D(lambda x: np.log1p(np.asarray(x, dtype=float) ** 2),
                      math.log(math.pi), name="cauchy",
-                     cdf=lambda x: 0.5 + np.arctan(x) / math.pi,
+                     cdf=lambda x: sf(-np.asarray(x, dtype=float)),
                      sf=sf,
                      quantile_fn=lambda t: np.tan(math.pi * (np.asarray(t, dtype=float) - 0.5)),
                      isf_fn=isf,

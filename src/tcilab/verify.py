@@ -597,39 +597,31 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
 def _soft_clamp(L: float, w: float):
     """Odd C1 clamp: identity on [-L, L], constant beyond L + w."""
 
-    def s(x: float) -> float:
-        ax, sg = abs(x), math.copysign(1.0, x)
-        if ax <= L:
-            return x
-        u = min(ax - L, w)
-        return sg * (L + u - u * u / (2.0 * w))
+    def s(x):
+        u = np.minimum(np.abs(x) - L, w)
+        return np.where(np.abs(x) <= L, x,
+                        np.copysign(L + u - u * u / (2.0 * w), x))
 
-    def ds(x: float) -> float:
-        ax = abs(x)
-        if ax <= L:
-            return 1.0
-        return max(1.0 - (ax - L) / w, 0.0)
+    def ds(x):
+        return np.clip(1.0 - (np.abs(x) - L) / w, 0.0, 1.0)
 
     return s, ds
 
 
-def _bump(u: float) -> float:
-    if abs(u) >= 1.0 - 1e-12:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - u * u))
-
-
-def _bump_deriv(u: float) -> float:
-    if abs(u) >= 1.0 - 1e-12:
-        return 0.0
-    t = 1.0 - u * u
-    return _bump(u) * (-2.0 * u / (t * t))
+def _bump(u):
+    """``exp(1 - 1/(1 - u^2))`` for ``|u| < 1 - 1e-12``, else 0, and its
+    derivative."""
+    inside = np.abs(u) < 1.0 - 1e-12
+    t = np.where(inside, 1.0 - u * u, 1.0)
+    b = np.where(inside, np.exp(1.0 - 1.0 / t), 0.0)
+    return b, b * (-2.0 * u / (t * t))
 
 
 def _lsi_builtins(mu: Measure1D):
     """Fifty positive C1 test functions with compactly supported derivative:
     smoothly truncated exponential tilts, bump perturbations (up and down),
-    smooth steps, and constants."""
+    smooth steps, and constants.  Each ``f`` and ``f'`` maps an array of
+    points to an array of values."""
     m = mu.median
     q25, q75 = float(mu.quantile(0.25)), float(mu.quantile(0.75))
     sig = max((q75 - q25) / 1.349, 1e-3)
@@ -641,7 +633,7 @@ def _lsi_builtins(mu: Measure1D):
 
     def add_tilt(theta: float):
         def f(x, th=theta):
-            return math.exp(0.5 * th * s(x - m))
+            return np.exp(0.5 * th * s(x - m))
 
         def df(x, th=theta):
             return 0.5 * th * ds(x - m) * f(x)
@@ -655,10 +647,10 @@ def _lsi_builtins(mu: Measure1D):
 
     def add_bump(eps: float, center: float, width: float, tag: str):
         def f(x, e=eps, c=center, h=width):
-            return 1.0 + e * _bump((x - c) / h)
+            return 1.0 + e * _bump((x - c) / h)[0]
 
         def df(x, e=eps, c=center, h=width):
-            return e * _bump_deriv((x - c) / h) / h
+            return e * _bump((x - c) / h)[1] / h
 
         entries.append((tag, f, df, (center - width, center + width)))
 
@@ -677,14 +669,11 @@ def _lsi_builtins(mu: Measure1D):
         half = 0.5 * sig
 
         def f(x, a=lo_v, b=hi_v, c=center, h=half):
-            u = (x - c) / (2.0 * h) + 0.5
-            u = min(max(u, 0.0), 1.0)
+            u = np.clip((x - c) / (2.0 * h) + 0.5, 0.0, 1.0)
             return a + (b - a) * u * u * (3.0 - 2.0 * u)
 
         def df(x, a=lo_v, b=hi_v, c=center, h=half):
-            u = (x - c) / (2.0 * h) + 0.5
-            if u <= 0.0 or u >= 1.0:
-                return 0.0
+            u = np.clip((x - c) / (2.0 * h) + 0.5, 0.0, 1.0)
             return (b - a) * 6.0 * u * (1.0 - u) / (2.0 * h)
 
         entries.append((tag, f, df, (center - half, center + half)))
@@ -695,9 +684,45 @@ def _lsi_builtins(mu: Measure1D):
             add_step(lo_v, hi_v, center, f"step_{j}")
             j += 1
 
-    entries.append(("constant_1", lambda x: 1.0, lambda x: 0.0, ()))
-    entries.append(("constant_e", lambda x: math.e, lambda x: 0.0, ()))
+    for label, c in (("constant_1", 1.0), ("constant_e", math.e)):
+        entries.append((label, lambda x, c=c: np.full(np.shape(x), c),
+                        lambda x: np.zeros(np.shape(x)), ()))
     return entries
+
+
+#: equal cells of the lsi integration window, before the corner points
+_LSI_CELLS = 32
+
+
+def _on(fn, x):
+    """``fn(x)`` as a float array of the shape of ``x`` (scalars broadcast)."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
+
+
+def _lsi_integrals(mu: Measure1D, beta_fn, t: float, f, df, edges):
+    """``int f^2``, ``int f^2 log f^2`` and ``int beta(t f'/f) f^2`` over
+    ``mu`` restricted to ``[edges[0], edges[-1]]``, as owners 0, 1 and 2 of
+    one owner-mode :func:`numerics.gauss_kronrod_cells` call on the cells of
+    ``edges`` (targets 1e-13 abs / 1e-12 rel per cell): ``f``, ``f'``,
+    ``beta`` and the density are called once per round."""
+
+    def integrand(x, owner):
+        fx, dfx = _on(f, x), _on(df, x)
+        f2 = fx * fx * np.asarray(mu.density(x), dtype=float)
+        out = np.where(owner == 1, f2 * np.log(fx * fx), f2)
+        third = owner[:, 0] == 2
+        if third.any():
+            bx = np.asarray(beta_fn(t * dfx[third] / fx[third]), dtype=float)
+            # 0 * inf is 0: a slope cap where the weight underflows
+            out[third] *= np.where(out[third] > 0.0, bx, 0.0)
+        return out
+
+    cells = len(edges) - 1
+    with np.errstate(invalid="ignore"):     # an inf cell has a nan error
+        owner, val = numerics.gauss_kronrod_cells(
+            integrand, (np.tile(edges[:-1], 3), np.tile(edges[1:], 3)),
+            1e-13, 1e-12, owner=np.repeat(np.arange(3), cells))
+    return np.bincount(owner, weights=val, minlength=3)
 
 
 def lsi_check(mu: Measure1D, beta, C: float, t: float,
@@ -706,9 +731,15 @@ def lsi_check(mu: Measure1D, beta, C: float, t: float,
 
     ``beta`` is a callable profile (a ``CostFunction`` works too); the test
     family defaults to the fifty built-ins of :func:`_lsi_builtins`, or pass
-    ``(label, f, f', corner_points)`` tuples.  Every ``f`` must be strictly
-    positive on the integration window, else ``ValueError``.  A margin above
-    ``1e-8`` on any test function fails the check.
+    ``(label, f, f', corner_points)`` tuples.  ``f``, ``f'`` and ``beta``
+    are called on numpy arrays of points; a scalar result is broadcast.
+    Every ``f`` must be strictly positive on the integration window, else
+    ``ValueError``, which a ``nan`` entropy or right-hand side also raises;
+    an infinite right-hand side (a slope-capped ``beta``) passes.  The
+    window runs from the ``1e-12`` quantile to the ``1e-12`` upper quantile,
+    widened to 1 beyond every corner point, and is cut into ``_LSI_CELLS``
+    equal cells and at the corners for :func:`_lsi_integrals`.  A margin
+    above ``1e-8`` on any test function fails the check.
     """
     beta_fn = beta.fn if isinstance(beta, CostFunction) else beta
     C, t = float(C), float(t)
@@ -731,21 +762,17 @@ def lsi_check(mu: Measure1D, beta, C: float, t: float,
     for label, f, df, pts in family:
         a = min([w_lo] + [p - 1.0 for p in pts])
         b = max([w_hi] + [p + 1.0 for p in pts])
-        probe = np.linspace(a, b, 1024)
-        fv = np.array([f(x) for x in probe], dtype=float)
-        if not np.all(fv > 0.0):
+        if not np.all(_on(f, np.linspace(a, b, 1024)) > 0.0):
             raise ValueError(f"test function {label} is not strictly "
                              "positive on the integration window")
-        inner = [p for p in pts if a < p < b]
-
-        def dmu(h):
-            return numerics.quad(lambda x: h(x) * float(mu.density(x)),
-                                 a, b, points=inner or None)
-
-        i1 = dmu(lambda x: f(x) ** 2)
-        i2 = dmu(lambda x: f(x) ** 2 * math.log(f(x) ** 2))
-        ent = i2 - i1 * math.log(i1)
-        rhs = C * dmu(lambda x: float(beta_fn(t * df(x) / f(x))) * f(x) ** 2)
+        edges = np.union1d(np.linspace(a, b, _LSI_CELLS + 1),
+                           [p for p in pts if a < p < b])
+        i1, i2, i3 = _lsi_integrals(mu, beta_fn, t, f, df, edges)
+        ent = float(i2 - i1 * math.log(i1))
+        rhs = float(C * i3)
+        if math.isnan(ent) or math.isnan(rhs):
+            raise ValueError(f"test function {label} gives Ent {ent!r} and "
+                             f"rhs {rhs!r}; nan cannot be checked")
         margin = ent - rhs
         rows.append({"label": label, "entropy": ent, "rhs": rhs,
                      "margin": margin})

@@ -72,3 +72,29 @@ def test_scan_sups_call_through_the_wrapped_module_attributes(monkeypatch):
     assert "numerics.quad" not in names
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+def test_lsi_check_runs_without_quad_or_golden_max(monkeypatch):
+    # the benchmark's lsi pair, traced: one cell call per test function and
+    # one column search per conjugate call, no scalar quadrature or search
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    mu = measures.make_builtin("gaussian", sigma=2.0 ** -0.5)
+    beta = costs.conjugate(costs.builtin_cost("theta_p", p=2.0))
+    family = verify._lsi_builtins(mu)[::10]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        v = verify.lsi_check(mu, beta, C=1.0, t=8.0, test_family=family)
+    finally:
+        tracer.uninstall()
+    names = [row[0] for row in tracer.spans]
+    assert names.count("verify.lsi_check") == 1
+    assert "numerics.quad" not in names
+    assert "numerics.golden_max" not in names
+    assert tracer.counters["costs.conjugate.evals"] == 0
+    assert v.diagnostics["family_size"] == len(family) == 5
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original

@@ -126,6 +126,52 @@ class TestConjugate:
             x, y = rng.uniform(0, 5, 2)
             assert x * y <= theta2.fn(x) + c.fn(y) + 1e-7
 
+    def test_quadratic_closed_form_on_a_grid(self, theta2):
+        y = np.linspace(-40.0, 40.0, 801)
+        y = y[y != 0.0]
+        np.testing.assert_allclose(conjugate(theta2).fn(y), y * y / 4.0,
+                                   rtol=1e-12)
+        assert conjugate(theta2).fn(0.0) == 0.0
+
+    def test_gamma_closed_form_below_the_slope_cap(self):
+        # alpha' = (1 - lam)(1 - e^{-lam x}) rises to the cap 1 - lam
+        lam = 0.5
+        gamma = builtin_cost("gamma", lam=lam)
+        y = np.linspace(0.01, 0.49, 49)
+        x = -np.log(1.0 - y / (1.0 - lam)) / lam
+        exact = y * x - gamma.fn(x)
+        np.testing.assert_allclose(conjugate(gamma).fn(y), exact, rtol=1e-10)
+        np.testing.assert_allclose(conjugate(gamma).fn(-y), exact, rtol=1e-10)
+        assert np.isinf(conjugate(gamma).fn(np.array([0.51, 0.8, 3.0]))).all()
+
+    def test_dense_scan_branch_below_and_above_the_slope_cap(self, alpha1):
+        # alpha1 is not convex: the conjugate of its envelope, y^2/4 up to 1
+        c = conjugate(alpha1)
+        y = np.linspace(0.02, 0.98, 49)
+        np.testing.assert_allclose(c.fn(y), y * y / 4.0, rtol=1e-12)
+        assert np.isinf(c.fn(np.array([1.02, 1.5, 10.0]))).all()
+
+    @pytest.mark.parametrize("name, params", [("theta_p", {"p": 2.0}),
+                                              ("alpha1", {}),
+                                              ("gamma", {"lam": 0.5})])
+    def test_scalar_is_the_length_one_array(self, name, params):
+        c = conjugate(builtin_cost(name, **params))
+        for y in (0.0, 0.3, -0.7, 1.5, 12.0, math.inf):
+            out = c.fn(y)
+            assert type(out) is float
+            assert np.array_equal(out, c.fn(np.array([y]))[0])
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = c.fn(grid)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), c.fn(grid.ravel()))
+        assert np.array_equal(out.ravel(), [c.fn(float(y)) for y in grid.flat])
+
+    def test_nan_gives_nan(self, theta2, alpha1):
+        for c in (conjugate(theta2), conjugate(alpha1)):
+            assert math.isnan(c.fn(math.nan))
+            out = c.fn(np.array([math.nan, 1.0, -math.inf]))
+            assert math.isnan(out[0]) and out[1] > 0.0 and out[2] == math.inf
+
 
 class TestTableCosts:
     def test_roundtrip(self):

@@ -77,6 +77,14 @@ class TestOmegaBounds:
         np.testing.assert_allclose(om, op, rtol=1e-12)
         assert np.isfinite(op[:58]).all()
 
+    def test_cauchy_has_equal_moduli(self, cauchy):
+        # the left tail reads cdf, the right sf; a cancelling cdf gave
+        # omega_minus = 0 for every h
+        rm = rearrangement(cauchy, establish_lipschitz=False)
+        op, om, _ = omega_bounds(rm, np.geomspace(0.01, 20.0, 64))
+        assert (op > 0.0).all()
+        np.testing.assert_allclose(om, op, rtol=1e-12)
+
     @pytest.mark.parametrize("h", [[4.0, 1.0], [1.0, math.nan]])
     def test_bad_h_grid_rejected(self, gaussian, h):
         rm = rearrangement(gaussian, establish_lipschitz=False)

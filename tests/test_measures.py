@@ -46,6 +46,21 @@ class TestBuiltins:
         assert cauchy.sf(1e8) == pytest.approx(1.0 / (math.pi * 1e8),
                                                rel=1e-6)
 
+    def test_cauchy_left_tail_mirrors_the_right(self, cauchy):
+        # 0.5 + arctan(x)/pi cancels in the left tail: 1.00097430e-10
+        # against 1.00097448e-10 at x = -3.18e9
+        xs = np.concatenate((np.geomspace(1e-3, 1e12, 61), [3.18e9]))
+        np.testing.assert_allclose(cauchy.cdf(-xs), cauchy.sf(xs),
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cauchy.cdf(-xs),
+                                   [math.atan(1.0 / x) / math.pi for x in xs],
+                                   rtol=1e-15, atol=0.0)
+        for x in xs[::10]:
+            assert cauchy.cdf(-x) == cauchy.sf(x)
+            assert cauchy.cdf(x) == pytest.approx(1.0 - cauchy.sf(x),
+                                                  rel=1e-15)
+        assert cauchy.cdf(0.0) == 0.5
+
     def test_exp_power_family(self):
         ep2 = make_builtin("exp_power", p=2)
         g = make_builtin("gaussian", sigma=1.0 / math.sqrt(2.0))

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tcilab import costs, measures, numerics, transport, verify
 from tcilab.verify import (
@@ -29,6 +30,62 @@ PREF = 1.0 / 72.0
 @pytest.fixture(scope="module")
 def gauss_half():
     return measures.make_builtin("gaussian", sigma=2.0 ** -0.5)
+
+
+# criterion 10's margins (gaussian sigma 2**-0.5, conjugate of theta_p 2,
+# C = 1, t = 8) as integrated by scalar adaptive quad at 1e-10 / 1e-8
+_CRITERION_10_MARGINS = [
+    ("tilt_+0.25", -0.23806586828376128),
+    ("tilt_-0.25", -0.23806586828376125),
+    ("tilt_+0.5", -0.9979635454723744),
+    ("tilt_-0.5", -0.9979635454723744),
+    ("tilt_+1", -4.815094979437923),
+    ("tilt_-1", -4.815094979437922),
+    ("tilt_+1.5", -14.808267153373583),
+    ("tilt_-1.5", -14.808267153373583),
+    ("tilt_+2", -40.77412613892941),
+    ("tilt_-2", -40.774126138929404),
+    ("tilt_+3", -320.1932930481621),
+    ("tilt_-3", -320.1932930481621),
+    ("tilt_+4", -3273.3383400642956),
+    ("tilt_-4", -3273.3383400642956),
+    ("bump_0", -5.677335881189773),
+    ("bump_1", -11.650397096911107),
+    ("bump_2", -7.623128761240794),
+    ("bump_3", -18.172739601723887),
+    ("bump_4", -5.677335881189773),
+    ("bump_5", -11.650397096911107),
+    ("bump_6", -0.0567961073422077),
+    ("bump_7", -0.1165377278626893),
+    ("bump_8", -0.07622699459094029),
+    ("bump_9", -0.18175764896809704),
+    ("bump_10", -0.0567961073422077),
+    ("bump_11", -0.11653772786268952),
+    ("bump_12", -0.000567995797690194),
+    ("bump_13", -0.0011654193344617975),
+    ("bump_14", -0.0007622738981455343),
+    ("bump_15", -0.0018176183433171724),
+    ("bump_16", -0.000567995797690194),
+    ("bump_17", -0.0011654193344617975),
+    ("dip_18", -4.879720934942126),
+    ("dip_19", -11.636095100860175),
+    ("dip_20", -0.04878593062642935),
+    ("dip_21", -0.11633042396595786),
+    ("step_0", -9.104353464665216),
+    ("step_1", -14.664678123741691),
+    ("step_2", -9.05039081432393),
+    ("step_3", -9.05039081432393),
+    ("step_4", -14.664678123741691),
+    ("step_5", -9.104353464665216),
+    ("step_6", -0.36337856379673655),
+    ("step_7", -0.5861378007613476),
+    ("step_8", -0.3627752961583729),
+    ("step_9", -0.3627752961583729),
+    ("step_10", -0.5861378007613476),
+    ("step_11", -0.3633785637967363),
+    ("constant_1", 1.9999557565577573e-12),
+    ("constant_e", 1.4775736190131283e-11),
+]
 
 
 class TestDualCheck:
@@ -347,6 +404,87 @@ class TestLsiCheck:
     def test_nonpositive_parameters_rejected(self, gauss_half, theta2):
         with pytest.raises(ValueError, match="positive"):
             lsi_check(gauss_half, costs.conjugate(theta2), C=0.0, t=8.0)
+
+
+class TestLsiArrays:
+    """The three integrals of ``lsi_check`` on arrays of nodes."""
+
+    @pytest.mark.parametrize("label", ["tilt_+4", "tilt_-0.5", "bump_14",
+                                       "dip_19", "step_1"])
+    def test_integrals_match_a_split_quad_oracle(self, gauss_half, theta2,
+                                                 label):
+        family = dict((e[0], e[1:]) for e in verify._lsi_builtins(gauss_half))
+        f, df, pts = family[label]
+        a = min([float(gauss_half.quantile(1e-12))] + [p - 1.0 for p in pts])
+        b = max([float(gauss_half.isf(1e-12))] + [p + 1.0 for p in pts])
+        edges = np.union1d(np.linspace(a, b, verify._LSI_CELLS + 1), pts)
+        t = 8.0
+        got = verify._lsi_integrals(gauss_half, costs.conjugate(theta2).fn, t,
+                                    f, df, edges)
+
+        def h(x, k):
+            fx, s = float(f(x)), t * float(df(x)) / float(f(x))
+            w = fx * fx * gauss_half.density(x)
+            return (w, w * math.log(fx * fx), w * s * s / 4.0)[k]
+
+        breaks = np.concatenate(([a], sorted(pts), [b]))
+        for k in range(3):
+            oracle = sum(integrate.quad(h, lo, hi, args=(k,), epsabs=0.0,
+                                        epsrel=1e-13, limit=400)[0]
+                         for lo, hi in zip(breaks[:-1], breaks[1:]))
+            assert got[k] == pytest.approx(oracle, rel=1e-9, abs=1e-15), k
+
+    def test_criterion_10_margins_are_pinned(self, gauss_half, theta2):
+        v = lsi_check(gauss_half, costs.conjugate(theta2), C=1.0, t=8.0)
+        rows = v.diagnostics["rows"]
+        assert [r["label"] for r in rows] == [m[0] for m in
+                                              _CRITERION_10_MARGINS]
+        np.testing.assert_allclose([r["margin"] for r in rows],
+                                   [m[1] for m in _CRITERION_10_MARGINS],
+                                   rtol=0.0, atol=1e-9)
+        assert v.status == "holds"
+
+    def test_builtins_take_arrays(self, gauss_half):
+        x = np.linspace(-3.0, 3.0, 60).reshape(4, 15)
+        for label, f, df, _pts in verify._lsi_builtins(gauss_half):
+            fx, dfx = f(x), df(x)
+            assert fx.shape == dfx.shape == x.shape, label
+            assert np.array_equal(fx[1], f(x[1])), label
+            assert (fx > 0.0).all(), label
+
+    def test_constant_results_are_broadcast(self, gauss_half, theta2):
+        beta = costs.conjugate(theta2)
+
+        def f(x):
+            return 3.0 + 0.25 * x
+
+        scalar = [("line", f, lambda x: 0.25, ())]
+        array = [("line", f, lambda x: np.full(np.shape(x), 0.25), ())]
+        one = lsi_check(gauss_half, beta, C=1.0, t=8.0, test_family=scalar)
+        two = lsi_check(gauss_half, beta, C=1.0, t=8.0, test_family=array)
+        assert one.diagnostics["rows"] == two.diagnostics["rows"]
+        assert one.diagnostics["rows"][0]["rhs"] > 0.0
+        const = lsi_check(gauss_half, beta, C=1.0, t=8.0,
+                          test_family=[("two", lambda x: 2.0,
+                                        lambda x: 0.0)])
+        assert const.diagnostics["rows"][0]["rhs"] == 0.0
+        assert const.holds
+
+    def test_nan_slope_is_refused(self, gauss_half, theta2):
+        # conjugate(nan) is nan, so the rhs is nan, never an inf that passes
+        bad = [("nan_slope", lambda x: 1.0 + 0.0 * x,
+                lambda x: np.where(x > 0.0, math.nan, 0.0))]
+        with pytest.raises(ValueError, match="nan_slope"):
+            lsi_check(gauss_half, costs.conjugate(theta2), C=1.0, t=8.0,
+                      test_family=bad)
+
+    def test_slope_capped_beta_passes_with_infinite_rhs(self, gauss_half,
+                                                        alpha1):
+        # t f'/f = 2 lies beyond the slope cap 1 of conjugate(alpha1)
+        v = lsi_check(gauss_half, costs.conjugate(alpha1), C=1.0, t=2.0,
+                      test_family=[("steep", np.exp, np.exp)])
+        assert v.diagnostics["rows"][0]["rhs"] == math.inf
+        assert v.holds
 
 
 class TestCostDoubling:
