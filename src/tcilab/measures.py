@@ -212,11 +212,6 @@ class Measure1D:
                 lo[i], hi[i], xtol=1e-13, rtol=8.9e-16)
         return out
 
-    # -- windows -----------------------------------------------------------
-    def effective_support(self, eps=1e-8):
-        """Interval carrying all but ``eps`` of the mass on each side."""
-        return self.quantile(eps), self.quantile(1.0 - eps)
-
     def __repr__(self):
         return f"Measure1D({self.name})"
 
@@ -389,16 +384,17 @@ def _exp_power(p):
     def sf(x):
         return cdf(-np.asarray(x, dtype=float))
 
-    def quantile(t):
-        t = np.asarray(t, dtype=float)
-        body = special.gammaincinv(inv_p, np.abs(2.0 * t - 1.0)) ** inv_p
-        return np.where(t >= 0.5, body, -body)
-
     def isf(s):
         s = np.asarray(s, dtype=float)
         tail = np.where(s <= 0.5, s, 1.0 - s)
         body = special.gammainccinv(inv_p, 2.0 * tail) ** inv_p
         return np.where(s <= 0.5, body, -body)
+
+    def quantile(t):
+        t = np.asarray(t, dtype=float)
+        # the lower half mirrors isf: 1 - 2t would round away a small t
+        body = special.gammaincinv(inv_p, np.abs(2.0 * t - 1.0)) ** inv_p
+        return np.where(t >= 0.5, body, -isf(t))
 
     kinks = (0.0,) if p < 2.0 else ()
     return Measure1D(lambda x: np.abs(x) ** p, logZ, name=f"exp_power(p={p:g})",
@@ -541,24 +537,14 @@ def _numeric_measure(potential, support, potential_deriv, name, kink_points,
             shifted_density, edges, epsabs=_CELL_EPSABS, epsrel=_CELL_EPSREL)
         total2 = float(cells.sum())
 
-    # divergence test: the window mass plus adaptive integrals over what
-    # lies between the window and +-T
-    kinks = np.asarray(kink_points, dtype=float)
-
-    def mass_in(T):
-        a = max(lo_s, x_peak - T)
-        b = min(hi_s, x_peak + T)
-        pts = np.unique(np.concatenate([[a, w_lo, w_hi, b], kinks]))
-        pts = pts[(pts >= a) & (pts <= b)]
-        return total2 + sum(numerics.quad(shifted_density, u, v)
-                            for u, v in zip(pts[:-1], pts[1:])
-                            if v <= w_lo or u >= w_hi)
-
-    # start the doubling schedule past the decayed window: any remaining
-    # growth there is genuine divergence rather than bulk mass filling in
+    # divergence test: the window mass plus what lies between the window
+    # and +-T.  The doubling schedule starts past the decayed window: any
+    # remaining growth there is genuine divergence rather than bulk mass
+    # filling in.
+    mass_in = numerics.growing_window(
+        shifted_density, x_peak, (lo_s, hi_s), (w_lo, w_hi), kink_points,
+        epsabs=1e-10, epsrel=1e-8, base=total2)
     start_T = max(w_hi - x_peak, x_peak - w_lo, 1.0)
-    if math.isinf(start_T):
-        start_T = 1.0
     total, converged = numerics.guarded_limit(mass_in, start_T)
     if not math.isfinite(total) or not converged or total <= 0:
         raise ValueError("not a finite measure: exp(-potential) does not "
@@ -666,7 +652,7 @@ def is_log_concave(mu: Measure1D, n_grid: int = 2048, tol: float = 1e-7,
     mass, with tolerance ``tol`` (scaled by the local hazard size) on
     consecutive differences.
     """
-    lo, hi = mu.effective_support(coverage)
+    lo, hi = mu.quantile(coverage), mu.quantile(1.0 - coverage)
     xs = np.linspace(lo, hi, n_grid)
     sf = np.asarray(mu.sf(xs), dtype=float)
     dens = np.asarray(mu.density(xs), dtype=float)

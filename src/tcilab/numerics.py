@@ -1,7 +1,11 @@
-"""Shared numeric helpers: guarded limits, sup searches, fixed quadrature rules.
+"""Shared numeric helpers: the truncated-limit rule, sup searches, quadrature.
 
-Everything in here is deterministic and stateless; callers pass explicit
-grids, tolerances and truncation schedules.
+Everything in here is deterministic and keeps no module state; callers
+pass explicit grids, tolerances and truncation schedules.  Integrals run on
+whole arrays through the Gauss-Kronrod cell engine
+(:func:`gauss_kronrod_cells`); infinite-range ones are truncated limits
+decided by :func:`guarded_limit`.  The scalar adaptive :func:`quad` has no
+caller in the package.
 """
 
 from __future__ import annotations
@@ -11,10 +15,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-
-#: absolute / relative targets of :func:`quad` unless a caller passes its own.
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 
 #: an integrand is truncated where it falls below this fraction of its peak.
 TRUNCATION_RATIO = 1e-16
@@ -26,12 +26,17 @@ DIVERGENCE_GROWTH = 0.10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def quad(f: Callable[[float], float], a: float, b: float, **kw) -> float:
-    """scipy adaptive quadrature at the house tolerances; value only."""
-    val, _ = integrate.quad(f, a, b,
-                            epsabs=kw.pop("epsabs", QUAD_ABS_TOL),
-                            epsrel=kw.pop("epsrel", QUAD_REL_TOL),
-                            limit=kw.pop("limit", 200), **kw)
+def quad(f: Callable[[float], float], a: float, b: float,
+         epsabs: float = 1e-10, epsrel: float = 1e-8, limit: int = 200,
+         **kw) -> float:
+    """scipy adaptive quadrature of a scalar integrand; value only.
+
+    No package code calls it: it stays only because the benchmark's tracer
+    (``perfbench/spans.py``, installed by ``tests/test_bench_hooks.py``)
+    wraps ``numerics.quad`` by name.
+    """
+    val, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+                            limit=limit, **kw)
     return val
 
 
@@ -40,16 +45,20 @@ def guarded_limit(partial: Callable[[float], float], start: float,
                   rel_tol: float = 1e-9, abs_tol: float = 1e-13):
     """Limit of ``partial(T)`` as the truncation T grows geometrically.
 
-    Returns ``(value, converged)``.  The value is ``inf`` when the growth rule
-    triggers (two consecutive relative increases above ``DIVERGENCE_GROWTH``)
-    or when the sequence overflows; ``converged`` is False when the sequence
-    neither settled nor clearly diverged within ``max_steps``.
+    ``partial`` is called at ``start, start * factor, ...`` in that order,
+    so it may keep a running sum.  Returns ``(value, converged)``.  The value
+    is ``inf`` when the sequence overflows or at the second growth step in a
+    row, a growth step being one whose relative increase exceeds
+    ``DIVERGENCE_GROWTH`` and is at least 0.95 times the previous step's: a
+    divergent tail keeps that fraction from decaying, a slowly convergent
+    one shrinks it.  ``converged`` is False when the sequence neither
+    settled nor clearly diverged within ``max_steps`` (log-like growth).
     """
     t = start
     prev = partial(t)
     if not math.isfinite(prev):
         return math.inf, True
-    growth_streak = 0
+    growth_streak, last_rel = 0, 0.0
     for _ in range(max_steps):
         t *= factor
         cur = partial(t)
@@ -57,12 +66,13 @@ def guarded_limit(partial: Callable[[float], float], start: float,
             return math.inf, True
         step = cur - prev
         rel = step / max(abs(prev), abs_tol)
-        if rel > DIVERGENCE_GROWTH:
+        if rel > DIVERGENCE_GROWTH and rel >= 0.95 * last_rel:
             growth_streak += 1
             if growth_streak >= 2:
                 return math.inf, True
         else:
             growth_streak = 0
+        last_rel = rel
         if abs(step) <= abs_tol + rel_tol * abs(cur):
             return cur, True
         prev = cur
@@ -307,3 +317,32 @@ def gauss_kronrod_cells(f: Callable[[np.ndarray], np.ndarray], edges,
     order = np.argsort(lo, kind="stable")
     return (np.append(lo[order], edges[-1]),
             np.concatenate(kept_val)[order])
+
+
+def growing_window(f: Callable[[np.ndarray], np.ndarray], center: float,
+                   support, inner, breaks, epsabs: float, epsrel: float,
+                   base: float = 0.0):
+    """``partial(T)`` for :func:`guarded_limit`: ``base`` plus the integral
+    of ``f`` over ``[center - T, center + T]``, clipped to ``support``,
+    outside the interval ``inner`` it contains.
+
+    T must grow from call to call: each call integrates only what the last
+    one left out, cut at the ``breaks``, in one owner-mode
+    :func:`gauss_kronrod_cells` call with one owner per piece.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    state = [inner, base]
+
+    def partial(T):
+        (done_lo, done_hi), total = state
+        a, b = max(support[0], center - T), min(support[1], center + T)
+        pts = np.union1d([a, b, done_lo, done_hi],
+                         breaks[(breaks > a) & (breaks < b)])
+        lo, hi = pts[:-1], pts[1:]
+        new = (hi <= done_lo) | (lo >= done_hi)
+        _, vals = gauss_kronrod_cells(lambda x, _owner: f(x),
+                                      (lo[new], hi[new]), epsabs, epsrel,
+                                      owner=np.arange(new.sum()))
+        state[:] = [(a, b), total + float(vals.sum())]
+        return state[1]
+    return partial

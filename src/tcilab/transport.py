@@ -10,12 +10,11 @@ which serves as the trusted oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, sparse
+from scipy import optimize, sparse
 
 from . import numerics
 from .costs import CostFunction
@@ -102,62 +101,37 @@ def cost_monotone(nu: Measure1D, mu: Measure1D, alpha: CostFunction,
     """Quantile-coupling transport cost ``int_0^1 c(Q_nu(t) - Q_mu(t)) dt``.
 
     Returns ``(value, exact)``: the coupling is the optimum exactly when the
-    profile is convex, and an upper bound otherwise.  The value is ``inf``
-    when the end-truncated integrals keep growing as the truncation shrinks
-    (divergence rule).
+    profile is convex, and an upper bound otherwise.  The left half is
+    integrated over cdf levels with ``quantile`` and the right half over
+    survival levels with ``isf``, so both ends keep full precision.  The
+    value is the limit of the integral over the levels in ``[d, 1/2]`` on
+    both sides as d halves from 0.01 (:func:`numerics.guarded_limit` in
+    ``T = 1/d``, rel_tol 1e-12); each halving adds its two edge slivers in
+    one owner-mode call of :func:`numerics.gauss_kronrod_cells`.  It is
+    ``inf`` when the rule calls the limit divergent or it does not settle.
     """
     _, c = _ground(alpha, scale, prefactor)
-    exact = bool(alpha.convex)
 
-    def integrand(t):
-        t = min(max(t, 1e-15), 1.0 - 1e-15)
-        return float(c(nu.quantile(t) - mu.quantile(t)))
+    def gap_cost(s, side):
+        # side 0: cdf level s, side 1: survival level s
+        left = np.broadcast_to(side == 0, s.shape)
+        out = np.empty_like(s)
+        out[left] = c(nu.quantile(s[left]) - mu.quantile(s[left]))
+        out[~left] = c(nu.isf(s[~left]) - mu.isf(s[~left]))
+        return out
 
-    def q(a, b, limit=60, points=None):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return numerics.quad(integrand, a, b, limit=limit, points=points)
+    edge, total = 0.5, 0.0
 
-    # end-truncated integral over [d, 1-d]; halving d (doubling the window
-    # sharpness) only adds two edge slivers, so divergence detection walks
-    # the same schedule as guarded_limit at a fraction of the cost
-    d = 0.01
-    value = q(d, 0.5, limit=100) + q(0.5, 1.0 - d, limit=100)
-    if not math.isfinite(value):
-        return math.inf, exact
-    growth_streak = 0
-    last_rel = math.inf
-    converged = False
-    for _ in range(60):
-        nd = d / 2.0
-        step = q(nd, d) + q(1.0 - d, 1.0 - nd)
-        if not math.isfinite(step) or not math.isfinite(value + step):
-            return math.inf, exact
-        new = value + step
-        rel = step / max(abs(value), 1e-13)
-        # a divergent tail keeps the growth fraction from decaying (the
-        # halved windows contribute as much as before, or more); a
-        # convergent slow tail shows large but strictly shrinking fractions,
-        # so only non-decaying growth counts toward the streak.  Divergence
-        # too slow to sustain the fraction (log-like) is caught below by the
-        # failure to converge within the halving budget.
-        if rel > numerics.DIVERGENCE_GROWTH and rel >= 0.95 * last_rel:
-            growth_streak += 1
-            if growth_streak >= 2:
-                return math.inf, exact
-        else:
-            growth_streak = 0
-        last_rel = rel
-        value, d = new, nd
-        if abs(step) <= 1e-13 + 1e-9 * abs(new):
-            converged = True
-            break
-    if not converged:
-        return math.inf, exact
-    full = q(0.0, 1.0, limit=50, points=[0.5])
-    if math.isfinite(full) and abs(full - value) <= 1e-6 + 0.01 * abs(value):
-        return float(full), exact
-    return float(value), exact
+    def partial(T):
+        nonlocal edge, total
+        _, vals = numerics.gauss_kronrod_cells(
+            gap_cost, (np.full(2, 1.0 / T), np.full(2, edge)),
+            epsabs=1e-15, epsrel=1e-13, owner=np.arange(2))
+        edge, total = 1.0 / T, total + float(vals.sum())
+        return total
+
+    value, _ = numerics.guarded_limit(partial, 100.0, rel_tol=1e-12)
+    return value, bool(alpha.convex)
 
 
 def northwest_plan(nu: DiscreteMeasure, mu: DiscreteMeasure) -> TransportPlan:
@@ -255,28 +229,18 @@ def _relative_entropy_discrete(nu: DiscreteMeasure, mu: DiscreteMeasure) -> floa
 
 
 def _relative_entropy_continuous(nu: Measure1D, mu: Measure1D) -> float:
-    if nu.support[0] < mu.support[0] - 1e-12 or nu.support[1] > mu.support[1] + 1e-12:
+    lo_s, hi_s = nu.support
+    if lo_s < mu.support[0] - 1e-12 or hi_s > mu.support[1] + 1e-12:
         return math.inf
 
-    def delta_v(x):
-        return (np.asarray(mu.potential(x), dtype=float) + mu.logZ
-                - np.asarray(nu.potential(x), dtype=float) - nu.logZ)
-
     def integrand(x):
-        return float(nu.density(x) * delta_v(np.asarray(x, dtype=float)))
+        return nu.density(x) * (mu.potential(x) + mu.logZ
+                                - nu.potential(x) - nu.logZ)
 
-    center = nu.median
-    kinks = sorted(set(nu.kink_points) | set(mu.kink_points))
-
-    def partial(T):
-        a = max(nu.support[0], center - T)
-        b = min(nu.support[1], center + T)
-        pts = [p for p in kinks if a < p < b]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return numerics.quad(integrand, a, b, points=pts or None,
-                                 epsabs=1e-11, epsrel=1e-9, limit=300)
-
+    partial = numerics.growing_window(
+        integrand, nu.median, (lo_s, hi_s), (nu.median, nu.median),
+        np.union1d(nu.kink_points, mu.kink_points), epsabs=1e-14,
+        epsrel=1e-12)
     q25, q75 = nu.quantile(0.25), nu.quantile(0.75)
     start = max(1.0, q75 - q25)
     val, _ = numerics.guarded_limit(partial, start, rel_tol=1e-10)

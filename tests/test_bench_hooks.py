@@ -7,7 +7,9 @@ until someone runs the benchmark with ``--trace 1``.
 import inspect
 from pathlib import Path
 
-from tcilab import costs, criteria, measures, verify
+import numpy as np
+
+from tcilab import costs, criteria, measures, transport, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,5 +98,40 @@ def test_lsi_check_runs_without_quad_or_golden_max(monkeypatch):
     assert "numerics.golden_max" not in names
     assert tracer.counters["costs.conjugate.evals"] == 0
     assert v.diagnostics["family_size"] == len(family) == 5
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original
+
+
+def test_window_integrals_run_without_quad(monkeypatch):
+    # a table build, the quantile-coupling cost and the continuous relative
+    # entropy, traced: each decides its truncated limit through
+    # numerics.guarded_limit on the cell engine, with no scalar quadrature
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    xs = np.linspace(-4.0, 4.0, 129)
+    gaussian = measures.make_builtin("gaussian", sigma=1.0)
+    calls = [
+        lambda: measures.make_from_table(xs, xs ** 4 / 4.0),
+        lambda: transport.cost_monotone(
+            gaussian, measures.make_builtin("exponential"),
+            costs.builtin_cost("theta_p", p=2.0)),
+        lambda: transport.relative_entropy(
+            measures.make_builtin("gaussian", sigma=0.6), gaussian),
+    ]
+    tracer = spans.Tracer()
+    per_call = []
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        for call in calls:
+            first = len(tracer.spans)
+            call()
+            per_call.append([row[0] for row in tracer.spans[first:]])
+    finally:
+        tracer.uninstall()
+    for names in per_call:
+        assert "numerics.quad" not in names
+        assert "numerics.guarded_limit" in names
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original

@@ -71,6 +71,15 @@ class TestBuiltins:
         np.testing.assert_allclose(ep1.density(xs), mu1.density(xs),
                                    rtol=1e-9)
 
+    def test_exp_power_lower_tail(self):
+        # the lower half mirrors isf; 1 - 2t would round a small t away
+        for p in (0.5, 1.5, 3.0):
+            ep = make_builtin("exp_power", p=p)
+            for t in (1e-3, 1e-17, 1e-30):
+                assert ep.quantile(t) == -ep.isf(t)
+                assert ep.cdf(ep.quantile(t)) == pytest.approx(t, rel=1e-10)
+            assert ep.quantile(0.5) == 0.0
+
     def test_one_sided_exp(self):
         m = make_builtin("one_sided_exp", rate=2.0)
         assert m.support[0] == 0.0
@@ -225,6 +234,19 @@ class TestNumericMeasures:
         c = make_from_potential(lambda x: np.log1p(np.asarray(x) ** 2))
         assert c.logZ == pytest.approx(math.log(math.pi), abs=1e-7)
         assert c.cdf(1.0) == pytest.approx(0.75, abs=1e-7)
+
+    def test_mass_rule_heavy_tail_boundary(self):
+        # density ~ |x|^-1.5: the tail mass settles within the doubling
+        # budget.  The table holds the mass above 1e-16 of the peak and is
+        # normalized by it, so logZ reads about 1.9e-6 (relative) low.
+        m = make_from_potential(lambda x: 0.75 * np.log1p(np.asarray(x) ** 2))
+        want = math.log(math.sqrt(math.pi) * math.gamma(0.25)
+                        / math.gamma(0.75))
+        assert m.logZ == pytest.approx(want, rel=2e-6)
+        # density ~ |x|^-1.2 is integrable, but its tail shrinks too slowly
+        # for the rule to settle, so it is rejected
+        with pytest.raises(ValueError, match="not a finite measure"):
+            make_from_potential(lambda x: 0.6 * np.log1p(np.asarray(x) ** 2))
 
     def test_table_abscissae_are_cell_edges(self):
         mu = _NUMERIC["quartic"][0]()

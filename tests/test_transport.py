@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tcilab import transport, verify
 from tcilab.costs import builtin_cost, cost_from_table
-from tcilab.measures import DiscreteMeasure, make_builtin, quantile_discretize
+from tcilab.measures import (DiscreteMeasure, make_builtin, make_from_table,
+                             quantile_discretize)
 from tcilab.transport import (ExactInfConvolution, GridFunction, cost_lp,
                               cost_matrix, cost_monotone,
                               cost_monotone_discrete, dual_lower_bound,
@@ -109,6 +111,21 @@ class TestContinuousMonotone:
         v, _ = cost_monotone(gm, g, theta2)
         assert v == pytest.approx(1.5 ** 2, rel=1e-6)
 
+    def test_gaussian_closed_forms_tight(self, gaussian, theta2):
+        # W2^2 between Gaussians is (s2 - s1)^2 + (m2 - m1)^2
+        wide = make_builtin("gaussian", sigma=2.0)
+        shifted = make_builtin("gaussian", sigma=1.0, mean=1.5)
+        assert cost_monotone(gaussian, wide, theta2)[0] == \
+            pytest.approx(1.0, rel=1e-11)
+        assert cost_monotone(shifted, gaussian, theta2)[0] == \
+            pytest.approx(2.25, rel=1e-11)
+
+    def test_deep_lower_tail_stays_finite(self, gaussian, theta2):
+        # exp_power(1/2) has every moment; its cost needs levels below 1e-16
+        ep = make_builtin("exp_power", p=0.5)
+        v, exact = cost_monotone(ep, gaussian, theta2)
+        assert exact and 100.0 < v < 105.0
+
     def test_slow_tail_still_finite(self, gaussian, mu1, theta2):
         # quantile gap grows like log near t -> 1: convergent, but the edge
         # windows shrink slowly; regression for the divergence-rule misfire
@@ -148,6 +165,31 @@ class TestRelativeEntropy:
         gs = make_builtin("gaussian", sigma=0.6)
         want = -math.log(0.6) + (0.36 - 1.0) / 2.0
         assert relative_entropy(gs, g1) == pytest.approx(want, rel=1e-7)
+
+
+    def test_continuous_wide_gaussian_is_finite(self, gaussian):
+        # H(N(0, 4) | N(0, 1)) = -log 2 + 3/2.  The window integrals grow by
+        # large but shrinking fractions while the bulk fills in; a rule
+        # without the decay clause called this divergent.
+        wide = make_builtin("gaussian", sigma=2.0)
+        assert relative_entropy(wide, gaussian) == pytest.approx(
+            1.5 - math.log(2.0), rel=1e-12)
+
+    def test_continuous_table_against_quad(self, gaussian):
+        # the quartic table against N(0, 1), oracle split at every abscissa
+        xs = np.linspace(-4.0, 4.0, 129)
+        quartic = make_from_table(xs, xs ** 4 / 4.0)
+
+        def h(x):
+            return quartic.density(x) * (gaussian.potential(x) + gaussian.logZ
+                                         - quartic.potential(x) - quartic.logZ)
+
+        pts = np.concatenate(([-40.0], xs, [40.0]))
+        want = sum(integrate.quad(h, a, b, epsabs=0.0, epsrel=1e-12,
+                                  limit=200)[0]
+                   for a, b in zip(pts[:-1], pts[1:]))
+        assert relative_entropy(quartic, gaussian) == pytest.approx(want,
+                                                                    rel=1e-9)
 
 
 class TestInfConvolution:
