@@ -243,6 +243,9 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must be 1D arrays of equal length")
         if len(atoms) == 0:
             raise ValueError("a discrete measure needs at least one atom")
+        for name, arr in (("atoms", atoms), ("weights", weights)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(atoms) <= 0):
             raise ValueError("atom locations must be strictly increasing")
         if np.any(weights <= 0):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tcilab import cli, costs, measures
+from tcilab import cli, costs, measures, transport
 from tcilab.cli import (
     AnalysisConfig,
     emit_report,
@@ -294,6 +294,21 @@ class TestSubcommands:
         assert mono["value"] == pytest.approx(0.22433978, abs=1e-6)
         # the discretized plan can only undershoot the continuous optimum
         assert lp["value"] <= mono["value"] + 1e-6
+
+    def test_transport_lp_is_monotone_for_convex_cost(self, capsys):
+        # under a convex cost the monotone coupling of the discretized pair
+        # is optimal, so the 256-atom LP must reproduce its cost
+        nu, mu = "gaussian sigma=1", "exponential"
+        rc = cli.main(["transport", "--nu", nu, "--mu", mu,
+                       "--cost", "theta_p p=2", "--method", "lp",
+                       "--atoms", "256"])
+        assert rc == 0
+        lp = json.loads(capsys.readouterr().out)
+        dn = measures.quantile_discretize(cli.parse_measure_spec(nu), 256)
+        dm = measures.quantile_discretize(cli.parse_measure_spec(mu), 256)
+        mono = transport.cost_monotone_discrete(
+            dn, dm, costs.builtin_cost("theta_p", p=2))
+        assert lp["value"] == pytest.approx(mono, rel=0, abs=1e-9)
 
     def test_criteria_check(self, capsys):
         rc = cli.main(["criteria", "--mu", "exponential", "--check", "lip"])

@@ -264,6 +264,15 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="sum to one"):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.6, 0.6]))
 
+    def test_non_finite_rejected(self):
+        # nan slips past "<= 0" and "sum to one"; each field is named
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteMeasure(np.array([0.0, 1.0]), np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            DiscreteMeasure(np.array([0.0, np.nan]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            DiscreteMeasure(np.array([0.0, np.inf]), np.array([0.5, 0.5]))
+
     def test_quantile_discretize(self, mu1):
         d = quantile_discretize(mu1, 64)
         assert len(d) == 64

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize, sparse
 
 from tcilab import transport, verify
 from tcilab.costs import builtin_cost, cost_from_table
@@ -35,6 +35,23 @@ def inf_convolution(phi, alpha, out_grid, scale=None, prefactor=1.0):
         x = out[s:s + chunk, None]
         vals[s:s + chunk] = np.min(pv[None, :] + c(x - cands[None, :]), axis=1)
     return GridFunction(out, vals)
+
+
+def dense_cost_lp(nu, mu, cost_mat):
+    """The single transport LP over all n*m pairs, the oracle of the
+    column-generation ``cost_lp``: row sums are ``nu``'s weights, column
+    sums ``mu``'s but the last (implied), solved by HiGHS dual simplex."""
+    n, m = cost_mat.shape
+    A_rows = sparse.kron(sparse.eye(n), np.ones((1, m)), format="csr")
+    A_cols = sparse.kron(np.ones((1, n)), sparse.eye(m), format="csr")
+    A = sparse.vstack([A_rows, A_cols[:-1]], format="csr")
+    b = np.concatenate([nu.weights, mu.weights[:-1]])
+    res = optimize.linprog(
+        cost_mat.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return float(res.fun)
 
 
 def _random_discrete(rng, k):
@@ -90,6 +107,100 @@ class TestDiscreteCosts:
         assert cost_monotone_discrete(nu, mu, theta2) == pytest.approx(1.0)
         vl, _ = cost_lp(nu, mu, cost_matrix(nu, mu, theta2))
         assert vl == pytest.approx(1.0, abs=1e-9)
+
+
+def _dirichlet_discrete(rng, atoms):
+    # as tensor_check draws its random measures
+    w = np.clip(rng.dirichlet(np.ones(len(atoms))), 1e-300, None)
+    return DiscreteMeasure(atoms, w / w.sum())
+
+
+def _assert_matches_oracle(nu, mu, C):
+    value, plan = cost_lp(nu, mu, C)
+    oracle = dense_cost_lp(nu, mu, C)
+    assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+    assert np.all(plan.matrix >= 0.0)
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), nu.weights,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), mu.weights,
+                               rtol=0, atol=1e-12)
+    assert plan.cost(C) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+class TestLpOracle:
+    """Column generation against the dense single LP over every pair."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("alpha1", {}), ("theta_p", {"p": 2}), ("maurey", {}), ("table", {})])
+    def test_random_line_pairs(self, name, params):
+        if name == "table":
+            ts = np.linspace(0.0, 8.0, 33)
+            alpha = cost_from_table(ts, np.where(ts <= 1.0, ts * ts,
+                                                 2.0 * ts - 1.0))
+        else:
+            alpha = builtin_cost(name, **params)
+        rng = np.random.default_rng(31)
+        for n, m in ((9, 7), (30, 40), (60, 50)):
+            nu, mu = _random_discrete(rng, n), _random_discrete(rng, m)
+            _assert_matches_oracle(nu, mu, cost_matrix(nu, mu, alpha))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tensor_product_costs(self, mu1, alpha1, n):
+        atoms = quantile_discretize(mu1, 6)
+        c1 = cost_matrix(atoms, atoms, alpha1, scale=0.25, prefactor=1 / 72)
+        C = verify._product_cost(c1, n)
+        labels = np.arange(len(C), dtype=float)
+        rng = np.random.default_rng(n)
+        W = verify._product_weights([atoms.weights] * n)
+        mu_prod = DiscreteMeasure(labels, W / W.sum())
+        for _ in range(2):
+            nu = _dirichlet_discrete(rng, labels)
+            _assert_matches_oracle(nu, mu_prod, C)
+            _assert_matches_oracle(nu, _dirichlet_discrete(rng, labels), C)
+
+    def test_degenerate_instances(self, alpha1):
+        rng = np.random.default_rng(5)
+        nu, mu = _random_discrete(rng, 30), _random_discrete(rng, 25)
+        _assert_matches_oracle(nu, mu, np.zeros((30, 25)))
+        # identical marginals: the identity coupling is free
+        C = cost_matrix(nu, nu, alpha1)
+        _assert_matches_oracle(nu, nu, C)
+        assert cost_lp(nu, nu, C)[0] == 0.0
+        # Dirichlet weights clipped at 1e-300, on a random cost
+        labels = np.arange(40, dtype=float)
+        C = rng.uniform(0.0, 1.0, (40, 40))
+        for _ in range(3):
+            _assert_matches_oracle(_dirichlet_discrete(rng, labels),
+                                   _dirichlet_discrete(rng, labels), C)
+
+
+class TestLpPricing:
+    def test_pricing_adds_columns_until_certified(self, monkeypatch):
+        # every row's 16 cheapest pairs are columns 0..15, but the column
+        # part of the cost is the same for every plan: the optimum is set
+        # by the noise and needs pairs outside the first support
+        rng = np.random.default_rng(7)
+        n = m = 40
+        C = np.arange(m)[None, :] + 0.1 * rng.uniform(size=(n, m))
+        nu, mu = _random_discrete(rng, n), _random_discrete(rng, m)
+        first = northwest_plan(nu, mu).matrix > 0
+        first[:, :16] = True
+        solves = []
+        real = optimize.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(optimize, "linprog", counting)
+        value, plan = cost_lp(nu, mu, C)
+        monkeypatch.undo()
+        assert len(solves) >= 2
+        assert np.any(plan.matrix[~first] > 0)
+        y = solves[-1].eqlin.marginals
+        reduced = C - y[:n, None] - np.append(y[n:], 0.0)[None, :]
+        assert reduced.min() >= -1e-12
+        assert value == pytest.approx(dense_cost_lp(nu, mu, C), rel=1e-12)
 
 
 class TestContinuousMonotone:

@@ -278,6 +278,15 @@ class TestTensorization:
         assert v.diagnostics["worst_slack"] <= 1e-7
         assert v.diagnostics["states"] == 64
 
+    def test_state_cap_is_reachable(self, mu1, alpha1):
+        # 6**4 = 1296 product states: the largest LP tensor_check poses
+        dn = measures.quantile_discretize(mu1, 6)
+        v = tensor_check(dn, alpha1, n=4, trials=1, seed=0,
+                         scale=SCALE, prefactor=PREF)
+        assert v.status == "holds"
+        assert v.diagnostics["worst_slack"] <= 1e-7
+        assert v.diagnostics["states"] == 1296
+
     def test_dimension_range_enforced(self, mu1, alpha1):
         dn = measures.quantile_discretize(mu1, 8)
         with pytest.raises(ValueError, match="between 2 and 4"):
