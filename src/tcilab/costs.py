@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import interpolate, optimize
+from scipy import interpolate
 
 from . import numerics
 from .verdict import Verdict, HOLDS, FAILS
@@ -59,25 +59,31 @@ def _numeric_deriv(fn, h=1e-6):
     return d
 
 
-def _numeric_inverse(fn, hi0=1.0):
-    def inv(s):
-        s_arr = np.asarray(s, dtype=float)
+def _numeric_inverse(fn):
+    """Inverse of the nondecreasing ``fn`` on the positive axis.
 
-        def scalar(si):
-            if si <= 0:
-                return 0.0
-            hi = hi0
-            for _ in range(200):
-                if fn(hi) >= si:
-                    break
-                hi *= 2.0
-            else:
-                return math.inf
-            return optimize.brentq(lambda t: fn(t) - si, 0.0, hi,
-                                   xtol=1e-13, rtol=8.9e-16)
-        if s_arr.ndim:
-            return np.array([scalar(v) for v in s_arr])
-        return scalar(float(s_arr))
+    Each level's bracket ``[0, hi]`` doubles ``hi`` from 1 while ``fn(hi)``
+    is below the level, all levels at once; a level still above ``fn`` after
+    200 doublings, or infinite, gives ``inf``.  The brackets go to
+    :func:`numerics.monotone_root` (bisection to a collapsed bracket).  A
+    level ``<= 0`` gives 0 and ``nan`` gives ``nan``; a scalar takes the
+    path of a length-one array and gives a float.
+    """
+    def inv(s):
+        s = np.asarray(s, dtype=float)
+        lev = s.ravel()
+        out = np.where(lev > 0.0, math.inf, np.where(np.isnan(lev), lev, 0.0))
+        idx = np.flatnonzero((lev > 0.0) & (lev < math.inf))
+        lev, hi = lev[idx], np.ones(len(idx))
+        short = fn(hi) < lev
+        for _ in range(199):
+            if not short.any():
+                break
+            hi[short] *= 2.0
+            short[short] = fn(hi[short]) < lev[short]
+        idx, lev, hi = idx[~short], lev[~short], hi[~short]
+        out[idx] = numerics.monotone_root(fn, lev, np.zeros(len(idx)), hi)
+        return out.reshape(s.shape) if s.ndim else float(out[0])
     return inv
 
 

@@ -13,14 +13,14 @@ criteria, returning :class:`Verdict` objects with witness constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from . import numerics
-from .costs import CostFunction, builtin_cost, validate_admissible
+from .costs import (CostFunction, _numeric_inverse, builtin_cost,
+                    validate_admissible)
 from .measures import Measure1D, is_log_concave, make_builtin
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
@@ -522,54 +522,45 @@ def decide_strong_tci_logconcave(mu: Measure1D, alpha: CostFunction,
 # explicit sufficiency via derivative ratios
 # ---------------------------------------------------------------------------
 
-def _second_deriv(f1: Callable[[float], float], x: float) -> float:
-    h = 1e-5 * max(1.0, abs(x))
-    return (f1(x + h) - f1(x - h)) / (2.0 * h)
-
-
-def _regular_class_check(f: Callable, f1: Callable, x_end: float,
+def _regular_class_check(f1: Callable, x_end: float,
                          sides: Tuple[float, ...] = (1.0, -1.0)) -> dict:
     """Numeric check of the tail-regularity class on the last decade.
 
-    Requires the derivative to point outward on each probed side and the
-    curvature ratio f''/f'^2 to fade (final probe below 0.1 and no larger
-    than the earlier ones).  Even profiles with a radial derivative should
-    probe the right side only.
+    Requires the derivative ``f1`` to point outward on each probed side and
+    the curvature ratio f''/f'^2 to fade (final probe below 0.1 and no
+    larger than the earlier ones).  ``f1`` is called once, on the probes of
+    every side and their central-difference neighbours.  Even profiles with
+    a radial derivative should probe the right side only.
     """
-    probes = np.geomspace(x_end / 10.0, x_end, 8)
-    report = {"probes": [], "slope_ok": True, "ratio_ok": True}
-    for sgn in sides:
-        ratios = []
-        for t in probes:
-            x = sgn * t
-            d1 = float(f1(x))
-            if d1 * sgn <= 0:
-                report["slope_ok"] = False
-            d2 = _second_deriv(f1, x)
-            r = abs(d2) / d1 ** 2 if d1 != 0 else math.inf
-            ratios.append(r)
-            report["probes"].append({"x": x, "f1": d1, "curvature_ratio": r})
-        if not (ratios[-1] <= 0.1 and ratios[-1] <= max(ratios) + 1e-12):
-            report["ratio_ok"] = False
-    report["ok"] = report["slope_ok"] and report["ratio_ok"]
-    return report
+    sgn = np.asarray(sides, dtype=float)[:, None]
+    x = sgn * np.geomspace(x_end / 10.0, x_end, 8)
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    d1, up, down = np.asarray(f1(np.stack((x, x + h, x - h))), dtype=float)
+    d2 = (up - down) / (2.0 * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(d1 != 0, np.abs(d2) / d1 ** 2, math.inf)
+    slope_ok = not (d1 * sgn <= 0).any()
+    ratio_ok = bool(np.all((r[:, -1] <= 0.1)
+                           & (r[:, -1] <= r[:, :-1].max(axis=1) + 1e-12)))
+    probes = [{"x": a, "f1": b, "curvature_ratio": c} for a, b, c in
+              zip(x.ravel().tolist(), d1.ravel().tolist(), r.ravel().tolist())]
+    return {"probes": probes, "slope_ok": slope_ok, "ratio_ok": ratio_ok,
+            "ok": slope_ok and ratio_ok}
 
 
 def _kink_mismatch(alpha: CostFunction) -> float:
     """Largest relative disagreement of one-sided slopes at profile kinks."""
-    worst = 0.0
-    for k in alpha.kinks:
-        if k <= 0:
-            continue
-        eps = 1e-6 * max(1.0, k)
-        left = (alpha.fn(k) - alpha.fn(k - eps)) / eps
-        right = (alpha.fn(k + eps) - alpha.fn(k)) / eps
-        ref = max(abs(left), abs(right), 1e-12)
-        worst = max(worst, abs(right - left) / ref)
-    return worst
+    k = np.asarray(alpha.kinks, dtype=float)
+    k = k[k > 0]
+    eps = 1e-6 * np.maximum(1.0, k)
+    left = (alpha.fn(k) - alpha.fn(k - eps)) / eps
+    right = (alpha.fn(k + eps) - alpha.fn(k)) / eps
+    ref = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1e-12)
+    return float(np.max(np.abs(right - left) / ref, initial=0.0))
 
 
-_RATIO_PROBES = (10.0, 20.0, 40.0, 80.0)
+_RATIO_PROBES = np.array([10.0, 20.0, 40.0, 80.0])
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 def suff_condition(mu: Measure1D, alpha: CostFunction,
@@ -580,12 +571,15 @@ def suff_condition(mu: Measure1D, alpha: CostFunction,
     a side counts as bounded when the last ratio does not exceed 1.2 times
     the largest earlier one.  Holds when some ``lambda`` is bounded on both
     sides (and the profile has no serious kink); fails when every lambda
-    shows clean growth at both ends.
+    shows clean growth at both ends.  The ratios of all lambdas, sides and
+    probes are one array, from one call each of ``alpha.deriv`` and
+    ``mu.potential_deriv``, which must accept numpy arrays.
     """
     if lambda_grid is None:
         # lambda >= 1/8 keeps lambda*u >= 1.25 at the smallest pinned probe,
         # so spliced profiles are sampled outside their quadratic core
         lambda_grid = tuple(2.0 ** k for k in range(-3, 9))
+    lams = list(lambda_grid)
     if mu.potential_deriv is None:
         return Verdict(INCONCLUSIVE, {},
                        {"reason": "potential derivative unavailable"})
@@ -597,49 +591,37 @@ def suff_condition(mu: Measure1D, alpha: CostFunction,
 
     m = mu.median
     x_end = mu.quantile(1.0 - 1e-8) - m
-    v_cls = _regular_class_check(mu.potential,
-                                 lambda x: float(mu.potential_deriv(x)), x_end)
-    a_cls = _regular_class_check(alpha.fn, lambda x: float(alpha.deriv(x)),
-                                 max(_RATIO_PROBES) * max(lambda_grid),
-                                 sides=(1.0,))
+    v_cls = _regular_class_check(mu.potential_deriv, x_end)
+    a_cls = _regular_class_check(alpha.deriv,
+                                 _RATIO_PROBES[-1] * max(lams), sides=(1.0,))
     lip = lipschitz_check(mu)
 
-    def classify(ratios: Sequence[float]) -> str:
-        r = list(ratios)
-        if not all(math.isfinite(v) for v in r):
-            return "growing"
-        if r[-1] <= 1.2 * max(r[:-1]) + 1e-12:
-            return "bounded"
-        if all(r[i] <= r[i + 1] * (1.0 + 1e-9) for i in range(len(r) - 1)):
-            return "growing"
-        return "non-monotone"
+    # r[lambda, side, probe], sides (+, -)
+    lam_col = np.asarray(lams, dtype=float)[:, None, None]
+    num = np.asarray(alpha.deriv(lam_col * _SIDES * _RATIO_PROBES),
+                     dtype=float)
+    den = np.asarray(mu.potential_deriv(m + _SIDES * _RATIO_PROBES),
+                     dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(den != 0, np.abs(num / den), math.inf)
+    finite = np.isfinite(r).all(axis=-1)
+    last, earlier = r[..., -1], r[..., :-1]
+    bounded = finite & (last <= 1.2 * earlier.max(axis=-1) + 1e-12)
+    rising = (earlier <= r[..., 1:] * (1.0 + 1e-9)).all(axis=-1)
+    growing = ~bounded & (rising | ~finite)
+    kind = np.where(bounded, "bounded",
+                    np.where(growing, "growing", "non-monotone")).tolist()
+    both = np.flatnonzero(bounded.all(axis=1))
+    witness = int(both[0]) if both.size else None
+    n_violating = int(growing.any(axis=1).sum())
 
-    table = {}
-    witness = None
-    n_violating = 0
-    for lam in lambda_grid:
-        sides = {}
-        for sgn in (1.0, -1.0):
-            ratios = []
-            for u in _RATIO_PROBES:
-                num = float(alpha.deriv(lam * sgn * u))
-                den = float(mu.potential_deriv(m + sgn * u))
-                ratios.append(abs(num / den) if den != 0 else math.inf)
-            sides[int(sgn)] = (classify(ratios), ratios)
-        table[lam] = sides
-        kinds = {sides[1][0], sides[-1][0]}
-        if kinds == {"bounded"} and witness is None:
-            witness = lam
-        if "growing" in kinds:
-            n_violating += 1
-
-    diag = {"ratio_table": {f"{lam:g}": {"plus": table[lam][1],
-                                         "minus": table[lam][-1]}
-                            for lam in lambda_grid},
+    diag = {"ratio_table": {f"{lam:g}": {"plus": (k[0], ratios[0]),
+                                         "minus": (k[1], ratios[1])}
+                            for lam, k, ratios in zip(lams, kind, r.tolist())},
             "potential_class": v_cls, "profile_class": a_cls,
             "lipschitz": lip.status}
 
-    if witness is None and n_violating == len(tuple(lambda_grid)):
+    if witness is None and n_violating == len(lams):
         diag["reason"] = ("derivative ratio grows without bound for every "
                           "lambda in the grid")
         return Verdict(FAILS, {}, diag)
@@ -656,8 +638,8 @@ def suff_condition(mu: Measure1D, alpha: CostFunction,
         if not lip.holds:
             diag["reason"] = "rearrangement not Lipschitz"
             return Verdict(INCONCLUSIVE, {}, diag)
-        bound = max(max(table[witness][1][1]), max(table[witness][-1][1]))
-        consts = {"lambda": witness, "a0": lip.constants["a"]}
+        bound = float(r[witness].max())
+        consts = {"lambda": lams[witness], "a0": lip.constants["a"]}
         if bound > 0:
             consts["ratio_bound"] = bound
         return Verdict(HOLDS, consts, diag)
@@ -717,7 +699,8 @@ def lsi_tilde_potential(mu: Measure1D
             INCONCLUSIVE, {},
             {"reason": "slope equation t V'(t) = 2 not bracketed on "
                        "[1e-6, 1e6]"})
-    a0 = float(optimize.brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    a0 = float(numerics.monotone_root(lambda t: t * dV(t), np.array([2.0]),
+                                      [lo], [hi])[0])
 
     v_a0 = float(V(a0))
 
@@ -737,27 +720,9 @@ def lsi_tilde_potential(mu: Measure1D
         out = s * np.where(at <= 1.0, inner, outer)
         return out if out.ndim else float(out)
 
-    def inverse(sv):
-        sv = np.asarray(sv, dtype=float)
-
-        def one(s):
-            if s <= 0:
-                return 0.0
-            if s <= 1.0:
-                return math.sqrt(s)
-            f = lambda t: fn(t) - s
-            hi2 = 1.0
-            while f(hi2) < 0 and hi2 < 1e12:
-                hi2 *= 2.0
-            if f(hi2) < 0:
-                return math.inf
-            return float(optimize.brentq(f, 1.0, hi2, xtol=1e-13))
-
-        out = np.vectorize(one)(sv)
-        return out if out.ndim else float(out)
-
-    profile = CostFunction(f"spliced({mu.name})", fn, deriv, inverse,
-                           admissible=False, convex=False)
+    profile = CostFunction(f"spliced({mu.name})", fn, deriv,
+                           _numeric_inverse(fn), admissible=False,
+                           convex=False)
     adm = validate_admissible(profile)
     ts = np.linspace(-8.0, 8.0, 401)
     vals = fn(ts)
@@ -768,9 +733,8 @@ def lsi_tilde_potential(mu: Measure1D
     verdict = Verdict(status, {"a0": a0} if status == HOLDS else {},
                       {"admissible": adm.status, "convex": convex_ok,
                        "potential_asymmetry": sym})
-    profile = CostFunction(profile.name, fn, deriv, inverse,
-                           admissible=adm.holds, convex=convex_ok)
-    return profile, a0, verdict
+    return (replace(profile, admissible=adm.holds, convex=convex_ok), a0,
+            verdict)
 
 
 def skewed_cost(rm: RearrangementMap, base_cost: CostFunction,

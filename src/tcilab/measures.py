@@ -6,8 +6,9 @@ one-sided exponential) carry closed-form cdf / survival / quantile functions.
 Measures built from a raw potential or a tabulated one carry a cell table
 instead: a partition of the mass window whose cells hold their Gauss-Kronrod
 masses, so cdf and sf are a table lookup plus one 15-point rule on the
-partial cell, and quantile and isf invert those by safeguarded Newton steps,
-all evaluated on whole arrays at once.
+partial cell, and quantile and isf invert those by the safeguarded Newton
+steps of :func:`numerics.monotone_root`, all evaluated on whole arrays at
+once.
 
 All objects are immutable after construction and all randomness is confined
 to :func:`sample`, which takes an explicit seed.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import interpolate, optimize, special
+from scipy import interpolate, special
 
 from . import numerics
 from .verdict import Verdict, HOLDS, FAILS
@@ -34,7 +35,6 @@ __all__ = [
 
 _QUANTILE_TOL = 1e-13          # |F(x) - t| target for numeric quantiles
 _ISF_RTOL = 1e-12              # |S(x) - s| / s target for numeric isf
-_NEWTON_STEPS = 80
 
 
 class Measure1D:
@@ -163,8 +163,9 @@ class Measure1D:
         g, F = self.grid, self.F_grid
         # F[k] <= t < F[k+1], and the table cdf hits F exactly at the edges
         k = np.searchsorted(F, t, side="right") - 1
-        return self._invert(self._table_cdf, t, g[k], g[k + 1],
-                            np.interp(t, F, g), _QUANTILE_TOL, rising=True)
+        return numerics.monotone_root(self._table_cdf, t, g[k], g[k + 1],
+                                      _QUANTILE_TOL, self.density,
+                                      np.interp(t, F, g))
 
     def _table_isf(self, s):
         if not np.all((s > 0.0) & (s < 1.0)):
@@ -172,45 +173,10 @@ class Measure1D:
         g, S = self.grid, self._S_grid
         # S[k] >= s > S[k+1]
         k = np.searchsorted(-S, -s, side="right") - 1
-        return self._invert(self._table_sf, s, g[k], g[k + 1],
-                            np.interp(-s, -S, g), _ISF_RTOL * s, rising=False)
-
-    def _invert(self, fn, target, lo, hi, x, tol, rising):
-        """Root of ``fn(x) = target`` in ``[lo, hi]`` for every element.
-
-        Newton steps on the density with a bisection fallback, all elements
-        at once; elements still open after ``_NEWTON_STEPS`` go to brentq.
-        ``rising`` says whether ``fn`` increases (cdf) or decreases (sf).
-        ``lo`` and ``hi`` are narrowed in place.
-        """
-        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-        tol = np.broadcast_to(tol, x.shape)
-        out = np.empty_like(x)
-        open_ = np.arange(len(x))
-        sign = 1.0 if rising else -1.0
-        for _ in range(_NEWTON_STEPS):
-            if not open_.size:
-                break
-            xi = x[open_]
-            err = fn(xi) - target[open_]
-            conv = np.abs(err) <= tol[open_]
-            right_of_root = sign * err > 0.0
-            hi[open_] = np.where(right_of_root, xi, hi[open_])
-            lo[open_] = np.where(right_of_root, lo[open_], xi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = xi - sign * err / self.density(xi)
-            li, hi_ = lo[open_], hi[open_]
-            nxt = np.where(np.isfinite(nxt) & (li < nxt) & (nxt < hi_),
-                           nxt, 0.5 * (li + hi_))
-            done = conv | (nxt == xi)
-            out[open_[done]] = xi[done]
-            x[open_] = nxt
-            open_ = open_[~done]
-        for i in open_:
-            out[i] = optimize.brentq(
-                lambda u: fn(np.array([u]))[0] - target[i],
-                lo[i], hi[i], xtol=1e-13, rtol=8.9e-16)
-        return out
+        # sf falls: solve -sf(x) = -s, whose slope is the density
+        return numerics.monotone_root(lambda x: -self._table_sf(x), -s,
+                                      g[k], g[k + 1], _ISF_RTOL * s,
+                                      self.density, np.interp(-s, -S, g))
 
     def __repr__(self):
         return f"Measure1D({self.name})"

@@ -1,20 +1,21 @@
-"""Shared numeric helpers: the truncated-limit rule, sup searches, quadrature.
+"""Shared numeric helpers: the truncated-limit rule, sup searches, the root
+solver, quadrature.
 
 Everything in here is deterministic and keeps no module state; callers
 pass explicit grids, tolerances and truncation schedules.  Integrals run on
 whole arrays through the Gauss-Kronrod cell engine
 (:func:`gauss_kronrod_cells`); infinite-range ones are truncated limits
-decided by :func:`guarded_limit`.  The scalar adaptive :func:`quad` has no
-caller in the package.
+decided by :func:`guarded_limit`.  Every monotone equation is solved by
+:func:`monotone_root`, all elements at once.  The scalar adaptive
+:func:`quad` has no caller in the package.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 #: an integrand is truncated where it falls below this fraction of its peak.
 TRUNCATION_RATIO = 1e-16
@@ -33,8 +34,11 @@ def quad(f: Callable[[float], float], a: float, b: float,
 
     No package code calls it: it stays only because the benchmark's tracer
     (``perfbench/spans.py``, installed by ``tests/test_bench_hooks.py``)
-    wraps ``numerics.quad`` by name.
+    wraps ``numerics.quad`` by name.  scipy.integrate is imported here, so
+    that importing the package does not load it.
     """
+    from scipy import integrate
+
     val, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
                             limit=limit, **kw)
     return val
@@ -100,6 +104,55 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     if f1 >= f2:
         return x1, f1
     return x2, f2
+
+
+#: step cap of :func:`monotone_root`; bisection alone collapses any finite
+#: bracket of doubles in fewer steps (2098 halvings span the float range)
+_ROOT_STEPS = 2100
+
+
+def monotone_root(f: Callable[[np.ndarray], np.ndarray], target, lo, hi,
+                  tol=0.0, slope: Optional[Callable] = None, x=None):
+    """Root of ``f(x) = target`` in ``[lo_i, hi_i]`` for every element.
+
+    ``f`` is nondecreasing and maps a flat array of points to values;
+    ``target``, ``lo``, ``hi`` and ``tol`` are arrays (``tol`` may be a
+    scalar).  All open elements take one step together: a Newton step on
+    ``slope`` (``f'``) where it lands strictly inside the bracket, a
+    bisection step otherwise or without ``slope``.  The start is ``x``
+    where it lies in the bracket, else the midpoint.  An element stops when
+    ``|f - target| <= tol`` or when its bracket has collapsed (the next step
+    lands on the current point); bisection reaches that from any finite
+    bracket.  Returns the stopping points as a new array (the last iterate
+    for an element still open after ``_ROOT_STEPS`` steps).
+    """
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    x = mid if x is None else np.where((x >= lo) & (x <= hi), x, mid)
+    tol = np.broadcast_to(tol, x.shape)
+    out = x.copy()
+    open_ = np.arange(len(x))
+    for _ in range(_ROOT_STEPS):
+        if not open_.size:
+            break
+        xi = x[open_]
+        err = f(xi) - target[open_]
+        conv = np.abs(err) <= tol[open_]
+        right_of_root = err > 0.0
+        hi[open_] = np.where(right_of_root, xi, hi[open_])
+        lo[open_] = np.where(right_of_root, lo[open_], xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = math.nan if slope is None else xi - err / slope(xi)
+        li, hi_ = lo[open_], hi[open_]
+        nxt = np.where(np.isfinite(nxt) & (li < nxt) & (nxt < hi_),
+                       nxt, 0.5 * (li + hi_))
+        done = conv | (nxt == xi)
+        out[open_[done]] = xi[done]
+        x[open_] = nxt
+        open_ = open_[~done]
+    out[open_] = x[open_]
+    return out
 
 
 def geometric_offsets(span: float, n: int) -> np.ndarray:

@@ -328,3 +328,107 @@ class TestSubcommands:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "fails"
+
+
+def _run_json(capsys, argv):
+    rc = cli.main(argv)
+    return rc, json.loads(capsys.readouterr().out)
+
+
+class TestCriteriaChecks:
+    def test_muckenhoupt_exponential_holds(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "exponential",
+                                     "--check", "muckenhoupt"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["constants"]["D_plus"] == pytest.approx(1.0, abs=1e-6)
+        assert doc["constants"]["D_minus"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_muckenhoupt_cauchy_fails(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "cauchy",
+                                     "--check", "muckenhoupt"])
+        assert (rc, doc["status"]) == (0, "fails")
+        assert doc["diagnostics"]["D_plus"] == "inf"
+
+    def test_logconcave(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
+                                     "--check", "logconcave"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["diagnostics"]["grid"]["n"] == 2048
+
+    def test_lsi_tilde_gaussian(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
+                                     "--check", "lsi-tilde"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["constants"]["a0"] == pytest.approx(2.0 ** 0.5, rel=1e-12)
+        assert doc["diagnostics"]["profile"] == "spliced(gaussian(sigma=1))"
+
+    def test_char_lm_exponential(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "exponential",
+                                     "--cost", "alpha1", "--check", "char-lm"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["constants"]["b"] == 0.5
+        assert doc["constants"]["a"] == pytest.approx(0.25, rel=1e-12)
+
+    def test_char_logconcave_gaussian(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
+                                     "--cost", "theta_p p=2",
+                                     "--check", "char-logconcave"])
+        assert (rc, doc["status"]) == (0, "holds")
+        # int exp(x^2 / 4) dN(0, 1) = sqrt(2)
+        assert doc["constants"]["K"] == pytest.approx(2.0 ** 0.5, rel=1e-9)
+
+    def test_suff_cond_gaussian(self, capsys):
+        rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
+                                     "--cost", "theta_p p=2",
+                                     "--check", "suff-cond"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["constants"]["lambda"] == 0.125
+        assert doc["constants"]["ratio_bound"] == pytest.approx(0.25,
+                                                                rel=1e-12)
+
+
+class TestVerifyKinds:
+    def test_integrability(self, capsys):
+        rc, doc = _run_json(capsys, ["verify", "integrability",
+                                     "--mu", "exponential", "--cost", "alpha1",
+                                     "--scale", "0.25",
+                                     "--scale-prefactor", "1/72"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["constants"]["worst_ray_product"] <= 1.0
+
+    def test_tensor(self, capsys):
+        rc, doc = _run_json(capsys, ["verify", "tensor", "--mu", "exponential",
+                                     "--cost", "alpha1", "--scale", "0.25",
+                                     "--scale-prefactor", "1/72",
+                                     "--atoms", "3", "--n", "2",
+                                     "--trials", "2"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["diagnostics"]["states"] == 9
+
+    def test_concentration_csv(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        rc, doc = _run_json(capsys, ["verify", "concentration",
+                                     "--mu", "exponential", "--cost", "alpha1",
+                                     "--scale", "0.25",
+                                     "--scale-prefactor", "1/72", "--n", "2",
+                                     "--samples", "2000",
+                                     "--csv", str(path)])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert doc["mass_a"] == pytest.approx(0.25, abs=1e-12)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "r,empirical,lower_ci,bound"
+        assert len(lines) == len(doc["rows"]) + 1
+
+    def test_lsi_derives_constants(self, capsys):
+        rc, doc = _run_json(capsys, ["verify", "lsi", "--mu", "gaussian",
+                                     "--cost", "theta_p p=2"])
+        assert (rc, doc["status"]) == (0, "holds")
+        # C = lam / (1 - lam) and t = 1 / (a lam) at lam = 1/2, a = 1/4
+        assert doc["C"] == 1.0
+        assert doc["t"] == pytest.approx(8.0, rel=1e-12)
+
+    def test_lsi_without_assembled_rate(self, capsys):
+        rc, doc = _run_json(capsys, ["verify", "lsi", "--mu", "cauchy",
+                                     "--cost", "alpha1"])
+        assert (rc, doc["status"]) == (0, "inconclusive")
+        assert doc["reason"].startswith("no assembled rate")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tcilab import criteria, measures
 from tcilab.costs import (CostFunction, builtin_cost, conjugate,
                           cost_from_table, scaling_equivalence_constant,
                           validate_admissible)
@@ -198,3 +199,46 @@ class TestRescaling:
     def test_positivity_required(self, theta2):
         with pytest.raises(ValueError):
             scaling_equivalence_constant(theta2, -1.0, 1.0)
+
+
+def _numeric_inverse_costs():
+    ts = np.linspace(0.0, 6.0, 200)
+    return {
+        "gamma": builtin_cost("gamma", lam=0.5),
+        "table": cost_from_table(ts, ts * ts),
+        "conjugate": conjugate(builtin_cost("theta_p", p=2)),
+        "spliced": criteria.lsi_tilde_potential(
+            measures.make_builtin("gaussian"))[0],
+    }
+
+
+class TestNumericInverses:
+    """The inverses solved by ``numerics.monotone_root``."""
+
+    @pytest.fixture(scope="class", params=["gamma", "table", "conjugate",
+                                           "spliced"])
+    def cost(self, request):
+        return _numeric_inverse_costs()[request.param]
+
+    def test_roundtrip(self, cost):
+        levels = np.geomspace(1e-12, 1e4, 17)
+        t = cost.inverse(levels)
+        np.testing.assert_allclose(cost.fn(t), levels, rtol=1e-9, atol=0.0)
+
+    def test_special_levels(self, cost):
+        assert cost.inverse(0.0) == 0.0
+        out = cost.inverse(np.array([-1.0, 0.0, math.nan, math.inf]))
+        assert out[0] == out[1] == 0.0
+        assert math.isnan(out[2]) and out[3] == math.inf
+
+    def test_scalar_matches_array(self, cost):
+        for s in (1e-12, 0.3, 7.5, 1e4):
+            scalar = cost.inverse(s)
+            assert isinstance(scalar, float)
+            assert scalar == cost.inverse(np.array([s]))[0]
+
+    def test_shape_kept(self, cost):
+        levels = np.geomspace(1e-3, 1e3, 6).reshape(2, 3)
+        out = cost.inverse(levels)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.ravel(), cost.inverse(levels.ravel()))

@@ -12,6 +12,7 @@ from tcilab import costs, measures
 from tcilab.criteria import (
     K_moment,
     _decaying_tail_integral,
+    _regular_class_check,
     assemble_rate,
     decide_strong_tci_lip,
     decide_strong_tci_logconcave,
@@ -357,6 +358,36 @@ class TestSuffCondition:
     def test_heavy_tail_fails(self, cauchy, theta2):
         assert suff_condition(cauchy, theta2).status == "fails"
 
+    @pytest.mark.parametrize("law,cost", [
+        (("gaussian", {}), ("theta_p", {"p": 2})),
+        (("exp_power", {"p": 1.5}), ("alpha_p", {"p": 1.5})),
+        (("cauchy", {}), ("theta_p", {"p": 3})),
+        (("exponential", {}), ("alpha_p", {"p": 1.2}))])
+    def test_ratio_table_matches_scalar_loop(self, law, cost):
+        # the point-by-point table: array and scalar power may differ in
+        # the last bit, hence the tolerance of a few ulps
+        mu = measures.make_builtin(law[0], **law[1])
+        alpha = costs.builtin_cost(cost[0], **cost[1])
+        table = suff_condition(mu, alpha).diagnostics["ratio_table"]
+        for key, row in table.items():
+            for side, sgn in (("plus", 1.0), ("minus", -1.0)):
+                want = []
+                for u in (10.0, 20.0, 40.0, 80.0):
+                    num = float(alpha.deriv(float(key) * sgn * u))
+                    den = float(mu.potential_deriv(mu.median + sgn * u))
+                    want.append(abs(num / den) if den != 0 else math.inf)
+                kind, got = row[side]
+                np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+                if not all(math.isfinite(v) for v in want):
+                    assert kind == "growing"
+                elif want[-1] <= 1.2 * max(want[:-1]) + 1e-12:
+                    assert kind == "bounded"
+                elif all(a <= b * (1.0 + 1e-9)
+                         for a, b in zip(want, want[1:])):
+                    assert kind == "growing"
+                else:
+                    assert kind == "non-monotone"
+
 
 class TestIntEquivRatio:
     def test_quadratic_probe(self):
@@ -411,3 +442,39 @@ class TestSkewedCost:
         sc = skewed_cost(rm, theta2, scale=0.5, prefactor=1.0)
         assert sc(1.3, -0.4) == pytest.approx(sc(-0.4, 1.3), rel=1e-12)
         assert sc(0.7, 0.7) == 0.0
+
+
+class TestRegularClassCheck:
+    def test_rising_ratio_fails(self):
+        # f'' / f'^2 = 1e-3 / (10 - 1e-3 x)^2 rises along the decade, though
+        # it stays far below 0.1
+        def f1(x):
+            return np.sign(x) * (10.0 - 1e-3 * np.abs(x))
+
+        rep = _regular_class_check(f1, 100.0)
+        assert rep["slope_ok"] and not rep["ratio_ok"] and not rep["ok"]
+        ratios = [p["curvature_ratio"] for p in rep["probes"][:8]]
+        assert ratios[-1] < 0.1 and ratios[-1] > max(ratios[:-1])
+
+    def test_falling_ratio_passes(self):
+        rep = _regular_class_check(lambda x: x, 100.0)
+        assert rep["ok"]
+        assert [p["x"] for p in rep["probes"]][::8] == [10.0, -10.0]
+
+    def test_inward_slope_fails(self):
+        rep = _regular_class_check(lambda x: -np.asarray(x), 50.0,
+                                   sides=(1.0,))
+        assert not rep["slope_ok"] and len(rep["probes"]) == 8
+
+
+def test_suff_condition_on_quartic_table():
+    # the table's potential_deriv takes the (side, probe) array in one call;
+    # the potential continues linearly past the table, so the quadratic
+    # profile's ratio grows at every lambda
+    v = suff_condition(_quartic_table(), costs.builtin_cost("theta_p", p=2))
+    table = v.diagnostics["ratio_table"]
+    assert len(table) == 12
+    assert all(len(side[1]) == 4 for row in table.values()
+               for side in (row["plus"], row["minus"]))
+    assert v.diagnostics["potential_class"]["slope_ok"]
+    assert v.status == "fails"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, interpolate, stats
 
 from tcilab import costs, verify
 from tcilab.measures import (DiscreteMeasure, Measure1D, is_log_concave,
@@ -128,6 +128,19 @@ class TestTables:
         xs = np.linspace(-1, 1, 11)
         with pytest.raises(ValueError, match="table rejected"):
             make_from_table(xs, np.zeros(11))
+
+
+    def test_table_potential_deriv_on_arrays(self):
+        xs = np.linspace(-4.0, 4.0, 129)
+        vs = xs ** 4 / 4.0 + 0.3 * np.sin(xs)
+        dref = interpolate.PchipInterpolator(xs, vs).derivative()
+        x = np.array([[-9.0, -4.0, -1.37, 0.0], [0.51, 3.99, 4.0, 1e6]])
+        got = make_from_table(xs, vs).potential_deriv(x)
+        assert got.shape == x.shape
+        inside = np.abs(x) <= 4.0
+        np.testing.assert_array_equal(got[inside], dref(x[inside]))
+        assert got[0, 0] == dref(-4.0) < 0.0
+        assert got[1, 3] == dref(4.0) > 0.0
 
 
 _TABLE_XS = np.linspace(-4.0, 4.0, 129)

@@ -4,12 +4,17 @@ and the scan-grid sup."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcilab import measures, numerics, verify
+from scipy import optimize
+
+from tcilab import costs, criteria, measures, numerics, verify
 
 
 def _loop_gauss_nodes(breaks, panels, order):
@@ -210,13 +215,15 @@ class TestGrowingWindow:
 
 
 _FORBIDDEN_CALLS = {("numerics", "quad"), ("integrate", "quad"),
-                    ("warnings", "catch_warnings")}
+                    ("warnings", "catch_warnings"), ("optimize", "brentq"),
+                    ("np", "vectorize")}
 
 
 def test_package_makes_no_scalar_quadrature_call():
     # integrals in the package run on the cell engine; numerics.quad stays
     # defined for the benchmark's tracer but nothing may call it, and no
-    # warning is swallowed
+    # warning is swallowed; equations go to numerics.monotone_root, not to
+    # a scalar solver or an np.vectorize loop
     src = Path(numerics.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -310,3 +317,65 @@ class TestSupOnGrid:
         assert probes[1] == [(10.0, 10.0), (15.0, 15.0)]
         assert len(probes[2]) == 1 and math.isnan(probes[2][0][1])
         assert sup[2] == 1.0
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tcilab; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+class TestMonotoneRoot:
+    def test_newton_and_bisection_agree_with_closed_form(self):
+        target = np.geomspace(1e-6, 1e3, 40)
+        lo, hi = np.zeros(40), np.full(40, 64.0)
+        want = target ** (1.0 / 3.0)
+        bis = numerics.monotone_root(lambda x: x ** 3, target, lo, hi)
+        newton = numerics.monotone_root(lambda x: x ** 3, target, lo, hi,
+                                        tol=1e-14 * target,
+                                        slope=lambda x: 3.0 * x * x)
+        np.testing.assert_allclose(bis, want, rtol=1e-15)
+        np.testing.assert_allclose(newton, want, rtol=1e-14)
+        # the brackets passed in are left as they were
+        assert lo.tolist() == [0.0] * 40 and hi.tolist() == [64.0] * 40
+
+    def test_start_outside_bracket_and_flat_steps(self):
+        # a start outside the bracket begins at the midpoint; a zero slope
+        # falls back to bisection
+        out = numerics.monotone_root(
+            lambda x: np.floor(4.0 * x) / 4.0 + x, np.array([1.6, 2.0]),
+            np.array([0.0, 0.0]), np.array([2.0, 2.0]),
+            slope=lambda x: np.zeros_like(x), x=np.array([5.0, 1.0]))
+        assert out[0] == pytest.approx(0.85, abs=1e-15)
+        assert out[1] == 1.0
+
+    def test_jump_stops_at_collapsed_bracket(self):
+        # no root: the bracket collapses onto the jump at 1
+        out = numerics.monotone_root(lambda x: np.where(x < 1.0, -1.0, 1.0),
+                                     np.zeros(1), [0.0], [3.0])
+        assert out[0] in (1.0, np.nextafter(1.0, 0.0))
+
+
+def test_no_scalar_solver_is_reached(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.brentq called")
+
+    monkeypatch.setattr(optimize, "brentq", refuse)
+    xs = np.linspace(-4.0, 4.0, 129)
+    mu = measures.make_from_table(xs, xs ** 4 / 4.0)
+    levels = np.array([1e-9, 0.2, 0.5, 0.9])
+    assert np.all(np.diff(mu.quantile(levels)) > 0)
+    assert np.all(np.diff(mu.isf(levels)) < 0)
+    ts = np.linspace(0.0, 6.0, 200)
+    profile, a0, _ = criteria.lsi_tilde_potential(
+        measures.make_builtin("gaussian"))
+    for cost in (costs.builtin_cost("gamma", lam=0.5),
+                 costs.cost_from_table(ts, ts * ts),
+                 costs.conjugate(costs.builtin_cost("theta_p", p=2)),
+                 profile):
+        assert np.all(np.diff(cost.inverse(np.array([0.1, 1.0, 10.0]))) > 0)
+    assert a0 == pytest.approx(math.sqrt(2.0), rel=1e-15)
