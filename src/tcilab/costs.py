@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import interpolate
 
 from . import numerics
 from .verdict import Verdict, HOLDS, FAILS
@@ -244,8 +243,8 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
         raise ValueError("abscissae must be strictly increasing")
     if np.any(np.diff(vals) < 0):
         raise ValueError("cost values must be nondecreasing")
-    interp = interpolate.PchipInterpolator(ts, vals, extrapolate=False)
-    slope = float(interp.derivative()(ts[-1]))
+    interp, dinterp = numerics.pchip(ts, vals)
+    slope = float(dinterp(ts[-1]))
 
     def fn(t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -324,13 +323,14 @@ def conjugate(cost: CostFunction) -> CostFunction:
     Evaluated for a whole array of ``y`` at once, on the positive axis.  The
     bracket ``[0, 2 hi]`` doubles ``hi`` from 1 until ``x |y| - alpha(x)``
     stops growing, per entry; an entry whose increments still grow past
-    ``hi = 1e12``, or that finds no bracket in 80 doublings, lies beyond a
-    slope cap and gives ``inf``.  All brackets are then refined together by
-    one golden-section column search (tol 1e-13, one call of ``alpha`` per
-    step).  When the profile is not convex a 2049-point scan of each bracket
-    (in blocks of about 2**16 entries) picks the bracket of the search first,
-    so the result is the conjugate of the convex envelope.  ``nan`` gives
-    ``nan``; a scalar gives a float.
+    ``hi = 1e12 max(1, |y|)`` (far beyond the maximizer of any profile that
+    grows faster than linearly), or that finds no bracket in 80 doublings,
+    lies beyond a slope cap and gives ``inf``.  All brackets are then refined
+    together by one golden-section column search (tol 1e-13, one call of
+    ``alpha`` per step).  When the profile is not convex a 2049-point scan of
+    each bracket (in blocks of about 2**16 entries) picks the bracket of the
+    search first, so the result is the conjugate of the convex envelope.
+    ``nan`` gives ``nan``; a scalar gives a float.
     """
     base = cost.fn
 
@@ -356,8 +356,8 @@ def conjugate(cost: CostFunction) -> CostFunction:
             stop = inc <= 0
             found[act[stop]] = True
             # slope cap below y: linear growth forever
-            grow = ~stop & ~((hi[act] > 1e12) & (inc >= prev[act])
-                             & (prev[act] > 0))
+            grow = ~stop & ~((hi[act] > 1e12 * np.maximum(1.0, y[act]))
+                             & (inc >= prev[act]) & (prev[act] > 0))
             act, inc, g_next = act[grow], inc[grow], g_next[grow]
             prev[act], hi[act], g_hi[act] = inc, 2.0 * hi[act], g_next
         idx, y = idx[found], y[found]

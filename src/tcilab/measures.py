@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import interpolate, special
+from scipy import special
 
 from . import numerics
 from .verdict import Verdict, HOLDS, FAILS
@@ -551,8 +551,7 @@ def make_from_table(xs: Sequence[float], vs: Sequence[float],
         raise ValueError("need at least 4 (x, V) pairs")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
-    interp = interpolate.PchipInterpolator(xs, vs, extrapolate=False)
-    dinterp = interp.derivative()
+    interp, dinterp = numerics.pchip(xs, vs)
     slope_r = float(dinterp(xs[-1]))
     slope_l = float(dinterp(xs[0]))
     if slope_r <= 0 or slope_l >= 0:

@@ -1,5 +1,5 @@
 """Shared numeric helpers: the truncated-limit rule, sup searches, the root
-solver, quadrature.
+solver, the PCHIP interpolant, quadrature.
 
 Everything in here is deterministic and keeps no module state; callers
 pass explicit grids, tolerances and truncation schedules.  Integrals run on
@@ -153,6 +153,73 @@ def monotone_root(f: Callable[[np.ndarray], np.ndarray], target, lo, hi,
         open_ = open_[~done]
     out[open_] = x[open_]
     return out
+
+
+#: queries per block of a :func:`pchip` evaluation, so that the temporaries
+#: of a block stay in cache
+_PCHIP_BLOCK = 8192
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clamped to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y):
+    """Monotone cubic Hermite interpolant (Fritsch & Carlson 1980) of a table.
+
+    Returns the callables ``(value, derivative)``; both are ``nan`` outside
+    ``[x[0], x[-1]]``.  ``x`` is strictly increasing with at least 3 points.
+    The arithmetic is scipy's ``PchipInterpolator(x, y, extrapolate=False)``
+    step for step, so results agree with it bit for bit: harmonic-mean
+    interior slopes (0 where the secants change sign or one is 0), the
+    three-point end rule, power-basis coefficients per cell evaluated as an
+    ascending power sum, and ``x[-1]`` in the last cell.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 3:
+        raise ValueError("pchip needs matching 1-D tables of >= 3 points")
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                        np.where(flat, 0.0, inner),
+                        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    def evaluator(c):
+        def block(q):
+            qc = np.clip(q, x[0], x[-1])
+            i = np.minimum(np.searchsorted(x, qc, "right"), len(h)) - 1
+            s = qc - x[i]
+            # scipy's sum starts at 0.0, which turns a -0.0 into 0.0
+            res, z = c[-1][i] + 0.0, 1.0
+            for ck in c[-2::-1]:
+                z = z * s
+                res += ck[i] * z
+            return np.where(q == qc, res, np.nan)
+
+        def f(q):
+            q = np.asarray(q, dtype=float)
+            if q.size <= _PCHIP_BLOCK:
+                return block(q)
+            flat = q.ravel()
+            return np.concatenate([block(flat[j:j + _PCHIP_BLOCK]) for j in
+                                   range(0, flat.size, _PCHIP_BLOCK)]
+                                  ).reshape(q.shape)
+        return f
+
+    deriv = coef[:-1] * np.array([[3.0], [2.0], [1.0]])
+    return evaluator(coef), evaluator(deriv)
 
 
 def geometric_offsets(span: float, n: int) -> np.ndarray:

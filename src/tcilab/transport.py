@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 from . import numerics
 from .costs import CostFunction
@@ -189,6 +188,9 @@ def cost_lp(nu: DiscreteMeasure, mu: DiscreteMeasure, cost_mat: np.ndarray,
     The plan is a vertex of the transport polytope with marginals accurate
     to ~1e-12.
     """
+    # imported here so that importing the package does not load them
+    from scipy import optimize, sparse
+
     n, m = len(nu), len(mu)
     if n > max_atoms or m > max_atoms:
         raise ValueError(f"instance exceeds the {max_atoms}-atom cap")

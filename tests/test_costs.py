@@ -1,5 +1,6 @@
 """Cost profiles: builtin forms, admissibility, conjugation, rescaling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +152,34 @@ class TestConjugate:
         y = np.linspace(0.02, 0.98, 49)
         np.testing.assert_allclose(c.fn(y), y * y / 4.0, rtol=1e-12)
         assert np.isinf(c.fn(np.array([1.02, 1.5, 10.0]))).all()
+
+    def test_large_slopes_stay_finite(self, theta2):
+        # the maximizer y/2 lies beyond 1e12: the slope-cap rule must not
+        # fire while the bracket is still below it
+        y = np.array([2.0 ** 43, 1e13, 1e15, 1e18])
+        np.testing.assert_allclose(conjugate(theta2).fn(y), y * y / 4.0,
+                                   rtol=1e-12)
+
+    def test_slope_cap_still_fires_for_large_slopes(self, alpha1):
+        assert np.isinf(conjugate(alpha1).fn(np.array([1.5, 10.0, 1e6]))).all()
+
+    @pytest.mark.parametrize("name, params, digest", [
+        ("theta_p", {"p": 2},
+         "daefa70816bbe0e628e9db74826bd50f3d055dfc0ce1169532c1818f482d047c"),
+        ("alpha1", {},
+         "852d9beb5c28c60dfa1d6064604a92ca99684a48ddd2b29215ff17e6607d3850"),
+        ("alpha_p", {"p": 1.5},
+         "e5f8628f93fe7b5caa59216f20c9487b7f5d4e6709dc96e9723d691b445638d4"),
+        ("maurey", {},
+         "d54582bcf8934b16d460863ec3969c012222354e5a9e54733e96e7a013a20edc"),
+        ("gamma", {"lam": 0.5},
+         "0457ee3d992b4ede55d799a76b1d5479ad151b0964d70459967c055afb6d3270")])
+    def test_moderate_slopes_are_pinned(self, name, params, digest):
+        # values of the fixed-threshold slope cap on 409 slopes, bit for bit
+        out = conjugate(builtin_cost(name, **params)).fn(
+            np.geomspace(1e-3, 1e6, 409))
+        got = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
+        assert got.hexdigest() == digest
 
     @pytest.mark.parametrize("name, params", [("theta_p", {"p": 2.0}),
                                               ("alpha1", {}),

@@ -1,6 +1,6 @@
 """Fixed quadrature rules (the composite Gauss rule and the vectorized
-Gauss-Kronrod cells behind the numeric measures), the truncated-limit rule
-and the scan-grid sup."""
+Gauss-Kronrod cells behind the numeric measures), the truncated-limit rule,
+the scan-grid sup, the root solver and the PCHIP interpolant."""
 
 import ast
 import math
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scipy import optimize
+from scipy import interpolate, optimize
 
 from tcilab import costs, criteria, measures, numerics, verify
 
@@ -216,7 +216,8 @@ class TestGrowingWindow:
 
 _FORBIDDEN_CALLS = {("numerics", "quad"), ("integrate", "quad"),
                     ("warnings", "catch_warnings"), ("optimize", "brentq"),
-                    ("np", "vectorize")}
+                    ("np", "vectorize"),
+                    ("interpolate", "PchipInterpolator")}
 
 
 def test_package_makes_no_scalar_quadrature_call():
@@ -319,14 +320,129 @@ class TestSupOnGrid:
         assert sup[2] == 1.0
 
 
-def test_import_does_not_load_scipy_integrate():
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter on the package source."""
     src = str(Path(numerics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tcilab; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+_LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
+               "scipy.sparse")
+
+
+def test_import_does_not_load_scipy_integrate():
+    # importing the package loads numpy and scipy.special only; the
+    # remaining scipy subpackages load where a function first needs them
+    out = _fresh_python("import sys, tcilab; print(*(m in sys.modules "
+                        f"for m in {_LAZY_SCIPY!r}))")
+    assert out == ["False"] * len(_LAZY_SCIPY)
+
+
+def test_cost_lp_loads_its_solver_on_first_call():
+    out = _fresh_python(
+        "import sys, numpy as np, tcilab\n"
+        "loaded = 'scipy.optimize' in sys.modules\n"
+        "x = np.array([0.0, 1.0, 2.0])\n"
+        "nu = tcilab.DiscreteMeasure(x, np.array([0.2, 0.3, 0.5]))\n"
+        "mu = tcilab.DiscreteMeasure(x, np.array([0.5, 0.3, 0.2]))\n"
+        "val, plan = tcilab.cost_lp(nu, mu, np.abs(x[:, None] - x[None, :]))\n"
+        "print(loaded, 'scipy.optimize' in sys.modules, repr(val))")
+    assert out[:2] == ["False", "True"]
+    # W1 on the line: the area between the two cdfs, 0.3 + 0.3
+    assert float(out[2]) == pytest.approx(0.6, abs=1e-12)
+
+
+def test_only_scipy_special_is_imported_at_module_level():
+    # scipy.optimize/sparse are imported inside cost_lp and scipy.integrate
+    # inside numerics.quad; every other scipy use goes through numerics
+    src = Path(numerics.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        local = {id(n) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in local:
+                continue
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").split(".")[0] == "scipy":
+                found += [f"{path.name}: from {node.module} import {a.name}"
+                          for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "scipy"]
+    assert found == ["measures.py: from scipy import special"]
+
+
+def _pchip_tables():
+    xs = np.linspace(-4.0, 4.0, 129)
+    ts, tc = np.linspace(0.0, 6.0, 200), np.linspace(0.0, 8.0, 33)
+    tables = {
+        # the benchmark's two potential tables
+        "quartic": (xs, xs ** 4 / 4.0),
+        "huber": (xs, np.where(np.abs(xs) <= 1.0, 0.5 * xs * xs,
+                               np.abs(xs) - 0.5) + 0.3 * np.sin(xs)),
+        # the table costs of the cost and transport tests
+        "t_squared": (ts, ts * ts),
+        "spliced": (tc, np.where(tc <= 1.0, tc * tc, 2.0 * tc - 1.0)),
+        "four_points": (np.array([-1.0, 0.0, 0.5, 3.0]),
+                        np.array([2.0, 0.0, 0.0, 4.0])),
+        # left end: the three-point slope -3.5 has the wrong sign (0);
+        # right end: it overshoots 3 m0 where the secants change sign
+        "clamps": (np.arange(5.0), np.array([0.0, 1.0, 11.0, 1.0, 2.0])),
+    }
+    rng = np.random.default_rng(12)
+    for n in (4, 5, 17, 64, 129):
+        x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+        y = rng.normal(size=n)
+        y[rng.integers(0, n - 1, n // 4)] = 0.5      # flat segments
+        tables[f"random_{n}"] = (x, y)
+        tables[f"monotone_{n}"] = (x, np.cumsum(np.abs(y)))
+    return tables
+
+
+class TestPchip:
+    @pytest.mark.parametrize("name", list(_pchip_tables()))
+    def test_bit_identical_to_scipy(self, name):
+        x, y = _pchip_tables()[name]
+        ref = interpolate.PchipInterpolator(x, y, extrapolate=False)
+        f, df = numerics.pchip(x, y)
+        rng = np.random.default_rng(5)
+        q = np.concatenate((x, 0.5 * (x[1:] + x[:-1]),
+                            rng.uniform(x[0], x[-1], 10000),
+                            [x[0] - 1e-9, x[-1] + 1e-9, -np.inf, np.inf,
+                             np.nan]))
+        assert np.array_equal(f(q), ref(q), equal_nan=True)
+        assert np.array_equal(df(q), ref.derivative()(q), equal_nan=True)
+        assert np.isnan(f(q[-5:])).all() and np.isnan(df(q[-5:])).all()
+
+    def test_end_clamps_fire(self):
+        x, y = _pchip_tables()["clamps"]
+        _, df = numerics.pchip(x, y)
+        assert df(x[0]) == 0.0
+        assert df(x[-1]) == 3.0
+
+    def test_interpolates_and_keeps_the_query_shape(self):
+        x, y = _pchip_tables()["huber"]
+        f, df = numerics.pchip(x, y)
+        assert np.array_equal(f(x[:-1]), y[:-1])
+        assert f(x[-1]) == pytest.approx(y[-1], rel=1e-15)
+        q = x[3:15].reshape(3, 4)
+        assert f(q).shape == df(q).shape == (3, 4)
+        # more queries than one evaluation block
+        q = np.linspace(x[0], x[-1], 9000).reshape(100, 90)
+        assert np.array_equal(df(q), df(q.ravel()).reshape(100, 90))
+        assert np.ndim(f(x[7])) == 0 and float(f(x[7])) == y[7]
+
+    def test_rejects_short_or_mismatched_tables(self):
+        with pytest.raises(ValueError):
+            numerics.pchip([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            numerics.pchip([0.0, 1.0, 2.0], [0.0, 1.0])
 
 
 class TestMonotoneRoot:
