@@ -299,8 +299,12 @@ class ExactInfConvolution:
     ``y`` there.  The enumeration is exact up to interpolation of ``c'``.
 
     Knot costs are stored knot-major.  A minimum over knots alone bounds
-    ``Q phi`` from above: ``upper_bounds`` yields it over every fourth knot,
-    then over all, and ``refine`` lowers the latter to ``Q phi`` in place.
+    ``Q phi`` from above, at three costs: ``cell_max`` gives each knot's
+    largest cost on blocks of consecutive queries, so ``min_k vals_k +
+    M[k, j]`` bounds ``Q phi`` on all of block ``j`` for any number of
+    potentials at once; ``upper_bounds`` yields the knot minimum at every
+    query over every fourth knot, then over all; ``refine`` lowers the
+    latter to ``Q phi`` in place.
     """
 
     def __init__(self, query, knots, alpha: CostFunction,
@@ -329,6 +333,11 @@ class ExactInfConvolution:
             if cp[-1] - cp[0] > 1e-14:
                 to = self._branches if np.diff(cp).min() >= 0 else self._dense
                 to.append((np.maximum.accumulate(cp), d))
+
+    def cell_max(self, starts) -> np.ndarray:
+        """``M[k, j]``, the largest cost of knot ``k`` on block ``j`` of the
+        queries; the blocks are consecutive and begin at ``starts``."""
+        return np.maximum.reduceat(self.knot_cost, starts, axis=1)
 
     def upper_bounds(self, vals: np.ndarray):
         """Yield, in one array lowered in place, the minimum over every

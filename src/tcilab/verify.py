@@ -42,6 +42,8 @@ _PHI_SLOPE = 20.0
 #: takes over outside); the integration window leaves far less.
 _PHI_MASS_GAP = 1e-8
 _WINDOW_MASS = 1e-16
+#: candidates per block of the cell bound, which keeps its temporaries small
+_CELL_BLOCK = 256
 
 _TENSOR_SLACK = 1e-7
 _PRODUCT_STATE_CAP = 1296       # 6**4; largest product LP we will pose
@@ -60,7 +62,8 @@ class DualTestReport:
     factor ``exp(-int phi dmu)`` when ``plain_form`` is set.
 
     ``trials`` counts every potential, adversarial ones included, and
-    ``screened`` those the screening bound decided alone.  ``status`` is
+    ``screened`` those a screening bound (cell or knot tier) decided
+    without the exact pass.  ``status`` is
     forced consistent with ``worst_product``.
     """
 
@@ -91,6 +94,12 @@ class _DualQuadrature:
     Built once per call; every potential then reduces to dot products.  The
     weights are normalized so the total mass (window plus analytic tails) is
     exactly one, which makes ``phi == 0`` give the product 1.0 exactly.
+
+    ``query`` is the nodes followed by the window edges ``lo`` and ``hi``,
+    where the constant tails are evaluated.  It splits into cells: the
+    nodes of each break cell, then each edge on its own.  A cell has mass
+    ``cell_mass`` and lies where ``phi`` is linear between the knots
+    ``cell_knots`` (one knot twice on a tail cell).
     """
 
     def __init__(self, mu: Measure1D, knots: np.ndarray):
@@ -109,6 +118,7 @@ class _DualQuadrature:
         rho = np.asarray(mu.density(nodes), dtype=float)
         self.nodes = nodes
         self.lo, self.hi = lo, hi
+        self.query = np.concatenate([nodes, [lo, hi]])
         self.rho_w = w * rho
         self.tail_lo = float(mu.cdf(lo))
         self.tail_hi = float(mu.sf(hi))
@@ -116,6 +126,16 @@ class _DualQuadrature:
         self.rho_w /= total
         self.tail_lo /= total
         self.tail_hi /= total
+        n = len(nodes)
+        self.cell_starts = np.append(np.arange(0, n, n // (len(breaks) - 1)),
+                                     [n, n + 1])
+        self.cell_mass = np.append(
+            np.add.reduceat(self.rho_w, self.cell_starts[:-2]),
+            [self.tail_lo, self.tail_hi])
+        j = np.searchsorted(knots, 0.5 * (breaks[:-1] + breaks[1:]))
+        last = len(knots) - 1
+        self.cell_knots = (np.append(np.clip(j - 1, 0, last), [0, last]),
+                           np.append(np.clip(j, 0, last), [0, last]))
 
     def exp_integral(self, vals: np.ndarray, left: float, right: float) -> float:
         """``int e^{v} dmu`` from node values plus constant-tail terms."""
@@ -184,6 +204,34 @@ def _dual_family(mu: Measure1D, trials: int, seed: int):
     return knots, out
 
 
+def _cell_bounds(quadr: _DualQuadrature, cmax: np.ndarray, values,
+                 c0: float) -> np.ndarray:
+    """Upper bounds on the computed dual product of each potential in
+    ``values``, strong or plain form, from per-cell bounds on both factors.
+
+    On a cell, ``Q phi <= min(min_k vals_k + cmax[k, cell], max phi + c0)``
+    and ``e^{-phi} <= e^{-min phi}``, the smaller of the cell's two knot
+    values.  Each factor is then at most its cell masses times those
+    exponentials; by Jensen ``exp(-int phi)`` is below the second one too.
+    The products are inflated by ``1e-13`` for the rounding of the
+    different summation order.
+    """
+    a, b = quadr.cell_knots
+    out = np.empty(len(values))
+    for i in range(0, len(values), _CELL_BLOCK):
+        vals = np.array(values[i:i + _CELL_BLOCK])
+        best = vals[:, :1] + cmax[0]
+        tmp = np.empty_like(best)
+        for k in range(1, len(cmax)):
+            np.add(vals[:, k:k + 1], cmax[k], out=tmp)
+            np.minimum(best, tmp, out=best)
+        np.minimum(best, vals.max(axis=1, keepdims=True) + c0, out=best)
+        first = np.exp(best, out=best) @ quadr.cell_mass
+        low = np.minimum(vals[:, a], vals[:, b])
+        out[i:i + _CELL_BLOCK] = first * (np.exp(-low) @ quadr.cell_mass)
+    return out * (1.0 + 1e-13)
+
+
 def dual_check_strong(mu: Measure1D, alpha: CostFunction,
                       scale: Optional[float] = None, prefactor: float = 1.0,
                       trials: int = 200, seed: int = 0,
@@ -200,11 +248,21 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     ``plain=True`` the second factor is ``exp(-int phi dmu)`` (the weaker
     plain form).
 
-    Screening: a knot-only minimum capped at ``max phi + c(0)`` bounds
-    ``Q phi`` above, so a candidate whose product formed from it is at most
+    Screening: a candidate whose product is bounded by at most
     ``worst * (1 - 1e-12)`` cannot be the argmax and skips the exact pass
-    (the margin absorbs rounding).  Every fourth knot is tried first.
-    The report is the unscreened one bit for bit; non-finite products raise.
+    (the margin absorbs rounding).  Three tiers, cheapest first:
+
+    1. the cell bound of every candidate at once, before the loop: per
+       quadrature cell, the knot minimum over the cell's largest knot costs
+       (:meth:`transport.ExactInfConvolution.cell_max`) and the smaller of
+       the two enclosing knot values of ``phi``;
+    2. the exact second factor times the knot-only minimum at every node,
+       over every fourth knot and then over all;
+    3. the exact pass, which refines the knot minimum to ``Q phi``.
+
+    Both bounds on ``Q phi`` are capped at ``max phi + c(0)``.
+    ``screened`` counts the candidates that tier 1 or 2 decided.  The
+    report is the unscreened one bit for bit; non-finite products raise.
 
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
@@ -213,9 +271,10 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     c0 = float(transport._ground(alpha, scale, prefactor)[1](0.0))
     knots, candidates = _dual_family(mu, trials, seed)
     quadr = _DualQuadrature(mu, knots)
-    query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
-    engine = transport.ExactInfConvolution(query, knots, alpha, scale,
+    engine = transport.ExactInfConvolution(quadr.query, knots, alpha, scale,
                                            prefactor)
+    bounds = _cell_bounds(quadr, engine.cell_max(quadr.cell_starts),
+                          [vals for _, vals in candidates], c0)
 
     def first(qv: np.ndarray) -> float:
         return quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
@@ -229,9 +288,12 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 
     worst, worst_vals, worst_label = -math.inf, np.zeros(_PHI_KNOTS), ""
     screened = 0
-    for label, vals in candidates:
-        factor = second(vals)
+    for (label, vals), bound in zip(candidates, bounds):
         cut = worst * (1.0 - 1e-12)        # see the docstring
+        if bound <= cut:
+            screened += 1
+            continue
+        factor = second(vals)
         for upper in engine.upper_bounds(vals):
             # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
             if first(np.minimum(upper, vals.max() + c0)) * factor <= cut:

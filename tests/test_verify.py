@@ -197,6 +197,94 @@ def test_screening_with_positive_cost_at_zero(mu1, alpha1, scale, prefactor):
     assert rep.trials == count
 
 
+def _spliced_table_cost():
+    # a PCHIP table of the quadratic-linear profile, numeric c'
+    ts = np.linspace(0.0, 8.0, 33)
+    return costs.cost_from_table(ts, np.where(ts <= 1.0, ts * ts,
+                                              2.0 * ts - 1.0))
+
+
+def _lifted_alpha1():
+    # c(0) = 1 > 0, as in test_screening_with_positive_cost_at_zero
+    alpha1 = costs.builtin_cost("alpha1")
+    return dataclasses.replace(alpha1, name="alpha1+1", admissible=False,
+                               fn=lambda t: alpha1.fn(t) + 1.0)
+
+
+@pytest.mark.parametrize("law,make_cost,scale,prefactor,plain", [
+    ("exponential", lambda: costs.builtin_cost("alpha1"), None, 1.0 / 36.0,
+     False),
+    ("exponential", lambda: costs.builtin_cost("alpha1"), 1.0, 10.0, False),
+    ("gaussian", lambda: costs.builtin_cost("theta_p", p=2.0), 0.5, PREF,
+     False),
+    ("cauchy", lambda: costs.builtin_cost("alpha_p", p=1.5), 0.1, 1.0 / 36.0,
+     False),
+    ("exponential", _spliced_table_cost, 0.25, 1.0 / 36.0, False),
+    ("exponential", _spliced_table_cost, 1.0, 10.0, False),
+    ("exponential", _lifted_alpha1, 1.0, 1.0, False),
+    ("exponential", _lifted_alpha1, 0.25, 4.0, False),
+    ("exponential", lambda: costs.builtin_cost("alpha1"), SCALE, PREF, True),
+], ids=["alpha1-certify", "alpha1-refute", "gaussian-theta2",
+        "cauchy-alpha_p1.5", "table-certify", "table-refute", "lifted-1-1",
+        "lifted-0.25-4", "alpha1-plain"])
+def test_cell_bound_covers_every_exact_product(law, make_cost, scale,
+                                               prefactor, plain):
+    # the first screening tier must bound each candidate's product as the
+    # exact pass computes it, or the argmax could be screened out
+    mu, alpha = measures.make_builtin(law), make_cost()
+    knots, candidates = verify._dual_family(mu, 40, 0)
+    quadr = verify._DualQuadrature(mu, knots)
+    engine = transport.ExactInfConvolution(quadr.query, knots, alpha, scale,
+                                           prefactor)
+    c0 = float(transport._ground(alpha, scale, prefactor)[1](0.0))
+    bounds = verify._cell_bounds(quadr, engine.cell_max(quadr.cell_starts),
+                                 [vals for _, vals in candidates], c0)
+    assert bounds.shape == (len(candidates),)
+    for (label, vals), bound in zip(candidates, bounds):
+        qv = engine.q(vals)
+        first = quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
+        phi_nodes = np.interp(quadr.nodes, knots, vals)
+        left, right = float(vals[0]), float(vals[-1])
+        if plain:
+            second = math.exp(-quadr.mean(phi_nodes, left, right))
+        else:
+            second = quadr.exp_integral(-phi_nodes, -left, -right)
+        assert first * second <= bound, label
+
+
+def test_cell_tier_decides_most_certify_candidates(mu1, alpha1):
+    # at criterion 1's setting the cell bounds alone sit below the constant
+    # potentials' product 1 for almost every candidate
+    knots, candidates = verify._dual_family(mu1, 200, 0)
+    quadr = verify._DualQuadrature(mu1, knots)
+    engine = transport.ExactInfConvolution(quadr.query, knots, alpha1, None,
+                                           1.0 / 36.0)
+    bounds = verify._cell_bounds(quadr, engine.cell_max(quadr.cell_starts),
+                                 [vals for _, vals in candidates], 0.0)
+    assert np.count_nonzero(bounds < 1.0 - 1e-9) > 0.95 * len(candidates)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make_cost,law,scale,prefactor", [
+    (_spliced_table_cost, "exponential", 0.25, 1.0 / 36.0),
+    (_spliced_table_cost, "exponential", 1.0, 10.0),
+    (lambda: costs.builtin_cost("theta_p", p=2.0), "gaussian", 0.5, PREF),
+    (lambda: costs.builtin_cost("theta_p", p=2.0), "gaussian", 1.0, 0.3),
+], ids=["table-certify", "table-refute", "gaussian-theta2",
+        "gaussian-theta2-refute"])
+def test_cell_screening_keeps_the_unscreened_report(make_cost, law, scale,
+                                                    prefactor, seed):
+    mu, alpha = measures.make_builtin(law), make_cost()
+    rep = dual_check_strong(mu, alpha, scale=scale, prefactor=prefactor,
+                            trials=60, seed=seed)
+    worst, vals, label, count = _unscreened_dual(mu, alpha, scale, prefactor,
+                                                 60, seed, False)
+    assert rep.worst_product == worst
+    assert rep.worst_label == label
+    np.testing.assert_array_equal(rep.worst_phi.values, vals)
+    assert rep.trials == count
+
+
 @pytest.mark.parametrize("kwargs", [
     {"prefactor": math.nan}, {"scale": math.nan}, {"scale": math.inf},
     {"prefactor": math.inf}, {"scale": 0.0}, {"prefactor": -1.0},
