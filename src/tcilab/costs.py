@@ -237,6 +237,9 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
     vals = np.asarray(vals, dtype=float)
     if ts.ndim != 1 or ts.shape != vals.shape or len(ts) < 4:
         raise ValueError("need at least 4 (t, alpha) samples")
+    for col, v in (("abscissae t", ts), ("cost values alpha", vals)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"table {col} must be finite")
     if ts[0] != 0.0 or vals[0] != 0.0:
         raise ValueError("table must start at (0, 0)")
     if np.any(np.diff(ts) <= 0):

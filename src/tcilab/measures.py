@@ -549,6 +549,9 @@ def make_from_table(xs: Sequence[float], vs: Sequence[float],
     vs = np.asarray(vs, dtype=float)
     if xs.ndim != 1 or xs.shape != vs.shape or len(xs) < 4:
         raise ValueError("need at least 4 (x, V) pairs")
+    for col, v in (("abscissae x", xs), ("potential values V", vs)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"table {col} must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
     interp, dinterp = numerics.pchip(xs, vs)

@@ -293,18 +293,18 @@ class ExactInfConvolution:
     point for the potential taking ``values`` on the fixed ``knots`` (linear
     between them, constant beyond).  Every local minimizer of
     ``y -> phi(y) + c(x - y)`` is a knot, an offset ``x - y`` of zero or at
-    a kink of ``c``, or a stationary point ``y = x - sign(s_j) d``,
-    ``c'(d) = |s_j|``, inside the segment ``j`` of slope ``s_j``; where
-    ``c'`` is monotone it is tried only at the sorted queries that put
-    ``y`` there.  The enumeration is exact up to interpolation of ``c'``.
+    a kink of ``c``, or a stationary point ``y = x - sign(s_j) d`` inside
+    the segment ``j`` of slope ``s_j``, with ``c'(d) = |s_j|`` where ``c'``
+    rises (where it falls, ``c`` is concave).  Each such ``d`` is
+    interpolated in a rising run of ``c'`` sampled between the kinks, solved
+    to ``1e-12 |s_j|`` between its bracketing samples and tried only at the
+    sorted queries that put ``y`` in segment ``j``: exact for every cost
+    whose ``c'`` is piecewise monotone, table costs included.
 
-    Knot costs are stored knot-major.  A minimum over knots alone bounds
-    ``Q phi`` from above, at three costs: ``cell_max`` gives each knot's
+    Knot costs are stored knot-major.  ``cell_max`` gives each knot's
     largest cost on blocks of consecutive queries, so ``min_k vals_k +
-    M[k, j]`` bounds ``Q phi`` on all of block ``j`` for any number of
-    potentials at once; ``upper_bounds`` yields the knot minimum at every
-    query over every fourth knot, then over all; ``refine`` lowers the
-    latter to ``Q phi`` in place.
+    M[k, j]`` bounds ``Q phi`` on all of block ``j``; ``knot_min`` bounds it
+    at every query, and ``refine`` lowers that bound in place to ``Q phi``.
     """
 
     def __init__(self, query, knots, alpha: CostFunction,
@@ -320,61 +320,55 @@ class ExactInfConvolution:
             self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
         self._order = np.argsort(self.query, kind="stable")
         self._sorted = self.query[self._order]
-        self._span = span = ((self.knots[-1] - self.knots[0])
-                             + (self.query.max() - self.query.min()) + 1.0)
-        kinks = [k / a for k in alpha.kinks if 0.0 < k / a < span]
-        self._fixed = np.array([0.0, *kinks])
-        # increasing branches of c' between kinks: interp(s, cp, d) = c'^-1(s)
-        edges = [0.0, *kinks, span]
-        self._branches, self._dense = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        span = np.ptp(self.knots) + np.ptp(self.query) + 1.0
+        kinks = [k for k in alpha.kinks if 0.0 < k / a < span]
+        self._fixed = np.array([0.0, *(k / a for k in kinks)])
+        self._cprime = lambda d: prefactor * a * np.asarray(
+            alpha.deriv(a * d), dtype=float)
+        # rising runs of c' between kinks, sampled with the left limit at
+        # each kink (deriv is the right derivative)
+        self._runs = []
+        ends = [*(np.nextafter(k, 0.0) for k in kinks), a * span]
+        for lo, hi, end in zip(self._fixed, [*self._fixed[1:], span], ends):
             d = np.linspace(lo, hi, 513)
-            cp = prefactor * a * np.asarray(alpha.deriv(a * d), dtype=float)
-            if cp[-1] - cp[0] > 1e-14:
-                to = self._branches if np.diff(cp).min() >= 0 else self._dense
-                to.append((np.maximum.accumulate(cp), d))
+            cp = self._cprime(d)
+            cp[-1] = prefactor * a * float(alpha.deriv(end))
+            up = np.diff(cp) >= 0.0
+            cuts = [0, *(np.flatnonzero(up[1:] != up[:-1]) + 1), len(up)]
+            self._runs += [(cp[i:j + 1], d[i:j + 1])
+                           for i, j in zip(cuts[:-1], cuts[1:])
+                           if up[i] and cp[j] > cp[i]]
 
     def cell_max(self, starts) -> np.ndarray:
         """``M[k, j]``, the largest cost of knot ``k`` on block ``j`` of the
         queries; the blocks are consecutive and begin at ``starts``."""
         return np.maximum.reduceat(self.knot_cost, starts, axis=1)
 
-    def upper_bounds(self, vals: np.ndarray):
-        """Yield, in one array lowered in place, the minimum over every
-        fourth knot and then over all knots: upper bounds on ``Q phi``."""
+    def knot_min(self, vals: np.ndarray) -> np.ndarray:
+        """``min_k vals_k + c(x - knot_k)`` at every query point, an upper
+        bound on ``Q phi``, in one in-place pass over the knot rows."""
         best = self.knot_cost[0] + vals[0]
         tmp = np.empty_like(best)
-        K = len(self.knots)
-        for rows in (range(4, K, 4), [k for k in range(K) if k % 4]):
-            for k in rows:
-                np.add(self.knot_cost[k], vals[k], out=tmp)
-                np.minimum(best, tmp, out=best)
-            yield best
-
-    def knot_min(self, vals: np.ndarray) -> np.ndarray:
-        """``min_k vals_k + c(x - knot_k)`` at every query point."""
-        if self.knot_cost.size <= 2 ** 16:     # small: one broadcast pass
-            return np.min(self.knot_cost + vals[:, None], axis=0)
-        *_, best = self.upper_bounds(vals)
+        for k in range(1, len(self.knots)):
+            np.add(self.knot_cost[k], vals[k], out=tmp)
+            np.minimum(best, tmp, out=best)
         return best
 
     def refine(self, vals: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Lower ``best`` (the knot minimum) in place to ``Q phi``."""
-        slopes = np.diff(vals) / np.diff(self.knots)
-        mag = np.abs(slopes)
-        # at every query, both signs: zero, the kink offsets and, on a branch
-        # where c' falls somewhere, every stationary offset of every slope
-        offs = np.unique(np.concatenate([self._fixed] + [
-            np.interp(np.concatenate(([0.0], mag)), cp, d)
-            for cp, d in self._dense]))
-        offs = offs[offs <= self._span]
-        for off, coff in zip(offs, self._c(offs)):
+        for off, coff in zip(self._fixed, self._c(self._fixed)):
             for sign in (1.0, -1.0):
                 cand = np.interp(self.query - sign * off, self.knots, vals)
                 np.minimum(best, cand + coff, out=best)
-        for cp, d in self._branches:
+        slopes = np.diff(vals) / np.diff(self.knots)
+        mag = np.abs(slopes)
+        for cp, d in self._runs:
             seg = np.flatnonzero((mag > cp[0]) & (mag <= cp[-1]))
-            off = np.interp(mag[seg], cp, d)
+            j = np.searchsorted(cp, mag[seg])
+            # interpolated, then solved between the two bracketing samples
+            off = numerics.monotone_root(
+                self._cprime, mag[seg], d[j - 1], d[j], tol=1e-12 * mag[seg],
+                x=np.interp(mag[seg], cp, d))
             shift = np.sign(slopes[seg]) * off
             # y = x - shift lies in segment j for x in [k_j, k_j+1] + shift
             lo = np.searchsorted(self._sorted, self.knots[seg] + shift)

@@ -91,7 +91,7 @@ class DualTestReport:
 class _DualQuadrature:
     """Fixed density-weighted nodes for the two dual integrals.
 
-    Built once per call; every potential then reduces to dot products.  The
+    Built once per call; every potential then reduces to weighted sums.  The
     weights are normalized so the total mass (window plus analytic tails) is
     exactly one, which makes ``phi == 0`` give the product 1.0 exactly.
 
@@ -139,11 +139,11 @@ class _DualQuadrature:
 
     def exp_integral(self, vals: np.ndarray, left: float, right: float) -> float:
         """``int e^{v} dmu`` from node values plus constant-tail terms."""
-        body = float(np.dot(self.rho_w, np.exp(vals)))
+        body = float(np.sum(self.rho_w * np.exp(vals)))
         return body + self.tail_lo * math.exp(left) + self.tail_hi * math.exp(right)
 
     def mean(self, vals: np.ndarray, left: float, right: float) -> float:
-        return (float(np.dot(self.rho_w, vals))
+        return (float(np.sum(self.rho_w * vals))
                 + self.tail_lo * left + self.tail_hi * right)
 
 
@@ -250,19 +250,19 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 
     Screening: a candidate whose product is bounded by at most
     ``worst * (1 - 1e-12)`` cannot be the argmax and skips the exact pass
-    (the margin absorbs rounding).  Three tiers, cheapest first:
+    (the margin absorbs rounding).  Two tiers, cheapest first:
 
     1. the cell bound of every candidate at once, before the loop: per
        quadrature cell, the knot minimum over the cell's largest knot costs
        (:meth:`transport.ExactInfConvolution.cell_max`) and the smaller of
        the two enclosing knot values of ``phi``;
-    2. the exact second factor times the knot-only minimum at every node,
-       over every fourth knot and then over all;
-    3. the exact pass, which refines the knot minimum to ``Q phi``.
+    2. the exact second factor times the all-knot minimum at every node
+       (:meth:`transport.ExactInfConvolution.knot_min`).
 
     Both bounds on ``Q phi`` are capped at ``max phi + c(0)``.
-    ``screened`` counts the candidates that tier 1 or 2 decided.  The
-    report is the unscreened one bit for bit; non-finite products raise.
+    ``screened`` counts the candidates a tier decided; the rest take the
+    exact pass.  The report is the unscreened one bit for bit and does not
+    depend on the BLAS thread count; non-finite products raise.
 
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
@@ -294,17 +294,16 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
             screened += 1
             continue
         factor = second(vals)
-        for upper in engine.upper_bounds(vals):
-            # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
-            if first(np.minimum(upper, vals.max() + c0)) * factor <= cut:
-                screened += 1
-                break
-        else:       # no bound decided: the exact product
-            p = first(engine.refine(vals, upper)) * factor
-            if not math.isfinite(p):
-                raise ValueError(f"non-finite dual product {p!r} of {label}")
-            if p > worst:
-                worst, worst_vals, worst_label = p, vals, label
+        upper = engine.knot_min(vals)
+        # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
+        if first(np.minimum(upper, vals.max() + c0)) * factor <= cut:
+            screened += 1
+            continue
+        p = first(engine.refine(vals, upper)) * factor
+        if not math.isfinite(p):
+            raise ValueError(f"non-finite dual product {p!r} of {label}")
+        if p > worst:
+            worst, worst_vals, worst_label = p, vals, label
     status = VIOLATION_FOUND if worst > 1.0 + DUAL_SLACK else NO_VIOLATION
     return DualTestReport(trials=len(candidates), worst_product=float(worst),
                           worst_phi=GridFunction(knots, worst_vals),

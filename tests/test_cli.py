@@ -2,6 +2,10 @@
 round-trips, the analyze stages, report emission, and the subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,16 @@ class TestGrammar:
         path.write_text("t,alpha\n" + rows + "\n")
         c = parse_cost_spec(f"table file={path}")
         assert c.fn(2.0) == pytest.approx(4.0, rel=1e-9)
+
+    @pytest.mark.parametrize("kind,parse,row", [
+        ("cost", parse_cost_spec, "2,nan"),
+        ("measure", parse_measure_spec, "inf,2"),
+    ])
+    def test_non_finite_csv_entry_rejected(self, tmp_path, kind, parse, row):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("a,b\n0,0\n1,1\n" + row + "\n3,9\n4,16\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            parse(f"table file={path}")
 
     def test_prefactor_forms(self):
         assert parse_prefactor("1/36") == pytest.approx(1.0 / 36.0, rel=1e-15)
@@ -173,6 +187,32 @@ class TestRunAnalyze:
         a = run_analyze(cfg).to_json()
         b = run_analyze(cfg).to_json()
         assert a == b
+
+
+_DUAL_PRODUCT = (
+    "from tcilab import costs, measures, verify\n"
+    "rep = verify.dual_check_strong(measures.make_builtin('exponential'), "
+    "costs.builtin_cost('alpha1'), scale=0.25, prefactor=1 / 72, "
+    "trials=400, seed=0)\n"
+    "print(repr(rep.worst_product))")
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the dual integrals reduce with np.sum, whose order is fixed; np.dot's
+    # OpenBLAS order follows the thread count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    seen = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        product = subprocess.run([sys.executable, "-c", _DUAL_PRODUCT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True).stdout
+        subprocess.run([sys.executable, "-m", "tcilab.cli", "analyze",
+                        "--out", "out", "--format", "json"], cwd=tmp_path,
+                       env=env, capture_output=True, check=True)
+        seen.add((product, (tmp_path / "out" / "report.json").read_bytes()))
+    assert len(seen) == 1
 
 
 class TestEmission:

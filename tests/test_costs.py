@@ -218,6 +218,16 @@ class TestTableCosts:
         with pytest.raises(ValueError, match="start at"):
             cost_from_table(ts, ts * ts)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column,name", [(0, "abscissae t"),
+                                             (1, "cost values alpha")])
+    def test_non_finite_entries_rejected(self, bad, column, name):
+        table = [np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+                 np.array([0.0, 1.0, 4.0, 9.0, 16.0])]
+        table[column][2] = bad
+        with pytest.raises(ValueError, match=f"table {name} must be finite"):
+            cost_from_table(*table)
+
 
 class TestRescaling:
     def test_quadratic_constant(self, theta2):

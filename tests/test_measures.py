@@ -129,6 +129,16 @@ class TestTables:
         with pytest.raises(ValueError, match="table rejected"):
             make_from_table(xs, np.zeros(11))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column,name", [(0, "abscissae x"),
+                                             (1, "potential values V")])
+    def test_non_finite_entries_rejected(self, bad, column, name):
+        xs = np.linspace(-4.0, 4.0, 9)
+        table = [xs, 0.5 * xs * xs]
+        table[column][4] = bad
+        with pytest.raises(ValueError, match=f"table {name} must be finite"):
+            make_from_table(*table)
+
 
     def test_table_potential_deriv_on_arrays(self):
         xs = np.linspace(-4.0, 4.0, 129)

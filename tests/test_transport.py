@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, sparse
 
-from tcilab import transport, verify
+from tcilab import numerics, transport, verify
 from tcilab.costs import builtin_cost, cost_from_table
 from tcilab.measures import (DiscreteMeasure, make_builtin, make_from_table,
                              quantile_discretize)
@@ -343,28 +343,81 @@ class TestInfConvolution:
         np.testing.assert_allclose(q, 0.0, atol=1e-14)
 
 
-def _dense_q(engine, vals):
-    """The exact engine without restriction: the knot minimum, then every
-    stationary offset of every segment slope, zero and the kink offsets,
-    each at every query point with both signs."""
-    best = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
-    slopes = np.diff(vals) / np.diff(engine.knots)
-    mags = np.unique(np.abs(np.concatenate(([0.0], slopes))))
-    offs = np.unique(np.concatenate(
-        [np.interp(mags, cp, d)
-         for cp, d in engine._branches + engine._dense]
-        + [engine._fixed]))
-    coffs = np.asarray(engine._c(offs), dtype=float)
-    for sign in (1.0, -1.0):
-        shifted = engine.query[:, None] - sign * offs[None, :]
-        cand = np.interp(shifted, engine.knots, vals) + coffs[None, :]
-        best = np.minimum(best, cand.min(axis=1))
-    return best
+def _crossings(alpha, scale, pref, mag, reach):
+    """Every offset ``d`` in ``[0, reach]`` with ``c'(d) = m`` for each ``m``
+    in ``mag``, rising or falling: each sign change of ``c' - m`` on a
+    20001-point grid solved by ``numerics.monotone_root`` to a collapsed
+    bracket."""
+    a = transport._ground(alpha, scale, pref)[0]
+
+    def cp(d):
+        return pref * a * np.asarray(alpha.deriv(a * d), dtype=float)
+
+    grid = np.linspace(0.0, reach, 20001)
+    gap = np.sign(cp(grid)[None, :] - mag[:, None])
+    which, cell = np.nonzero(gap[:, :-1] != gap[:, 1:])
+    rising = gap[which, cell + 1] > gap[which, cell]
+    offs = np.empty(len(cell))
+    for up, sgn in ((rising, 1.0), (~rising, -1.0)):
+        offs[up] = numerics.monotone_root(lambda d: sgn * cp(d),
+                                          sgn * mag[which[up]],
+                                          grid[cell[up]], grid[cell[up] + 1])
+    return offs
+
+
+def _exact_q(alpha, scale, pref, knots, vals, xs, lattice=0):
+    """Brute-force ``Q phi`` at ``xs``: the minimum of ``phi(y) + c(x - y)``
+    over the knots, the offsets ``x - y`` zero and at the kinks, every
+    crossing ``c'(d) = |s_j|`` of every segment slope (both signs) and,
+    when ``lattice`` is set, that many equally spaced ``y``."""
+    a, c = transport._ground(alpha, scale, pref)
+    xs = np.asarray(xs, dtype=float)
+    phi = GridFunction(knots, vals)
+    # phi is constant beyond its knots, so some minimizer lies between the
+    # knots and x
+    reach = float(np.max(np.maximum(np.abs(xs - knots[0]),
+                                    np.abs(xs - knots[-1]))))
+    mag = np.unique(np.abs(np.diff(vals) / np.diff(knots)))
+    # a zero slope's only stationary offset is zero
+    cross = _crossings(alpha, scale, pref, mag[mag > 0.0], reach)
+    offs = np.concatenate([[0.0], [k / a for k in alpha.kinks], cross])
+    offs = np.concatenate([offs, -offs])
+    ys = np.asarray(knots, dtype=float)
+    if lattice:
+        ys = np.union1d(ys, np.linspace(min(xs.min(), knots[0]),
+                                        max(xs.max(), knots[-1]), lattice))
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), 64):
+        x = xs[i:i + 64, None]
+        y = np.concatenate([np.broadcast_to(ys, (len(x), len(ys))),
+                            x - offs[None, :]], axis=1)
+        out[i:i + 64] = np.min(phi(y) + c(x - y), axis=1)
+    return out
+
+
+def _table_cost(fn):
+    ts = np.linspace(0.0, 8.0, 33)
+    return cost_from_table(ts, fn(ts))
 
 
 _ENGINE_COSTS = [("alpha1", {}), ("theta_p", {"p": 2.0}),
                  ("alpha_p", {"p": 1.5})]
 _ENGINE_SETTINGS = [(None, 1.0 / 36.0), (1.0, 10.0), (0.25, 0.5)]
+_EXACT_COSTS = {
+    "alpha1": lambda: builtin_cost("alpha1"),
+    "theta2": lambda: builtin_cost("theta_p", p=2.0),
+    "theta3": lambda: builtin_cost("theta_p", p=3.0),
+    "alpha_p1.5": lambda: builtin_cost("alpha_p", p=1.5),
+    "gamma0.5": lambda: builtin_cost("gamma", lam=0.5),
+    "maurey": lambda: builtin_cost("maurey"),
+    # the spliced table of test_verify: PCHIP of the quadratic-linear
+    # profile with a finite-difference c'
+    "spliced-table": lambda: _table_cost(
+        lambda t: np.where(t <= 1.0, t * t, 2.0 * t - 1.0)),
+    # c' = t + 0.9 + 0.9 cos 3t rises and falls
+    "wavy-table": lambda: _table_cost(
+        lambda t: t * t / 2.0 + 0.3 * np.sin(3.0 * t) + 0.9 * t),
+}
 
 
 @pytest.fixture(scope="module")
@@ -390,61 +443,49 @@ class TestScreenedEngine:
                 broadcast = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
                 np.testing.assert_array_equal(engine.knot_min(vals), broadcast)
 
-    def test_small_engine_knot_min_is_the_row_passes(self, dual_setup):
-        # a matrix of at most 2**16 entries takes its knot minimum in one
-        # broadcast pass; it must be the row passes' result bit for bit
-        knots, query, potentials = dual_setup
-        alpha = builtin_cost("alpha1")
-        for n in (5, 1024):
-            engine = ExactInfConvolution(query[::len(query) // n][:n], knots,
-                                         alpha, 0.25, 1.0 / 36.0)
-            assert engine.knot_cost.size <= 2 ** 16
-            for vals in potentials:
-                *_, rows = engine.upper_bounds(vals)
-                np.testing.assert_array_equal(engine.knot_min(vals), rows)
-
     @pytest.mark.parametrize("name,params", _ENGINE_COSTS)
     @pytest.mark.parametrize("scale,pref", _ENGINE_SETTINGS)
     def test_restricted_pass_matches_dense(self, dual_setup, name, params,
                                            scale, pref):
+        # at every query: the knots, zero, the kinks and every exact
+        # stationary offset of every slope, both signs
         knots, query, potentials = dual_setup
         alpha = builtin_cost(name, **params)
         engine = ExactInfConvolution(query, knots, alpha, scale, pref)
-        _, c = transport._ground(alpha, scale, pref)
-        sub = np.arange(0, len(query), 97)
-        lattice = np.linspace(query.min(), query.max(), 4001)
         for vals in potentials:
-            got, dense = engine.q(vals), _dense_q(engine, vals)
-            # fewer candidates than the dense pass, never more
-            assert np.all(got >= dense)
-            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
-            phi = GridFunction(knots, vals)
-            slopes = np.diff(vals) / np.diff(knots)
-            branches = engine._branches + engine._dense
-            offs = np.concatenate([np.interp(np.abs(slopes), cp, d)
-                                   for cp, d in branches])
-            signs = np.tile(np.sign(slopes), len(branches))
-            for i in sub:
-                x = query[i]
-                ys = np.concatenate([lattice, knots, x - signs * offs])
-                brute = np.min(phi(ys) + c(x - ys))
-                assert got[i] >= brute - 1e-12
-                assert got[i] <= brute + 1e-12
+            exact = _exact_q(alpha, scale, pref, knots, vals, query)
+            np.testing.assert_allclose(engine.q(vals), exact, rtol=1e-12,
+                                       atol=1e-12)
 
-    def test_non_monotone_derivative_keeps_the_dense_pass(self, dual_setup):
-        # a PCHIP table's numeric c' dips, so a stationary offset need not
-        # land in its own segment: those branches keep the all-query,
-        # both-sign pass and the result is the dense enumeration's exactly
+    @pytest.mark.parametrize("name", _EXACT_COSTS)
+    @pytest.mark.parametrize("scale,pref", _ENGINE_SETTINGS)
+    def test_q_matches_the_brute_force(self, dual_setup, name, scale, pref):
+        # every stationary point of a piecewise-monotone c', a table's
+        # numeric c' included, plus a 4001-point lattice of y
         knots, query, potentials = dual_setup
-        ts = np.linspace(0.0, 8.0, 33)
-        table = cost_from_table(ts, np.where(ts <= 1.0, ts * ts,
-                                             2.0 * ts - 1.0))
-        for scale, pref in ((0.25, 1.0 / 36.0), (1.0, 10.0)):
-            engine = ExactInfConvolution(query, knots, table, scale, pref)
-            assert engine._dense
-            for vals in potentials:
-                np.testing.assert_array_equal(engine.q(vals),
-                                              _dense_q(engine, vals))
+        alpha = _EXACT_COSTS[name]()
+        engine = ExactInfConvolution(query, knots, alpha, scale, pref)
+        sub = np.append(np.arange(0, len(query), 97), len(query) - 1)
+        for vals in potentials:
+            exact = _exact_q(alpha, scale, pref, knots, vals, query[sub],
+                             lattice=4001)
+            err = np.abs(engine.q(vals)[sub] - exact)
+            assert np.all(err <= 1e-12 * (1.0 + np.abs(exact)))
+
+    def test_refute_worst_product_is_the_exact_one(self, mu1):
+        # the spliced table refuted at prefactor 10 (seed 3): the reported
+        # product must be the one of the brute-force Q phi at every node
+        alpha = _EXACT_COSTS["spliced-table"]()
+        rep = verify.dual_check_strong(mu1, alpha, scale=1.0, prefactor=10.0,
+                                       trials=60, seed=3)
+        quadr = verify._DualQuadrature(mu1, rep.worst_phi.grid)
+        vals = rep.worst_phi.values
+        qv = _exact_q(alpha, 1.0, 10.0, rep.worst_phi.grid, vals, quadr.query)
+        phi = np.interp(quadr.nodes, rep.worst_phi.grid, vals)
+        want = (quadr.exp_integral(qv[:-2], qv[-2], qv[-1])
+                * quadr.exp_integral(-phi, -vals[0], -vals[-1]))
+        assert rep.worst_product == pytest.approx(want, rel=1e-9)
+        assert rep.worst_product == pytest.approx(2085138.25, rel=1e-6)
 
 
 class TestWeakDuality:
