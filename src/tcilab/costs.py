@@ -107,10 +107,18 @@ def _alpha1():
                         admissible=True, convex=False, kinks=(1.0,))
 
 
-def _alpha_p(p):
+def _exponent(p):
+    """The power-family exponent ``p`` as a float; finite and >= 1."""
     p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     if p < 1.0:
         raise ValueError("exponent must be >= 1")
+    return p
+
+
+def _alpha_p(p):
+    p = _exponent(p)
     if p < 2.0:
         def fn(t):
             t = np.abs(np.asarray(t, dtype=float))
@@ -143,9 +151,7 @@ def _alpha_p(p):
 
 
 def _theta_p(p):
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("exponent must be >= 1")
+    p = _exponent(p)
     off = 1.0 - 2.0 / p
 
     def fn(t):
@@ -218,7 +224,7 @@ def builtin_cost(name: str, **params) -> CostFunction:
 
     Names: ``alpha1``, ``alpha_p`` (param ``p``), ``theta_p`` (param ``p``),
     ``maurey_tilde`` (alias ``maurey``), ``talagrand_gamma`` (alias ``gamma``,
-    param ``lam``).
+    param ``lam``).  Every parameter must be finite.
     """
     try:
         factory = _COST_BUILTINS[name]

@@ -3,6 +3,8 @@
 A measure is represented by ``dmu = exp(-V(x) - logZ) dx`` on its support.
 Built-ins (two-sided exponential, exponential-power family, Gaussian, Cauchy,
 one-sided exponential) carry closed-form cdf / survival / quantile functions.
+Only the Gaussian and the exponential-power law need ``scipy.special``; they
+import it when they are built, so the module itself loads numpy only.
 Measures built from a raw potential or a tabulated one carry a cell table
 instead: a partition of the mass window whose cells hold their Gauss-Kronrod
 masses, so cdf and sf are a table lookup plus one 15-point rule on the
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import numerics
 from .verdict import Verdict, HOLDS, FAILS
@@ -294,10 +295,20 @@ def _exponential_symmetric():
                      potential_deriv=np.sign, kink_points=(0.0,), median=0.0)
 
 
+def _finite(name, value):
+    """``value`` as a float; ``ValueError`` naming ``name`` if nan or inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _gaussian(sigma=1.0, mean=0.0):
-    if sigma <= 0:
+    s, m = _finite("sigma", sigma), _finite("mean", mean)
+    if s <= 0:
         raise ValueError("sigma must be positive")
-    s, m = float(sigma), float(mean)
+    from scipy import special
+
     label = f"gaussian(sigma={s:g})" if m == 0.0 else \
         f"gaussian(sigma={s:g},mean={m:g})"
     return Measure1D(lambda x: (np.asarray(x, dtype=float) - m) ** 2 / (2.0 * s * s),
@@ -339,9 +350,11 @@ def _cauchy():
 
 
 def _exp_power(p):
-    p = float(p)
+    p = _finite("p", p)
     if p < 0.5:
         raise ValueError("exp_power exponent must be >= 0.5")
+    from scipy import special
+
     inv_p = 1.0 / p
     logZ = math.log(2.0) + math.lgamma(1.0 + inv_p)
 
@@ -373,9 +386,9 @@ def _exp_power(p):
 
 
 def _one_sided_exp(rate=1.0):
-    if rate <= 0:
+    a = _finite("rate", rate)
+    if a <= 0:
         raise ValueError("rate must be positive")
-    a = float(rate)
     return Measure1D(lambda x: a * np.asarray(x, dtype=float),
                      -math.log(a), support=(0.0, math.inf),
                      name=f"one_sided_exp(rate={a:g})",
@@ -403,8 +416,11 @@ def make_builtin(name: str, **params) -> Measure1D:
     """Construct a built-in measure by name.
 
     Names: ``exponential_symmetric`` (alias ``exponential``),
-    ``exp_power`` (param ``p``), ``gaussian`` (param ``sigma``), ``cauchy``,
-    ``one_sided_exp`` (param ``rate``).
+    ``exp_power`` (param ``p``), ``gaussian`` (params ``sigma``, ``mean``),
+    ``cauchy``, ``one_sided_exp`` (param ``rate``).  Every parameter must
+    be finite.
+    ``gaussian`` and ``exp_power`` import ``scipy.special`` when built; the
+    others use numpy only.
     """
     try:
         factory = _BUILTINS[name]

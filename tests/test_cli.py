@@ -181,6 +181,18 @@ class TestRunAnalyze:
         assert rep.conclusion == ("certificate assembled but not verified "
                                   f"({stage} error)")
 
+    @pytest.mark.parametrize("measure,cost,stage", [
+        ("gaussian sigma=nan", "alpha1", "measure"),
+        ("exponential", "alpha_p p=nan", "cost"),
+    ])
+    def test_non_finite_parameter_errors_its_stage(self, measure, cost, stage):
+        rep = run_analyze(AnalysisConfig(measure=measure, cost=cost,
+                                         dual_trials=10, mc_samples=1000))
+        stages = {s["stage"]: s for s in rep.stages}
+        assert stages[stage]["status"] == "error"
+        assert "must be finite" in stages[stage]["detail"]
+        assert rep.conclusion == "inconclusive"
+
     def test_byte_identical_reports(self):
         cfg = AnalysisConfig(measure="exponential", cost="alpha1",
                              dual_trials=10, mc_samples=1000, seed=9)

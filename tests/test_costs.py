@@ -83,6 +83,17 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown builtin cost"):
             builtin_cost("squared")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha_p", "theta_p"])
+    def test_non_finite_exponent_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="p must be finite"):
+            builtin_cost(name, p=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"lambda must lie in \(0, 1\)"):
+            builtin_cost("gamma", lam=bad)
+
 
 class TestAdmissibility:
     def test_builtin_flags_match_validation(self, alpha1, theta2):

@@ -90,6 +90,15 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown builtin measure"):
             make_builtin("lebesgue")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,param", [
+        ("gaussian", "sigma"), ("gaussian", "mean"), ("exp_power", "p"),
+        ("one_sided_exp", "rate"),
+    ])
+    def test_non_finite_parameter_rejected(self, name, param, bad):
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            make_builtin(name, **{param: bad})
+
 
 class TestInverses:
     def test_quantile_cdf_roundtrip(self, mu1, gaussian, cauchy):

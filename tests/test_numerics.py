@@ -14,7 +14,7 @@ import pytest
 
 from scipy import interpolate, optimize
 
-from tcilab import costs, criteria, measures, numerics, verify
+from tcilab import cli, costs, criteria, measures, numerics, verify
 
 
 def _loop_gauss_nodes(breaks, panels, order):
@@ -330,15 +330,60 @@ def _fresh_python(code):
 
 
 _LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
-               "scipy.sparse")
+               "scipy.sparse", "scipy.special")
+
+#: prints every loaded scipy module, then a sentinel so the list may be empty
+_SCIPY_LOADED = ("print(*sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'), '|')")
 
 
 def test_import_does_not_load_scipy_integrate():
-    # importing the package loads numpy and scipy.special only; the
-    # remaining scipy subpackages load where a function first needs them
+    # importing the package loads numpy only; each scipy subpackage loads
+    # where a function first needs it
     out = _fresh_python("import sys, tcilab; print(*(m in sys.modules "
                         f"for m in {_LAZY_SCIPY!r}))")
     assert out == ["False"] * len(_LAZY_SCIPY)
+
+
+def test_cli_import_loads_no_scipy():
+    # the command line imports the whole package, tcilab included
+    assert _fresh_python(f"import sys, tcilab.cli\n{_SCIPY_LOADED}") == ["|"]
+
+
+def test_default_analyze_runs_without_scipy(tmp_path):
+    # the default pair (exponential/alpha1), from the command line to the
+    # written report, and the cauchy law need numpy only
+    out = _fresh_python(
+        "import sys\n"
+        "from tcilab import cli\n"
+        "rc = cli.main(['analyze', '--mu', 'exponential', '--cost', 'alpha1', "
+        "'--trials', '10', '--samples', '1000', '--format', 'json', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "cli.run_analyze(cli.AnalysisConfig(measure='cauchy', "
+        "dual_trials=10, mc_samples=1000))\n"
+        f"print(rc)\n{_SCIPY_LOADED}")
+    assert out == [str(tmp_path / "report.json"), "0", "|"]
+    cfg = cli.AnalysisConfig(measure="exponential", cost="alpha1",
+                             dual_trials=10, mc_samples=1000,
+                             out_dir=str(tmp_path))
+    assert (tmp_path / "report.json").read_text() \
+        == cli.run_analyze(cfg).to_json()
+
+
+@pytest.mark.parametrize("name,params,param", [
+    ("gaussian", {}, "sigma"), ("exp_power", {"p": 1.5}, "p")])
+def test_special_functions_load_when_their_law_is_built(name, params, param):
+    # a rejected parameter raises before the import
+    out = _fresh_python(
+        "import sys\n"
+        "from tcilab import measures\n"
+        "try:\n"
+        f"    measures.make_builtin({name!r}, {param}=float('nan'))\n"
+        "except ValueError:\n"
+        "    print('scipy.special' in sys.modules)\n"
+        f"measures.make_builtin({name!r}, **{params!r})\n"
+        "print('scipy.special' in sys.modules)")
+    assert out == ["False", "True"]
 
 
 def test_cost_lp_loads_its_solver_on_first_call():
@@ -355,9 +400,10 @@ def test_cost_lp_loads_its_solver_on_first_call():
     assert float(out[2]) == pytest.approx(0.6, abs=1e-12)
 
 
-def test_only_scipy_special_is_imported_at_module_level():
-    # scipy.optimize/sparse are imported inside cost_lp and scipy.integrate
-    # inside numerics.quad; every other scipy use goes through numerics
+def test_no_scipy_import_at_module_level():
+    # scipy.special is imported inside the gaussian and exp_power builders,
+    # scipy.optimize/sparse inside cost_lp and scipy.integrate inside
+    # numerics.quad
     src = Path(numerics.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -375,7 +421,7 @@ def test_only_scipy_special_is_imported_at_module_level():
             elif isinstance(node, ast.Import):
                 found += [f"{path.name}: import {a.name}" for a in node.names
                           if a.name.split(".")[0] == "scipy"]
-    assert found == ["measures.py: from scipy import special"]
+    assert found == []
 
 
 def _pchip_tables():
