@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline: spec grammars, config
 round-trips, the analyze stages, report emission, and the subcommands."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -199,6 +200,63 @@ class TestRunAnalyze:
         a = run_analyze(cfg).to_json()
         b = run_analyze(cfg).to_json()
         assert a == b
+
+
+#: one config per report path: certified, heavy tail, log-concave, a
+#: non-log-concave power law, a table measure, a requested cost, and a
+#: measure error that skips everything downstream
+_PANEL = {
+    "exponential": {},
+    "cauchy": {"measure": "cauchy"},
+    "gaussian-theta2": {"measure": "gaussian sigma=1", "cost": "theta_p p=2"},
+    "exp_power-alpha_p": {"measure": "exp_power p=1.5",
+                          "cost": "alpha_p p=1.5"},
+    "quartic-table": {"measure": "table file=quartic.csv"},
+    "requested-cost": {"scale": 0.25, "prefactor": "1/72"},
+    "lognormal": {"measure": "lognormal"},
+}
+
+#: sha256 of (to_json(), to_text()) per panel config
+_PANEL_DIGESTS = {
+    "cauchy": (
+        "831ee323c7259c71c1a207798821e347e056ab85c9db97781a6df845fb54d335",
+        "3c492afa931354126032ebbfdc464273180dddfdaffabe30d4228e44f649a819"),
+    "exp_power-alpha_p": (
+        "49f5ed143b8e97d99649f1e166049dc3285215f6f7ea5fde9786c338c789346f",
+        "66ba42b230646b7a3f278508f2f77da817aeb19f1a33a498e8f96b555e370316"),
+    "exponential": (
+        "dccf19966448b20f6695c4f59c5cdd15186a6d7f2ffbd85b86fea689874eeb7a",
+        "dfa228f85951302ecfb148184eb4f51b337bc8545631e3b998564fa6d7344f73"),
+    "gaussian-theta2": (
+        "7484bbc1e48b918b10f167d44b0573345d28e17e22d78816eb5ebb1e661b1c96",
+        "395abb104c6f77d8fac8611305ee22b1d18ef0c5963470209630acda94959386"),
+    "lognormal": (
+        "913f2a5a4c27520a83b42ac151d6c19c16210dd0f4792aa36dd5f19ef141bbae",
+        "418be7356a96ed84fabb5e31b7d45b7287e7e8f12e7f9536b344dbde6416bb30"),
+    "quartic-table": (
+        "cf738d958aa3159315452e5cefcd5e0df970e545b2936f848996da8f44698ee0",
+        "3b2926adc02640af4dd1321a4a58987d2b2ad7970f14f1f0c983e1bcf6ec3d63"),
+    "requested-cost": (
+        "012b1eadc52f1db06ed2df86d146672504ffea5b07135de4424c088d4bd3e068",
+        "ea91880d77ded63dd454c90e586f0f9e3676df5eb3ce111be71fb972f993cab9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL))
+def test_report_bytes_pinned(name, tmp_path, monkeypatch):
+    # every report byte is a function of the config alone, so a refactor of
+    # the pipeline must reproduce these digests exactly
+    monkeypatch.setattr(cli, "VERSION", "pinned")
+    monkeypatch.chdir(tmp_path)
+    # the quartic table of tests/test_criteria.py, at a relative path
+    xs = np.linspace(-4.0, 4.0, 129).tolist()
+    Path("quartic.csv").write_text(
+        "".join(f"{x!r},{x ** 4 / 4.0!r}\n" for x in xs))
+    rep = run_analyze(AnalysisConfig(dual_trials=50, mc_samples=2000, seed=3,
+                                     **_PANEL[name]))
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.to_json(), rep.to_text()))
+    assert got == _PANEL_DIGESTS[name]
 
 
 _DUAL_PRODUCT = (

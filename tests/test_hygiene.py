@@ -1,0 +1,33 @@
+"""Every module-level import of the package is referenced in its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tcilab"
+
+
+def _module_imports(tree):
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            todo += node.body + node.orelse + getattr(node, "finalbody", [])
+            todo += [s for h in getattr(node, "handlers", []) for s in h.body]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    assert sorted(set(_module_imports(tree)) - used) == []
