@@ -1,12 +1,12 @@
 """Command-line entry point and the end-to-end analysis pipeline.
 
-``tci-lab analyze`` runs the full battery on a (measure, cost) pair: shape
-predicates, the Lipschitz/Muckenhoupt functionals, the decision procedures,
-and the numerical verifiers at whichever scale the decision assembled.  Each
-stage is isolated: an error is recorded in the report and every stage that
-depended on its output degrades to ``inconclusive`` instead of aborting the
-run.  Reports are plain JSON with sorted keys and no timestamps, so identical
-config + seed reproduces the bytes exactly.
+``tci-lab analyze`` runs the full battery on a (measure, cost) pair as one
+ordered stage table, ``_STAGES``, run by one loop.  A stage whose needed
+stages did not run ``ok`` is skipped with "prerequisite unavailable", a
+verifier with no scale (neither requested nor assembled by ``decide``) with
+"no assembled scale"; an error is recorded in the report instead of
+aborting the run.  Reports are plain JSON with sorted keys and no
+timestamps, so identical config + seed reproduces the bytes exactly.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ class AnalysisConfig:
     - ``dual_trials`` / ``mc_samples``: verification effort.
     - ``out_dir``: where :func:`emit_report` writes files (None = stdout only).
 
-    :meth:`validate` checks the numeric fields; :func:`run_analyze` calls it
-    before any stage runs.
+    :meth:`validate` checks every field; :func:`run_analyze` calls it before
+    any stage runs.
     """
 
     measure: str = "exponential"
@@ -180,29 +180,46 @@ class AnalysisConfig:
     mc_samples: int = 100000
     out_dir: Optional[str] = None
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` naming the first field out of range."""
+    def validate(self) -> float:
+        """Raise ``ValueError`` naming the first field out of range.
+
+        Returns the prefactor as a number (1.0 when unset).
+        """
+        def bad(name, want):
+            return ValueError(f"config field {name} must be {want}, "
+                              f"got {getattr(self, name)!r}")
+
         def integer(name):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, int):
-                raise ValueError(f"config field {name} must be an integer, "
-                                 f"got {val!r}")
+                raise bad(name, "an integer")
             return val
 
+        def positive(val):  # also rejects ints too large for a float
+            return isinstance(val, (int, float)) \
+                and not isinstance(val, bool) \
+                and 0 < val <= sys.float_info.max
+
+        for name in ("measure", "cost"):
+            if not isinstance(getattr(self, name), str):
+                raise bad(name, "a grammar string")
         if integer("dual_trials") < 0:
-            raise ValueError(f"config field dual_trials must be >= 0, "
-                             f"got {self.dual_trials}")
+            raise bad("dual_trials", ">= 0")
         if integer("mc_samples") < 1:
-            raise ValueError(f"config field mc_samples must be >= 1, "
-                             f"got {self.mc_samples}")
+            raise bad("mc_samples", ">= 1")
         if not 0 <= integer("seed") < 2 ** 128:
-            raise ValueError(f"config field seed must lie in [0, 2**128), "
-                             f"got {self.seed}")
-        kappa = self.kappa
-        if isinstance(kappa, bool) or not isinstance(kappa, (int, float)) \
-                or not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"config field kappa must be a finite number "
-                             f"> 0, got {kappa!r}")
+            raise bad("seed", "in [0, 2**128)")
+        if not positive(self.kappa):
+            raise bad("kappa", "a finite number > 0")
+        if not (self.scale is None or positive(self.scale)):
+            raise bad("scale", "None or a finite number > 0")
+        try:
+            prefactor = parse_prefactor(self.prefactor)
+        except (AttributeError, ValueError):
+            prefactor = None
+        if isinstance(self.prefactor, bool) or not positive(prefactor):
+            raise bad("prefactor", "a finite number > 0 or a ratio like 1/36")
+        return prefactor
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -328,219 +345,197 @@ _REFUTE_SCALES = tuple(2.0 ** -k for k in range(0, 7))
 _ANALYZE_DIMS = (1, 4)
 
 
-def run_analyze(config: AnalysisConfig) -> AnalysisReport:
-    """Run the full pipeline; stage errors degrade later stages.
+def _measure(report, out):
+    mu = parse_measure_spec(report.config.measure)
+    report.measure_summary.update(name=mu.name, median=float(mu.median),
+                                  logZ=float(mu.logZ),
+                                  support=list(mu.support))
+    return mu
 
-    Order: measure validation, shape predicates, Lipschitz/Muckenhoupt
-    functionals, the decision procedure matching the measure's shape (both
-    are recorded when applicable), the derivative-ratio sufficiency check,
-    then the numerical verifiers -- dual, integrability, concentration for
-    n in {1, 4} -- at the assembled (or overridden) scale.  An invalid
-    config raises ``ValueError`` before any stage runs.
-    """
-    config.validate()
-    stages: List[Dict[str, str]] = []
-    measure_summary: Dict[str, Any] = {}
-    criteria_out: Dict[str, Any] = {}
-    verification: Dict[str, Any] = {}
-    curves: Dict[str, Any] = {}
 
-    def stage(name, fn, requires: Sequence[Any] = ()):
-        if any(r is None for r in requires):
-            stages.append({"stage": name, "status": "skipped",
-                           "detail": "prerequisite unavailable"})
-            return None
-        try:
-            out = fn()
-        except Exception as exc:  # noqa: BLE001 - isolate every stage
-            stages.append({"stage": name, "status": "error",
-                           "detail": f"{type(exc).__name__}: {exc}"})
-            return None
-        stages.append({"stage": name, "status": "ok", "detail": ""})
-        return out
+def _cost(report, out):
+    return parse_cost_spec(report.config.cost)
 
-    mu = stage("measure", lambda: parse_measure_spec(config.measure))
-    if mu is not None:
-        measure_summary["name"] = mu.name
-        measure_summary["median"] = float(mu.median)
-        measure_summary["logZ"] = float(mu.logZ)
-        measure_summary["support"] = list(mu.support)
-    alpha = stage("cost", lambda: parse_cost_spec(config.cost),
-                  requires=(mu,))
 
-    def shape():
-        adm = validate_admissible(alpha)
-        lc = is_log_concave(mu)
-        criteria_out["admissible"] = adm.to_dict()
-        measure_summary["log_concave"] = lc.status
-        criteria_out["log_concave"] = lc.to_dict()
-        return adm, lc
+def _shape(report, out):
+    adm = validate_admissible(out["cost"])
+    lc = is_log_concave(out["measure"])
+    report.criteria["admissible"] = adm.to_dict()
+    report.measure_summary["log_concave"] = lc.status
+    report.criteria["log_concave"] = lc.to_dict()
+    return adm, lc
 
-    shape_out = stage("shape", shape, requires=(mu, alpha))
-    lc_holds = bool(shape_out and shape_out[1].holds)
 
-    def lipschitz():
-        v = lipschitz_check(mu)
-        criteria_out["lipschitz"] = v.to_dict()
-        if v.holds:
-            measure_summary["A_plus"] = v.constants["A_plus"]
-            measure_summary["A_minus"] = v.constants["A_minus"]
-        return v
+def _lipschitz(report, out):
+    v = lipschitz_check(out["measure"])
+    report.criteria["lipschitz"] = v.to_dict()
+    if v.holds:
+        report.measure_summary["A_plus"] = v.constants["A_plus"]
+        report.measure_summary["A_minus"] = v.constants["A_minus"]
+    return v
 
-    lip = stage("lipschitz", lipschitz, requires=(mu,))
 
-    def muck():
-        d_plus, d_minus = muckenhoupt(mu)
-        measure_summary["D_plus"] = d_plus
-        measure_summary["D_minus"] = d_minus
-        return d_plus, d_minus
+def _muckenhoupt(report, out):
+    d_plus, d_minus = muckenhoupt(out["measure"])
+    report.measure_summary["D_plus"] = d_plus
+    report.measure_summary["D_minus"] = d_minus
+    return d_plus, d_minus
 
-    stage("muckenhoupt", muck, requires=(mu,))
 
-    def decide():
-        # char-lm is the general criterion and is always recorded; the
-        # log-concave specialization runs only when the shape predicate
-        # certified it, and then supplies the primary certificate.
-        v_lm = decide_strong_tci_lip(mu, alpha, kappa=config.kappa)
-        criteria_out["char_lm"] = v_lm.to_dict()
-        if lc_holds:
-            v_lc = decide_strong_tci_logconcave(mu, alpha,
-                                                kappa=config.kappa)
-            criteria_out["char_logconcave"] = v_lc.to_dict()
-            return v_lc
-        criteria_out["char_logconcave"] = {
-            "status": INCONCLUSIVE,
-            "constants": {},
-            "diagnostics": {"reason": "measure not certified log-concave"},
-        }
-        return v_lm
-
-    primary = stage("decide", decide, requires=(mu, alpha))
-
-    def suff():
-        v = suff_condition(mu, alpha)
-        criteria_out["suff_cond"] = v.to_dict()
-        return v
-
-    stage("suff_cond", suff, requires=(mu, alpha))
-
-    def modulus():
-        rm = rearrangement(mu, establish_lipschitz=False)
-        h = np.linspace(0.25, 8.0, 32)
-        w_plus, w_minus, lower = omega_bounds(rm, h)
-        curves["modulus"] = {"h": h, "omega_plus": w_plus,
-                             "omega_minus": w_minus, "lower": lower}
-        return True
-
-    stage("modulus", modulus, requires=(mu,))
-
-    # scale for the verification stages: explicit override wins, else the
-    # assembled certificate alpha(a(x-y)) / (2 kappa)
-    scale_a: Optional[float] = None
-    prefactor = parse_prefactor(config.prefactor)
-    if config.scale is not None:
-        scale_a = float(config.scale)
-    elif primary is not None and primary.holds:
-        scale_a = float(primary.constants["a"])
+def _decide(report, out):
+    # char-lm is the general criterion and is always recorded; the
+    # log-concave specialization runs only when the shape predicate
+    # certified it, and then supplies the primary certificate.
+    mu, alpha, config = out["measure"], out["cost"], report.config
+    primary = decide_strong_tci_lip(mu, alpha, kappa=config.kappa)
+    report.criteria["char_lm"] = primary.to_dict()
+    if "shape" in out and out["shape"][1].holds:
+        primary = decide_strong_tci_logconcave(mu, alpha, kappa=config.kappa)
+        report.criteria["char_logconcave"] = primary.to_dict()
+    else:
+        report.criteria["char_logconcave"] = Verdict(INCONCLUSIVE, {}, {
+            "reason": "measure not certified log-concave"}).to_dict()
+    # unless the config requests a cost, the verifiers test the assembled
+    # certificate alpha(a(x-y)) / (2 kappa)
+    if primary.holds and config.scale is None:
+        report.verification["scale"] = float(primary.constants["a"])
         if config.prefactor is None:
-            prefactor = 1.0 / (2.0 * config.kappa)
-    verification["scale"] = scale_a
-    verification["prefactor"] = prefactor
+            report.verification["prefactor"] = 1.0 / (2.0 * config.kappa)
+    return primary
 
-    def dual():
-        rep = dual_check_strong(mu, alpha, scale=scale_a,
-                                prefactor=prefactor,
-                                trials=config.dual_trials,
-                                seed=config.seed)
-        verification["dual"] = {
-            "status": rep.status, "trials": rep.trials,
-            "worst_product": rep.worst_product,
-            "worst_label": rep.worst_label, "seed": rep.seed,
-        }
-        return rep
 
-    if scale_a is None:
-        verification["dual"] = {"status": INCONCLUSIVE,
-                                "reason": "no assembled scale"}
-        stages.append({"stage": "dual", "status": "skipped",
-                       "detail": "no assembled scale"})
-        dual_rep = None
-    else:
-        dual_rep = stage("dual", dual, requires=(mu, alpha))
+def _suff_cond(report, out):
+    v = suff_condition(out["measure"], out["cost"])
+    report.criteria["suff_cond"] = v.to_dict()
+    return v
 
-    def integrability():
-        if scale_a is not None:
-            v = integrability_check(mu, alpha, scale=scale_a,
-                                    prefactor=prefactor)
-            verification["integrability"] = v.to_dict()
-            return v
-        # nothing was assembled: scan a geometric ladder of scales and
-        # report which of them the ray products already refute
-        scan = []
-        statuses = []
-        for a in _REFUTE_SCALES:
-            v = integrability_check(mu, alpha, scale=a,
-                                    prefactor=prefactor)
-            scan.append({"scale": a, "status": v.status})
-            statuses.append(v.status)
-        verification["integrability_scan"] = scan
-        all_refuted = bool(statuses) and all(s == FAILS for s in statuses)
-        verification["integrability"] = {
-            "status": FAILS if all_refuted else INCONCLUSIVE,
-            "reason": "every scanned scale refuted" if all_refuted
-                      else "scan not uniformly refuted",
-        }
-        return all_refuted
 
-    integ_out = stage("integrability", integrability,
-                      requires=(mu, alpha))
+def _modulus(report, out):
+    rm = rearrangement(out["measure"], establish_lipschitz=False)
+    h = np.linspace(0.25, 8.0, 32)
+    w_plus, w_minus, lower = omega_bounds(rm, h)
+    report.curves["modulus"] = {"h": h, "omega_plus": w_plus,
+                                "omega_minus": w_minus, "lower": lower}
+    return report.curves["modulus"]
 
-    def concentration():
-        tables = []
-        for n in _ANALYZE_DIMS:
-            rep = concentration_mc(mu, alpha, scale=scale_a,
-                                   prefactor=prefactor, n=n,
-                                   samples=config.mc_samples,
-                                   seed=config.seed + n)
-            tables.append({"n": n, "status": rep.verdict.status,
-                           "mass_a": rep.mass_a,
-                           "samples": rep.samples})
-            curves[f"concentration_n{n}"] = {"rows": rep.rows()}
-        verification["concentration"] = tables
-        return tables
 
-    if scale_a is None:
-        verification["concentration"] = {"status": INCONCLUSIVE,
-                                         "reason": "no assembled scale"}
-        stages.append({"stage": "concentration", "status": "skipped",
-                       "detail": "no assembled scale"})
-    else:
-        stage("concentration", concentration, requires=(mu, alpha))
+def _dual(report, out):
+    ver, config = report.verification, report.config
+    rep = dual_check_strong(out["measure"], out["cost"], scale=ver["scale"],
+                            prefactor=ver["prefactor"],
+                            trials=config.dual_trials, seed=config.seed)
+    ver["dual"] = {
+        "status": rep.status, "trials": rep.trials,
+        "worst_product": rep.worst_product,
+        "worst_label": rep.worst_label, "seed": rep.seed,
+    }
+    return rep
 
-    conclusion = _conclude(config, primary, dual_rep,
-                           verification, integ_out, stages)
 
-    cfg_for_hash = config
-    provenance = {
+def _integrability(report, out):
+    mu, alpha, ver = out["measure"], out["cost"], report.verification
+    if ver["scale"] is not None:
+        v = integrability_check(mu, alpha, scale=ver["scale"],
+                                prefactor=ver["prefactor"])
+        ver["integrability"] = v.to_dict()
+        return v
+    # nothing was assembled: scan a geometric ladder of scales and
+    # report which of them the ray products already refute
+    scan = []
+    for a in _REFUTE_SCALES:
+        v = integrability_check(mu, alpha, scale=a,
+                                prefactor=ver["prefactor"])
+        scan.append({"scale": a, "status": v.status})
+    ver["integrability_scan"] = scan
+    all_refuted = all(row["status"] == FAILS for row in scan)
+    ver["integrability"] = {
+        "status": FAILS if all_refuted else INCONCLUSIVE,
+        "reason": "every scanned scale refuted" if all_refuted
+                  else "scan not uniformly refuted",
+    }
+    return all_refuted
+
+
+def _concentration(report, out):
+    ver, config = report.verification, report.config
+    tables = []
+    for n in _ANALYZE_DIMS:
+        rep = concentration_mc(out["measure"], out["cost"],
+                               scale=ver["scale"], prefactor=ver["prefactor"],
+                               n=n, samples=config.mc_samples,
+                               seed=config.seed + n)
+        tables.append({"n": n, "status": rep.verdict.status,
+                       "mass_a": rep.mass_a, "samples": rep.samples})
+        report.curves[f"concentration_n{n}"] = {"rows": rep.rows()}
+    ver["concentration"] = tables
+    return tables
+
+
+#: the pipeline in run order: stage name, the stages whose output it needs,
+#: whether it needs a verification scale, and the function that fills its
+#: part of the report from the earlier outputs and returns its own output
+_STAGES = (
+    ("measure", (), False, _measure),
+    ("cost", ("measure",), False, _cost),
+    ("shape", ("measure", "cost"), False, _shape),
+    ("lipschitz", ("measure",), False, _lipschitz),
+    ("muckenhoupt", ("measure",), False, _muckenhoupt),
+    ("decide", ("measure", "cost"), False, _decide),
+    ("suff_cond", ("measure", "cost"), False, _suff_cond),
+    ("modulus", ("measure",), False, _modulus),
+    ("dual", ("measure", "cost"), True, _dual),
+    ("integrability", ("measure", "cost"), False, _integrability),
+    ("concentration", ("measure", "cost"), True, _concentration),
+)
+
+
+def run_analyze(config: AnalysisConfig) -> AnalysisReport:
+    """Run every row of the stage table in order; see the module docstring.
+
+    An invalid config raises ``ValueError`` before any stage runs.
+    """
+    prefactor = config.validate()
+    scale = None if config.scale is None else float(config.scale)
+    report = AnalysisReport(
+        config=config, measure_summary={}, criteria={},
+        verification={"scale": scale, "prefactor": prefactor}, curves={},
+        stages=[], conclusion="", provenance={})
+    out: Dict[str, Any] = {}  # the output of every stage that ran ok
+    for name, needs, needs_scale, fill in _STAGES:
+        status, detail = "skipped", ""
+        if needs_scale and report.verification["scale"] is None:
+            detail = "no assembled scale"
+            report.verification[name] = {"status": INCONCLUSIVE,
+                                         "reason": detail}
+        elif any(need not in out for need in needs):
+            detail = "prerequisite unavailable"
+        else:
+            try:
+                out[name] = fill(report, out)
+                status = "ok"
+            except Exception as exc:  # noqa: BLE001 - isolate every stage
+                status, detail = "error", f"{type(exc).__name__}: {exc}"
+        report.stages.append({"stage": name, "status": status,
+                              "detail": detail})
+    report.conclusion = _conclude(report, out)
+    report.provenance = {
         "version": VERSION,
         "seed": config.seed,
-        "config_hash": cfg_for_hash.config_hash(),
+        "config_hash": config.config_hash(),
         "schema": SCHEMA_VERSION,
     }
-    return AnalysisReport(config=config, measure_summary=measure_summary,
-                          criteria=criteria_out, verification=verification,
-                          curves=curves, stages=stages,
-                          conclusion=conclusion, provenance=provenance)
+    return report
 
 
 #: stages a positive conclusion rests on; each must have run ``ok``
 _VERIFIER_STAGES = ("dual", "integrability", "concentration")
 
 
-def _conclude(config, primary, dual_rep, verification, integ_out,
-              stages) -> str:
-    integ = verification.get("integrability", {})
-    refuted = (dual_rep is not None and dual_rep.violated) \
+def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
+    """The conclusion from the stage record and the outputs of ``ok`` stages."""
+    primary, dual = out.get("decide"), out.get("dual")
+    integ = report.verification.get("integrability", {})
+    refuted = (dual is not None and dual.violated) \
         or integ.get("status") == FAILS
     if primary is not None and primary.holds:
         if refuted:
@@ -548,19 +543,19 @@ def _conclude(config, primary, dual_rep, verification, integ_out,
             # a bug in one of them, not a mathematical finding
             return ("verification refuted the assembled certificate; "
                     "treat as an implementation bug")
-        status = {s["stage"]: s["status"] for s in stages}
-        missing = [f"{name} {status.get(name, 'not run')}"
-                   for name in _VERIFIER_STAGES if status.get(name) != "ok"]
+        missing = [f"{s['stage']} {s['status']}" for s in report.stages
+                   if s["stage"] in _VERIFIER_STAGES and s["status"] != "ok"]
         if missing:
             return ("certificate assembled but not verified "
                     f"({', '.join(missing)})")
-        if config.scale is None:
+        if report.config.scale is None:
             return "strong TCI certified at the assembled scale"
         return "requested cost not refuted"
     if refuted:
         return "no strong TCI found"
     if primary is not None and primary.status == FAILS:
-        return "no strong TCI found" if integ_out else "no certificate found"
+        return ("no strong TCI found" if out.get("integrability")
+                else "no certificate found")
     return "inconclusive"
 
 

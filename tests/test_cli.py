@@ -107,6 +107,9 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("dual_trials", -3), ("mc_samples", 0), ("seed", -1),
         ("seed", 2 ** 128), ("seed", 1.5), ("kappa", 0.0),
+        ("measure", 5), ("cost", None), ("scale", float("nan")),
+        ("scale", -1.0), ("scale", True), ("prefactor", "abc"),
+        ("prefactor", "1/0"), ("prefactor", "nan"),
     ])
     def test_bad_values_rejected_before_any_stage(self, field, value,
                                                   monkeypatch):
@@ -345,10 +348,13 @@ class TestMainAnalyze:
         assert doc["conclusion"] == "inconclusive"
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
-        rc = cli.main(["analyze", "--trials", "-3"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "dual_trials" in captured.err and captured.out == ""
+        for flags, field in ((["--trials", "-3"], "dual_trials"),
+                             (["--scale", "nan"], "scale"),
+                             (["--scale-prefactor", "abc"], "prefactor")):
+            rc = cli.main(["analyze"] + flags)
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert field in captured.err and captured.out == ""
         # flags are validated after they override the config file
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 3}))
