@@ -377,8 +377,7 @@ def _lipschitz(report, out):
 
 def _muckenhoupt(report, out):
     d_plus, d_minus = muckenhoupt(out["measure"])
-    report.measure_summary["D_plus"] = d_plus
-    report.measure_summary["D_minus"] = d_minus
+    report.measure_summary.update(D_plus=d_plus, D_minus=d_minus)
     return d_plus, d_minus
 
 
@@ -537,7 +536,11 @@ def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
     integ = report.verification.get("integrability", {})
     refuted = (dual is not None and dual.violated) \
         or integ.get("status") == FAILS
+    config = report.config
+    requested = config.scale is not None or config.prefactor is not None
     if primary is not None and primary.holds:
+        if refuted and requested:
+            return "requested cost refuted"
         if refuted:
             # certificate and one-sided verifier disagree: by design this is
             # a bug in one of them, not a mathematical finding
@@ -548,7 +551,7 @@ def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
         if missing:
             return ("certificate assembled but not verified "
                     f"({', '.join(missing)})")
-        if report.config.scale is None:
+        if config.scale is None:
             return "strong TCI certified at the assembled scale"
         return "requested cost not refuted"
     if refuted:

@@ -185,6 +185,15 @@ class TestRunAnalyze:
         assert rep.conclusion == ("certificate assembled but not verified "
                                   f"({stage} error)")
 
+    def test_refuted_requested_cost_is_not_a_bug(self):
+        # scale 1 is four times the assembled 0.25: the verifiers refute the
+        # cost the config asked for, not the assembled certificate
+        rep = run_analyze(AnalysisConfig(scale=1.0, dual_trials=20,
+                                         mc_samples=1000))
+        assert rep.verification["dual"]["status"] == "violation_found"
+        assert rep.verification["integrability"]["status"] == "fails"
+        assert rep.conclusion == "requested cost refuted"
+
     @pytest.mark.parametrize("measure,cost,stage", [
         ("gaussian sigma=nan", "alpha1", "measure"),
         ("exponential", "alpha_p p=nan", "cost"),
