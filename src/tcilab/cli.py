@@ -410,7 +410,7 @@ def _suff_cond(report, out):
 
 
 def _modulus(report, out):
-    rm = rearrangement(out["measure"], establish_lipschitz=False)
+    rm = rearrangement(out["measure"])
     h = np.linspace(0.25, 8.0, 32)
     w_plus, w_minus, lower = omega_bounds(rm, h)
     report.curves["modulus"] = {"h": h, "omega_plus": w_plus,
@@ -551,9 +551,9 @@ def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
         if missing:
             return ("certificate assembled but not verified "
                     f"({', '.join(missing)})")
-        if config.scale is None:
-            return "strong TCI certified at the assembled scale"
-        return "requested cost not refuted"
+        if requested:
+            return "requested cost not refuted"
+        return "strong TCI certified at the assembled scale"
     if refuted:
         return "no strong TCI found"
     if primary is not None and primary.status == FAILS:

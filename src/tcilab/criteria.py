@@ -13,7 +13,7 @@ criteria, returning :class:`Verdict` objects with witness constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,18 +78,16 @@ class RearrangementMap:
 
     ``forward`` pushes the reference law onto ``mu``; ``inverse`` is the
     closed-form pull-back ``-log(2 sf(x))`` right of the median and
-    ``log(2 F(x))`` left of it.  ``lipschitz_bound`` is ``max(A+, A-)``
-    when the Lipschitz functional is finite, else ``None``.
+    ``log(2 F(x))`` left of it.  Whether the map is Lipschitz is decided
+    by :func:`lipschitz_check`.
     """
 
     mu: Measure1D
     forward: Callable
     inverse: Callable
-    lipschitz_bound: Optional[float] = None
 
 
-def rearrangement(mu: Measure1D,
-                  establish_lipschitz: bool = True) -> RearrangementMap:
+def rearrangement(mu: Measure1D) -> RearrangementMap:
     """Build the monotone rearrangement map for ``mu``."""
     m = mu.median
 
@@ -116,12 +114,7 @@ def rearrangement(mu: Measure1D,
         out = np.where(y >= m, right, left)
         return out if np.ndim(y) else float(out)
 
-    bound = None
-    if establish_lipschitz:
-        v = lipschitz_check(mu)
-        if v.holds:
-            bound = v.constants["lipschitz_bound"]
-    return RearrangementMap(mu, forward, inverse, bound)
+    return RearrangementMap(mu, forward, inverse)
 
 
 def omega_bounds(rm: RearrangementMap, h_grid
@@ -720,21 +713,17 @@ def lsi_tilde_potential(mu: Measure1D
         out = s * np.where(at <= 1.0, inner, outer)
         return out if out.ndim else float(out)
 
-    profile = CostFunction(f"spliced({mu.name})", fn, deriv,
-                           _numeric_inverse(fn), admissible=False,
-                           convex=False)
-    adm = validate_admissible(profile)
     ts = np.linspace(-8.0, 8.0, 401)
-    vals = fn(ts)
-    second = np.diff(vals, 2)
-    convex_ok = bool(np.all(second >= -1e-9))
+    convex_ok = bool(np.all(np.diff(fn(ts), 2) >= -1e-9))
+    profile = CostFunction(f"spliced({mu.name})", fn, deriv,
+                           _numeric_inverse(fn), convex=convex_ok)
+    adm = validate_admissible(profile)
     sym = float(np.max(np.abs(np.asarray(V(ts)) - np.asarray(V(-ts)))))
     status = HOLDS if (adm.holds and convex_ok and sym < 1e-8) else INCONCLUSIVE
     verdict = Verdict(status, {"a0": a0} if status == HOLDS else {},
                       {"admissible": adm.status, "convex": convex_ok,
                        "potential_asymmetry": sym})
-    return (replace(profile, admissible=adm.holds, convex=convex_ok), a0,
-            verdict)
+    return profile, a0, verdict
 
 
 def skewed_cost(rm: RearrangementMap, base_cost: CostFunction,
@@ -745,9 +734,9 @@ def skewed_cost(rm: RearrangementMap, base_cost: CostFunction,
     The returned ``cost(y1, y2)`` equals ``prefactor *
     base_cost(scale * (T^{-1}y1 - T^{-1}y2))``; on the diagonal it vanishes,
     and for the reference law it coincides with the base cost itself.
-    ``scale`` defaults to the profile's own spatial scale.
+    ``scale`` defaults to 1.
     """
-    a = base_cost.scale if scale is None else float(scale)
+    a = 1.0 if scale is None else float(scale)
 
     def cost(y1, y2):
         u = rm.inverse(np.asarray(y1, dtype=float))

@@ -80,7 +80,7 @@ class TransportPlan:
 
 
 def _ground(alpha: CostFunction, scale: Optional[float], prefactor: float):
-    a = alpha.scale if scale is None else float(scale)
+    a = 1.0 if scale is None else float(scale)
     if not (0.0 < a < math.inf and 0.0 < prefactor < math.inf):
         raise ValueError("scale and prefactor must be finite and positive")
 

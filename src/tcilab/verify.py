@@ -857,8 +857,8 @@ def tci_to_strong_cost(theta: CostFunction) -> CostFunction:
 
     For convex ``theta`` with ``theta(0) = 0`` the result is dominated by
     ``theta`` itself.  The output generally leaves the normalized admissible
-    class (it no longer matches ``t^2`` near the origin), so its
-    ``admissible`` flag is dropped.  Nonconvex input is rejected.
+    class (it no longer matches ``t^2`` near the origin).  Nonconvex input
+    is rejected.
     """
     if not theta.convex:
         raise ValueError("requires a convex cost profile")
@@ -870,13 +870,10 @@ def tci_to_strong_cost(theta: CostFunction) -> CostFunction:
     def deriv(x, base=theta.deriv):
         return np.asarray(base(np.asarray(x, dtype=float) / 2.0), dtype=float)
 
-    inv = None
-    if theta.inverse is not None:
-        def inv(sv, base=theta.inverse):
-            return 2.0 * np.asarray(base(np.asarray(sv, dtype=float) / 2.0),
-                                    dtype=float)
+    def inv(sv, base=theta.inverse):
+        return 2.0 * np.asarray(base(np.asarray(sv, dtype=float) / 2.0),
+                                dtype=float)
 
     return CostFunction(name=f"doubled_{theta.name}", fn=fn, deriv=deriv,
-                        inverse=inv, admissible=False, convex=True,
-                        scale=theta.scale,
+                        inverse=inv, convex=True,
                         kinks=tuple(2.0 * k for k in theta.kinks))

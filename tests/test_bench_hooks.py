@@ -60,7 +60,7 @@ def test_scan_sups_call_through_the_wrapped_module_attributes(monkeypatch):
     import spans
 
     mu = measures.make_builtin("exponential")
-    rm = criteria.rearrangement(mu, establish_lipschitz=False)
+    rm = criteria.rearrangement(mu)
     tracer = spans.Tracer()
     try:
         tracer.install()

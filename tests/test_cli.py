@@ -38,7 +38,7 @@ class TestGrammar:
         # the grammar keyword "lambda" maps onto the constructor's "lam"
         g = parse_cost_spec("gamma lambda=0.5")
         assert g.fn(0.0) == 0.0
-        assert parse_cost_spec("maurey").admissible is False
+        assert not costs.validate_admissible(parse_cost_spec("maurey")).holds
 
     def test_unknown_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +193,16 @@ class TestRunAnalyze:
         assert rep.verification["dual"]["status"] == "violation_found"
         assert rep.verification["integrability"]["status"] == "fails"
         assert rep.conclusion == "requested cost refuted"
+
+    def test_requested_prefactor_alone_is_not_certified(self):
+        # the verifiers test alpha(a x) / 1000 at the assembled scale a, a
+        # weaker inequality than the certificate's alpha(a x) / 72
+        rep = run_analyze(AnalysisConfig(prefactor="1/1000", dual_trials=20,
+                                         mc_samples=1000))
+        assert rep.verification["scale"] == 0.25
+        assert rep.verification["prefactor"] == 1e-3
+        assert [s["status"] for s in rep.stages] == ["ok"] * len(rep.stages)
+        assert rep.conclusion == "requested cost not refuted"
 
     @pytest.mark.parametrize("measure,cost,stage", [
         ("gaussian sigma=nan", "alpha1", "measure"),

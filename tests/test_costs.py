@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tcilab import criteria, measures
+from tcilab import criteria, measures, numerics, verify
 from tcilab.costs import (CostFunction, builtin_cost, conjugate,
                           cost_from_table, scaling_equivalence_constant,
                           validate_admissible)
@@ -66,7 +66,7 @@ class TestFamilies:
         assert m.fn(3.0) == pytest.approx(0.25)        # t^2/36
         assert m.fn(4.0) == pytest.approx(16.0 / 36.0)
         assert m.fn(6.0) == pytest.approx((2 / 9) * 4)  # linear branch
-        assert not m.admissible  # not t^2 on [0, 1]
+        assert not validate_admissible(m).holds  # not t^2 on [0, 1]
 
     def test_gamma_profile(self):
         lam = 0.5
@@ -113,7 +113,7 @@ class TestAdmissibility:
             "bad", lambda t: np.where(np.abs(t) <= 1, t * t,
                                       np.sqrt(np.abs(t))),
             lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            lambda s: np.asarray(s), admissible=False, convex=False)
+            lambda s: np.asarray(s), convex=False)
         v = validate_admissible(bad)
         assert v.status == "fails"
         assert v.diagnostics["violated"] in ("monotonicity", "superadditivity")
@@ -238,6 +238,57 @@ class TestTableCosts:
         table[column][2] = bad
         with pytest.raises(ValueError, match=f"table {name} must be finite"):
             cost_from_table(*table)
+
+
+    def test_deriv_is_the_pchip_derivative(self):
+        ts = np.linspace(0.0, 8.0, 33)
+        vals = np.where(ts <= 1.0, ts * ts, 2.0 * ts - 1.0)
+        tab = cost_from_table(ts, vals)
+        dinterp = numerics.pchip(ts, vals)[1]
+        inside = np.linspace(0.0, 8.0, 1001)
+        assert np.array_equal(tab.deriv(inside), dinterp(inside))
+        assert np.array_equal(tab.deriv(-inside), dinterp(inside))
+        beyond = np.array([8.0, 8.5, 30.0, 1e6])
+        assert np.array_equal(tab.deriv(beyond),
+                              np.full(4, dinterp(8.0)))
+
+
+def _table_cost():
+    ts = np.linspace(0.0, 8.0, 33)
+    return cost_from_table(ts, np.where(ts <= 1.0, ts * ts, 2.0 * ts - 1.0))
+
+
+#: every kind of profile the package builds, with the relative tolerance of
+#: its derivative against a central difference of its values
+_DERIV_COSTS = {
+    "alpha1": (lambda: builtin_cost("alpha1"), 1e-8),
+    "alpha_p1.5": (lambda: builtin_cost("alpha_p", p=1.5), 1e-8),
+    "alpha_p3": (lambda: builtin_cost("alpha_p", p=3.0), 1e-8),
+    "theta_p2": (lambda: builtin_cost("theta_p", p=2.0), 1e-8),
+    "theta_p3": (lambda: builtin_cost("theta_p", p=3.0), 1e-8),
+    "maurey": (lambda: builtin_cost("maurey"), 1e-8),
+    "gamma0.5": (lambda: builtin_cost("gamma", lam=0.5), 1e-8),
+    "table": (_table_cost, 1e-8),
+    "spliced": (lambda: criteria.lsi_tilde_potential(
+        measures.make_builtin("exp_power", p=3.0))[0], 1e-8),
+    "doubled_theta_p2": (lambda: verify.tci_to_strong_cost(
+        builtin_cost("theta_p", p=2.0)), 1e-8),
+    # its deriv is itself a difference quotient (h = 1e-6) of the column
+    # search, about 1.4e-9 off here
+    "conjugate_theta_p3": (lambda: conjugate(builtin_cost("theta_p", p=3.0)),
+                           1e-7),
+}
+
+
+@pytest.mark.parametrize("name", _DERIV_COSTS)
+def test_deriv_matches_a_central_difference(name):
+    make, rtol = _DERIV_COSTS[name]
+    cost = make()
+    # off every kink (at most 1, 2 and 4) and off the table's knots
+    t = np.array([0.1, 0.37, 0.8, 1.55, 2.7, 5.3, 7.9, 9.1, 20.0])
+    h = 1e-5 * t
+    diff = (np.asarray(cost.fn(t + h)) - np.asarray(cost.fn(t - h))) / (2 * h)
+    np.testing.assert_allclose(cost.deriv(t), diff, rtol=rtol)
 
 
 class TestRescaling:

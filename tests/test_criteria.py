@@ -46,10 +46,6 @@ class TestRearrangement:
         expect = gaussian.quantile(np.array([measures.make_builtin("exponential").cdf(x) for x in xs]))
         np.testing.assert_allclose(rm.forward(xs), expect, rtol=1e-9)
 
-    def test_lipschitz_bound_attached(self, gaussian):
-        rm = rearrangement(gaussian)
-        assert rm.lipschitz_bound == pytest.approx(math.sqrt(math.pi / 2), rel=1e-9)
-
 
 class TestOmegaBounds:
     def test_reference_law_moduli_are_linear(self, mu1):
@@ -72,8 +68,7 @@ class TestOmegaBounds:
     def test_symmetric_law_has_equal_moduli(self):
         # both tails are refined between the neighbours of their grid
         # minimum, so a symmetric law gives the same curve on each side
-        rm = rearrangement(measures.make_builtin("exp_power", p=1.5),
-                           establish_lipschitz=False)
+        rm = rearrangement(measures.make_builtin("exp_power", p=1.5))
         op, om, _ = omega_bounds(rm, np.geomspace(0.01, 20.0, 64))
         np.testing.assert_allclose(om, op, rtol=1e-12)
         assert np.isfinite(op[:58]).all()
@@ -81,14 +76,14 @@ class TestOmegaBounds:
     def test_cauchy_has_equal_moduli(self, cauchy):
         # the left tail reads cdf, the right sf; a cancelling cdf gave
         # omega_minus = 0 for every h
-        rm = rearrangement(cauchy, establish_lipschitz=False)
+        rm = rearrangement(cauchy)
         op, om, _ = omega_bounds(rm, np.geomspace(0.01, 20.0, 64))
         assert (op > 0.0).all()
         np.testing.assert_allclose(om, op, rtol=1e-12)
 
     @pytest.mark.parametrize("h", [[4.0, 1.0], [1.0, math.nan]])
     def test_bad_h_grid_rejected(self, gaussian, h):
-        rm = rearrangement(gaussian, establish_lipschitz=False)
+        rm = rearrangement(gaussian)
         with pytest.raises(ValueError, match="h_grid"):
             omega_bounds(rm, h)
         assert omega_bounds(rm, [1.0])[0][0] == pytest.approx(1.148, abs=1e-3)

@@ -411,7 +411,7 @@ _EXACT_COSTS = {
     "gamma0.5": lambda: builtin_cost("gamma", lam=0.5),
     "maurey": lambda: builtin_cost("maurey"),
     # the spliced table of test_verify: PCHIP of the quadratic-linear
-    # profile with a finite-difference c'
+    # profile with its exact PCHIP c'
     "spliced-table": lambda: _table_cost(
         lambda t: np.where(t <= 1.0, t * t, 2.0 * t - 1.0)),
     # c' = t + 0.9 + 0.9 cos 3t rises and falls

@@ -185,7 +185,7 @@ def test_screening_keeps_the_unscreened_argmax(law, cost, params, scale,
 def test_screening_with_positive_cost_at_zero(mu1, alpha1, scale, prefactor):
     # alpha(0) > 0: Q phi can exceed max(phi) by c(0), so the bound's cap
     # must be max(phi) + c(0) or the true argmax may be screened out
-    lifted = dataclasses.replace(alpha1, name="alpha1+1", admissible=False,
+    lifted = dataclasses.replace(alpha1, name="alpha1+1",
                                  fn=lambda t: alpha1.fn(t) + 1.0)
     rep = dual_check_strong(mu1, lifted, scale=scale, prefactor=prefactor,
                             trials=60, seed=0)
@@ -198,7 +198,7 @@ def test_screening_with_positive_cost_at_zero(mu1, alpha1, scale, prefactor):
 
 
 def _spliced_table_cost():
-    # a PCHIP table of the quadratic-linear profile, numeric c'
+    # a PCHIP table of the quadratic-linear profile, exact PCHIP c'
     ts = np.linspace(0.0, 8.0, 33)
     return costs.cost_from_table(ts, np.where(ts <= 1.0, ts * ts,
                                               2.0 * ts - 1.0))
@@ -207,7 +207,7 @@ def _spliced_table_cost():
 def _lifted_alpha1():
     # c(0) = 1 > 0, as in test_screening_with_positive_cost_at_zero
     alpha1 = costs.builtin_cost("alpha1")
-    return dataclasses.replace(alpha1, name="alpha1+1", admissible=False,
+    return dataclasses.replace(alpha1, name="alpha1+1",
                                fn=lambda t: alpha1.fn(t) + 1.0)
 
 
@@ -590,7 +590,7 @@ class TestCostDoubling:
         # 2 * (x/2)^2 = x^2 / 2
         for x in (0.5, 1.0, 3.0, 10.0):
             assert doubled.fn(x) == pytest.approx(x * x / 2.0, rel=1e-12)
-        assert doubled.admissible is False
+        assert not costs.validate_admissible(doubled).holds
         assert doubled.convex
 
     def test_inverse_roundtrip(self, theta2):
