@@ -1,5 +1,6 @@
 """Measure construction, distribution functions, residuals, orderings."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -383,3 +384,21 @@ class TestSampling:
         np.testing.assert_array_equal(sample(mu1, (7, 3), seed=9), expect)
         with pytest.raises(ValueError, match="no draws"):
             sample(mu1, (7, 0), seed=9)
+
+    @pytest.mark.parametrize("law,shape,seed,digest", [
+        ("exponential", (100_003, 3), 9,
+         "53b96d6d184709ebc1e6dd241026bb9e807d2bc0164db013c0613b5bd411cad0"),
+        ("gaussian", 70_001, 2,
+         "4dd524fd4c875c8444f75646e8a778471c20edf8c07beb57b61bc60a735c869c"),
+        ("quartic", (40_001, 5), 4,
+         "2f38bf6b8e4c43ecc2e92f41537e208be583ec48703188e2cf794e6df097c926"),
+    ])
+    def test_draws_pinned(self, mu1, gaussian, law, shape, seed, digest):
+        # sha256 of the little-endian draws: the closed-form quantile path
+        # (2-D and 1-D shapes) and the table measure's interpolated inverse
+        mu = {"exponential": mu1, "gaussian": gaussian}.get(law) \
+            or _NUMERIC[law][0]()
+        xs = sample(mu, shape, seed)
+        assert xs.shape == np.empty(shape).shape
+        got = hashlib.sha256(np.ascontiguousarray(xs, "<f8").tobytes())
+        assert got.hexdigest() == digest
