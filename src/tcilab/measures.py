@@ -36,6 +36,7 @@ __all__ = [
 
 _QUANTILE_TOL = 1e-13          # |F(x) - t| target for numeric quantiles
 _ISF_RTOL = 1e-12              # |S(x) - s| / s target for numeric isf
+_DRAW_BLOCK = 1 << 14          # values per block of a streamed draw
 
 
 class Measure1D:
@@ -663,6 +664,19 @@ def is_log_concave(mu: Measure1D, n_grid: int = 2048, tol: float = 1e-7,
     return Verdict(HOLDS, {}, diag)
 
 
+def _draw_blocks(mu: Measure1D, rows: int, n: int, seed: int):
+    """The ``(rows, n)`` draw of :func:`sample`, one block of rows at a time
+    from its one Philox stream, so stacked the blocks are that draw."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    step = max(1, _DRAW_BLOCK // n)
+    for start in range(0, rows, step):
+        u = np.clip(rng.random((min(step, rows - start), n)), 1e-16,
+                    1.0 - 1e-16)
+        # numeric measures: interpolated, not the costlier Newton, inverse
+        yield np.asarray(mu.quantile(u), dtype=float) if mu._quantile \
+            is not None else np.interp(u, mu.F_grid, mu.grid)
+
+
 def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
     """iid draws of the given shape by inverse-cdf of uniforms.
 
@@ -671,13 +685,9 @@ def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
     """
     if np.min(shape) < 1:
         raise ValueError(f"sample shape {shape!r} has no draws")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = np.clip(rng.random(shape), 1e-16, 1.0 - 1e-16)
-    if mu._quantile is not None:
-        return np.asarray(mu.quantile(u), dtype=float)
-    # numeric measures: interpolated inverse of the cell table (adequate for
-    # sampling; ``mu.quantile`` is the exact, costlier Newton inverse)
-    return np.interp(u, mu.F_grid, mu.grid)
+    rows, *rest = np.atleast_1d(shape)
+    blocks = _draw_blocks(mu, rows, math.prod(rest), seed)
+    return np.concatenate(list(blocks)).reshape(shape)
 
 
 def quantile_discretize(mu: Measure1D, k: int) -> DiscreteMeasure:

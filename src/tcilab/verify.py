@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics, transport
 from .costs import CostFunction
 from .criteria import _decaying_tail_integral
-from .measures import DiscreteMeasure, Measure1D, sample
+from .measures import DiscreteMeasure, Measure1D, _draw_blocks
 from .transport import GridFunction
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
@@ -603,8 +603,9 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     enlargement is exact: with the ground cost nondecreasing in distance,
     a point belongs to ``A_c^r`` iff the per-coordinate distances ``d_i``
     to the interval satisfy ``sum_i g(d_i) <= r`` -- no inner optimization.
-    Draws come from :func:`measures.sample`, the counter-based stream keyed
-    by ``seed``.
+    ``r_grid`` must be nonempty, 1-D and finite.  The draw of ``sample(mu,
+    (samples, n), seed)`` is streamed and counted in blocks of rows: memory
+    is O(block * n), not O(samples * n), and the curve is the same bits.
     """
     n = _whole("n", n, 1)
     samples = _whole("samples", samples, 1)
@@ -615,14 +616,18 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     if r_grid is None:
         r_grid = np.arange(0.5, 6.001, 0.5)
     r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or not r_grid.size or not np.isfinite(r_grid).all():
+        raise ValueError(f"r_grid must be nonempty, 1-D and finite: {r_grid}")
 
     mass1 = _cdf_ext(mu, hi) - _cdf_ext(mu, lo)
     mass_n = mass1 ** n
 
-    X = sample(mu, (samples, n), seed)
-    D = np.maximum(np.maximum(lo - X, X - hi), 0.0)
-    costs = np.sort(np.asarray(c(D), dtype=float).sum(axis=1))
-    emp = np.searchsorted(costs, r_grid, side="right") / float(samples)
+    counts = np.zeros(r_grid.size, dtype=np.int64)
+    for X in _draw_blocks(mu, samples, n, seed):
+        D = np.maximum(np.maximum(lo - X, X - hi), 0.0)
+        costs = np.sort(np.asarray(c(D), dtype=float).sum(axis=1))
+        counts += np.searchsorted(costs, r_grid, side="right")
+    emp = counts / float(samples)
 
     lower, upper = numerics.wilson_interval(emp, samples)
     bound = 1.0 - np.exp(-r_grid) / mass_n if mass_n > 0.0 \

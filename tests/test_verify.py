@@ -4,10 +4,12 @@ entropy inequality checker."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
+from test_numerics import _fresh_python
 
 from tcilab import costs, measures, numerics, transport, verify
 from tcilab.verify import (
@@ -30,6 +32,12 @@ PREF = 1.0 / 72.0
 @pytest.fixture(scope="module")
 def gauss_half():
     return measures.make_builtin("gaussian", sigma=2.0 ** -0.5)
+
+
+@pytest.fixture(scope="module")
+def quartic_table():
+    xs = np.linspace(-4.0, 4.0, 129)
+    return measures.make_from_table(xs, xs ** 4 / 4.0)
 
 
 # criterion 10's margins (gaussian sigma 2**-0.5, conjugate of theta_p 2,
@@ -433,11 +441,54 @@ class TestConcentration:
         np.testing.assert_array_equal(rep.lower_ci, lower)
         np.testing.assert_array_equal(rep.upper_ci, upper)
 
+    @pytest.mark.parametrize("law", ["exponential", "quartic"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_blocked_counts_equal_one_shot(self, mu1, alpha1, quartic_table,
+                                           law, n):
+        # sample counts around the draw's block boundaries: the streamed
+        # curve is the sort-and-count of the whole one-shot draw, bit for bit
+        mu = mu1 if law == "exponential" else quartic_table
+        rows = max(1, measures._DRAW_BLOCK // n)
+        r = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.05])
+        for samples in (1, rows - 1, rows, rows + 1, 3 * rows + 17):
+            rep = concentration_mc(mu, alpha1, scale=SCALE, prefactor=PREF,
+                                   A=(-0.5, 1.0), n=n, r_grid=r,
+                                   samples=samples, seed=5)
+            X = measures.sample(mu, (samples, n), seed=5)
+            d = np.maximum(np.maximum(-0.5 - X, X - 1.0), 0.0)
+            cost = np.sort((PREF * alpha1.fn(SCALE * d)).sum(axis=1))
+            expect = np.searchsorted(cost, r, side="right") / float(samples)
+            np.testing.assert_array_equal(rep.empirical, expect)
+            lower, upper = numerics.wilson_interval(expect, samples)
+            np.testing.assert_array_equal(rep.lower_ci, lower)
+            np.testing.assert_array_equal(rep.upper_ci, upper)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_memory_does_not_grow_with_samples(self):
+        # the benchmark's 6e5 x 8 draw, streamed: the one-shot draw held
+        # several 38 MB arrays at once and raised the peak by about 190 MB
+        out = _fresh_python(
+            "import resource\n"
+            "from tcilab import costs, measures, verify\n"
+            "mu = measures.make_builtin('exponential')\n"
+            "alpha = costs.builtin_cost('alpha1')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "verify.concentration_mc(mu, alpha, n=8, samples=600_000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss "
+            "- before)")
+        assert int(out[0]) < 40 * 1024
+
 
 @pytest.mark.parametrize("verifier,arg,value", [
     ("dual_check_strong", "trials", -3),
     ("tensor_check", "trials", -1),
     ("concentration_mc", "samples", 0),
+    ("concentration_mc", "r_grid", []),
+    ("concentration_mc", "r_grid", [math.nan]),
+    ("concentration_mc", "r_grid", [0.5, math.inf]),
+    ("concentration_mc", "r_grid", [-math.inf]),
+    ("concentration_mc", "r_grid", [[0.5, 1.0]]),
 ])
 def test_bad_effort_rejected_at_entry(mu1, alpha1, verifier, arg, value):
     if verifier == "tensor_check":
@@ -473,7 +524,7 @@ def test_concentration_dimension_rejected_at_entry(mu1, alpha1, monkeypatch,
     def no_draws(*args, **kwargs):
         raise AssertionError("sample drawn before n was checked")
 
-    monkeypatch.setattr(verify, "sample", no_draws)
+    monkeypatch.setattr(verify, "_draw_blocks", no_draws)
     with pytest.raises(ValueError, match="n must be >= 1"):
         verify.concentration_mc(mu1, alpha1, n=n)
 
