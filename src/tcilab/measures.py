@@ -673,8 +673,8 @@ def _draw_blocks(mu: Measure1D, rows: int, n: int, seed: int):
         u = np.clip(rng.random((min(step, rows - start), n)), 1e-16,
                     1.0 - 1e-16)
         # numeric measures: interpolated, not the costlier Newton, inverse
-        yield np.asarray(mu.quantile(u), dtype=float) if mu._quantile \
-            is not None else np.interp(u, mu.F_grid, mu.grid)
+        yield np.interp(u, mu.F_grid, mu.grid) if mu._quantile is None \
+            else np.asarray(mu.quantile(u), dtype=float)
 
 
 def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
