@@ -198,8 +198,13 @@ def _talagrand_gamma(lam):
     c = 1.0 / lam - 1.0
 
     def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        return c * (np.exp(-lam * t) - 1.0 + lam * t)
+        # exp(-x) - 1 + x cancels at small x: below x = 1e-3 its series to
+        # x**6 (4e-19 relative truncation); from 1e-3 up the bits are kept
+        x = lam * np.abs(np.asarray(t, dtype=float))
+        s = np.minimum(x, 1e-3)
+        series = s * s * (1 / 2 - s * (1 / 6 - s * (1 / 24 - s * (
+            1 / 120 - s / 720))))
+        return c * np.where(x < 1e-3, series, np.exp(-x) - 1.0 + x)
 
     def deriv(t):
         t = np.abs(np.asarray(t, dtype=float))

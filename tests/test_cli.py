@@ -540,6 +540,17 @@ class TestVerifyKinds:
         assert (rc, doc["status"]) == (0, "holds")
         assert doc["diagnostics"]["states"] == 9
 
+    def test_tensor_refutes_an_oversized_cost(self, capsys):
+        rc, doc = _run_json(capsys, ["verify", "tensor", "--mu", "exponential",
+                                     "--cost", "alpha1", "--scale", "1",
+                                     "--scale-prefactor", "1",
+                                     "--atoms", "3", "--n", "2",
+                                     "--trials", "2"])
+        assert (rc, doc["status"]) == (0, "fails")
+        assert doc["constants"] == {}
+        assert doc["diagnostics"]["worst_slack"] > 1e-7
+        assert doc["diagnostics"]["worst_case"].startswith("trial_")
+
     def test_concentration_csv(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         rc, doc = _run_json(capsys, ["verify", "concentration",

@@ -1,5 +1,6 @@
 """Cost profiles: builtin forms, admissibility, conjugation, rescaling."""
 
+import decimal
 import hashlib
 import math
 
@@ -78,6 +79,22 @@ class TestFamilies:
         assert g.convex
         with pytest.raises(ValueError):
             builtin_cost("gamma", lam=1.5)
+
+    @pytest.mark.parametrize("t,rtol", [
+        (1e-8, 1e-13), (1e-6, 1e-13), (1e-4, 1e-13), (1e-3, 1e-13),
+        # exp(-x) - 1 + x is kept from x = 1e-3 up, where the pinned
+        # conjugate digest evaluates it: 4.4e-16 / x**2 off at most
+        (1e-2, 4.4e-16 / 0.005 ** 2),
+        (0.5, 1e-13), (2.0, 1e-13), (10.0, 1e-13), (50.0, 1e-13)])
+    def test_gamma_profile_against_a_50_digit_reference(self, t, rtol):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            lam = decimal.Decimal(0.5)
+            x = lam * decimal.Decimal(t)
+            want = (1 / lam - 1) * ((-x).exp() - 1 + x)
+            err = abs(decimal.Decimal(float(builtin_cost(
+                "gamma", lam=0.5).fn(t))) - want) / want
+        assert err <= rtol
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin cost"):

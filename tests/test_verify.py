@@ -383,6 +383,17 @@ class TestTensorization:
         assert v.diagnostics["worst_slack"] <= 1e-7
         assert v.diagnostics["states"] == 1296
 
+    @pytest.mark.parametrize("prefactor,form", [(1.0, "plain"),
+                                                (4.0, "two_measure")])
+    def test_oversized_cost_is_refuted(self, mu1, alpha1, prefactor, form):
+        dn = measures.quantile_discretize(mu1, 6)
+        v = tensor_check(dn, alpha1, n=2, trials=20, seed=0, scale=1.0,
+                         prefactor=prefactor)
+        assert v.status == "fails"
+        assert v.diagnostics["worst_slack"] > verify._TENSOR_SLACK
+        name, got = v.diagnostics["worst_case"].split(":")
+        assert name.startswith("trial_") and got == form
+
     def test_dimension_range_enforced(self, mu1, alpha1):
         dn = measures.quantile_discretize(mu1, 8)
         with pytest.raises(ValueError, match="between 2 and 4"):
@@ -394,6 +405,93 @@ class TestTensorization:
         dn = measures.quantile_discretize(mu1, 13)
         with pytest.raises(ValueError, match="at most 12 atoms"):
             tensor_check(dn, alpha1, n=3)
+
+
+def _unscreened_tensor(mu_discrete, cost, n, trials, seed, scale, prefactor):
+    """The tensor loop with no screening: every pair's exact LP."""
+    c1 = transport.cost_matrix(mu_discrete, mu_discrete, cost, scale=scale,
+                               prefactor=prefactor)
+    C = verify._product_cost(c1, n)
+    n_states = len(mu_discrete) ** n
+    labels = np.arange(n_states, dtype=float)
+    W = verify._product_weights([mu_discrete.weights] * n)
+    mu_prod = measures.DiscreteMeasure(labels, W / W.sum())
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+
+    def random_measure():
+        w = np.clip(rng.dirichlet(np.ones(n_states)), 1e-300, None)
+        return measures.DiscreteMeasure(labels, w / w.sum())
+
+    worst = -math.inf
+    worst_case = ""
+    pairs = [("mu_n", mu_prod, None)]
+    pairs += [(f"trial_{i}", random_measure(), random_measure())
+              for i in range(trials)]
+    for name, nu, beta in pairs:
+        T, _ = transport.cost_lp(nu, mu_prod, C, max_atoms=n_states)
+        H = transport.relative_entropy(nu, mu_prod)
+        slack = T - H
+        if slack > worst:
+            worst, worst_case = slack, f"{name}:plain"
+        if beta is not None:
+            T2, _ = transport.cost_lp(nu, beta, C, max_atoms=n_states)
+            H2 = transport.relative_entropy(beta, mu_prod)
+            slack2 = T2 - H - H2
+            if slack2 > worst:
+                worst, worst_case = slack2, f"{name}:two_measure"
+    diagnostics = {"worst_slack": float(worst), "worst_case": worst_case,
+                   "states": n_states, "seed": int(seed)}
+    if worst > verify._TENSOR_SLACK:
+        return "fails", {}, diagnostics
+    return "holds", {"trials": float(len(pairs))}, diagnostics
+
+
+# (cost, params, atoms, n, trials, scale, prefactor): the benchmark's
+# config, test_product_of_reference_law's at half its trials, a holding one
+# whose screen leaves some LPs, and four that refute
+_TENSOR_PANEL = [
+    ("alpha1", {}, 6, 3, 3, SCALE, PREF),
+    ("alpha1", {}, 8, 2, 20, SCALE, PREF),
+    ("alpha1", {}, 6, 2, 20, 1.0, 0.2),
+    ("alpha1", {}, 6, 2, 10, 1.0, 1.0),
+    ("alpha1", {}, 6, 2, 10, 1.0, 4.0),
+    ("theta_p", {"p": 2.0}, 6, 2, 10, 1.0, 1.0),
+    ("theta_p", {"p": 2.0}, 6, 2, 10, 2.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1800])
+@pytest.mark.parametrize("cost,params,atoms,n,trials,scale,prefactor",
+                         _TENSOR_PANEL)
+def test_tensor_screening_keeps_the_unscreened_verdict(
+        mu1, cost, params, atoms, n, trials, scale, prefactor, seed):
+    dn = measures.quantile_discretize(mu1, atoms)
+    alpha = costs.builtin_cost(cost, **params)
+    v = tensor_check(dn, alpha, n=n, trials=trials, seed=seed, scale=scale,
+                     prefactor=prefactor)
+    status, constants, diagnostics = _unscreened_tensor(
+        dn, alpha, n, trials, seed, scale, prefactor)
+    assert v.status == status
+    assert v.constants == constants
+    assert v.diagnostics == diagnostics
+
+
+def test_tensor_screening_poses_one_lp_at_benchmark_size(mu1, alpha1,
+                                                        monkeypatch):
+    calls = []
+    cost_lp = transport.cost_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cost_lp(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "cost_lp", counted)
+    dn = measures.quantile_discretize(mu1, 6)
+    v = tensor_check(dn, alpha1, n=3, trials=3, seed=0, scale=SCALE,
+                     prefactor=PREF)
+    assert v.status == "holds"
+    assert v.constants == {"trials": 4.0}
+    assert len(calls) == 1          # the mu^n pair, posed at worst = -inf
 
 
 class TestConcentration:
