@@ -783,10 +783,9 @@ def _cmd_verify(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_pair_flags(p, cost_required=True):
+def _add_pair_flags(p):
     p.add_argument("--mu", required=True, help="measure grammar string")
-    p.add_argument("--cost", required=cost_required,
-                   help="cost grammar string")
+    p.add_argument("--cost", required=True, help="cost grammar string")
     p.add_argument("--scale", type=float, default=None,
                    help="inner scale a in alpha(a(x-y))")
     p.add_argument("--scale-prefactor", default=None,

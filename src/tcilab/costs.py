@@ -48,17 +48,16 @@ class CostFunction:
         return self.fn(t)
 
 
-def _numeric_deriv(fn, h=1e-6):
+def _numeric_deriv(fn):
     # Only the conjugate uses it.  The envelope theorem, (alpha*)'(y) =
     # argmax, is less accurate there: on conjugate(theta_p 2) at y in
     # {0.3, 1, 2.5, 7, 40} the golden-section argmax (tol 1e-13) is 7e-9 to
-    # 1.9e-8 off, relative to the exact y/2; this central difference is
-    # 1.8e-11 to 2.5e-9 off.
+    # 1.9e-8 off, relative to the exact y/2; this central difference (step
+    # 1e-6) is 1.8e-11 to 2.5e-9 off.
     def d(t):
-        t = np.asarray(t, dtype=float)
-        tp = np.abs(t)
-        return (fn(tp + h) - fn(np.maximum(tp - h, 0.0))) / (
-            h + np.minimum(tp, h))
+        tp = np.abs(np.asarray(t, dtype=float))
+        return (fn(tp + 1e-6) - fn(np.maximum(tp - 1e-6, 0.0))) / (
+            1e-6 + np.minimum(tp, 1e-6))
     return d
 
 
@@ -280,25 +279,26 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
 # validation and derived constructions
 # ---------------------------------------------------------------------------
 
-def _is_convex_numeric(fn, hi=64.0, n=2048, tol=1e-9):
-    t = np.linspace(-hi, hi, 2 * n + 1)
-    v = np.asarray(fn(t), dtype=float)
+def _is_convex_numeric(fn):
+    """Second differences of ``fn`` on 4097 points of [-64, 64] are at least
+    ``-1e-9 (1 + |fn|)``."""
+    v = np.asarray(fn(np.linspace(-64.0, 64.0, 4097)), dtype=float)
     second = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    return bool(np.all(second >= -tol * (1.0 + np.abs(v[1:-1]))))
+    return bool(np.all(second >= -1e-9 * (1.0 + np.abs(v[1:-1]))))
 
 
-def validate_admissible(cost: CostFunction, n_grid: int = 4096,
-                        domain: float = 64.0) -> Verdict:
+def validate_admissible(cost: CostFunction) -> Verdict:
     """Grid validation of the admissible-class conditions.
 
-    Checks on ``[0, domain]`` with ``n_grid`` points: evenness, ``alpha(0)=0``,
-    monotonicity, exact quadratic behaviour on ``[0, 1]`` (tolerance 1e-12),
-    and superadditivity on a subsampled triangle of pairs (tolerance 1e-9).
-    The verdict reports the first violated condition.
+    Checks on the fixed grid of 4096 equally spaced points of ``[0, 64]``:
+    evenness, ``alpha(0)=0``, monotonicity, exact quadratic behaviour on
+    ``[0, 1]`` (tolerance 1e-12), and superadditivity on the triangle
+    ``x + y <= 64`` of a 257-point grid of pairs (tolerance 1e-9).  The
+    verdict reports the first violated condition.
     """
-    t = np.linspace(0.0, domain, n_grid)
+    t = np.linspace(0.0, 64.0, 4096)
     v = np.asarray(cost.fn(t), dtype=float)
-    diag = {"grid": {"lo": 0.0, "hi": domain, "n": n_grid}}
+    diag = {"grid": {"lo": 0.0, "hi": 64.0, "n": 4096}}
 
     sym_gap = float(np.max(np.abs(np.asarray(cost.fn(-t[1:])) - v[1:])))
     if sym_gap > 1e-12 * (1.0 + float(np.max(np.abs(v)))):
@@ -321,9 +321,9 @@ def validate_admissible(cost: CostFunction, n_grid: int = 4096,
         diag["gap"] = quad_gap
         return Verdict(FAILS, {}, diag)
     # superadditivity on a coarser triangle of pairs
-    s = np.linspace(0.0, domain, 257)
+    s = np.linspace(0.0, 64.0, 257)
     x, y = np.meshgrid(s, s)
-    keep = (x + y) <= domain
+    keep = (x + y) <= 64.0
     x, y = x[keep], y[keep]
     gap = np.asarray(cost.fn(x + y)) - np.asarray(cost.fn(x)) - np.asarray(cost.fn(y))
     if np.any(gap < -1e-9 * (1.0 + np.abs(np.asarray(cost.fn(x + y))))):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -375,6 +375,17 @@ def assemble_rate(a0: float, b: float, K: float, alpha: CostFunction) -> float:
 _B_SCAN = tuple(2.0 ** -k for k in range(0, 21))
 
 
+def _inadmissible(alpha: CostFunction) -> Optional[Verdict]:
+    """The ``inconclusive`` verdict that a decision returns for a profile
+    outside the admissible class; None when ``alpha`` is admissible."""
+    adm = validate_admissible(alpha)
+    if adm.holds:
+        return None
+    return Verdict(INCONCLUSIVE, {},
+                   {"reason": "cost profile outside the admissible class",
+                    "admissible": adm.to_dict()})
+
+
 def decide_strong_tci_lip(mu: Measure1D, alpha: CostFunction,
                                 kappa: float = DEFAULT_KAPPA) -> Verdict:
     """Strong transport-entropy decision via residual moment finiteness.
@@ -387,11 +398,8 @@ def decide_strong_tci_lip(mu: Measure1D, alpha: CostFunction,
     necessary); a failed Lipschitz check with some finite moment stays
     ``inconclusive``.
     """
-    adm = validate_admissible(alpha)
-    if not adm.holds:
-        return Verdict(INCONCLUSIVE, {},
-                       {"reason": "cost profile outside the admissible class",
-                        "admissible": adm.to_dict()})
+    if (refusal := _inadmissible(alpha)) is not None:
+        return refusal
     lip = lipschitz_check(mu)
 
     chosen = None
@@ -449,11 +457,8 @@ def decide_strong_tci_logconcave(mu: Measure1D, alpha: CostFunction,
     median-tail cost ``alpha1(-log G0(h))`` against ``alpha(a h)``, where
     ``G0(h) = 2 max(sf(m+h), cdf(m-h))``.
     """
-    adm = validate_admissible(alpha)
-    if not adm.holds:
-        return Verdict(INCONCLUSIVE, {},
-                       {"reason": "cost profile outside the admissible class",
-                        "admissible": adm.to_dict()})
+    if (refusal := _inadmissible(alpha)) is not None:
+        return refusal
     lc = is_log_concave(mu)
     if not lc.holds:
         return Verdict(INCONCLUSIVE, {},
@@ -556,11 +561,11 @@ _RATIO_PROBES = np.array([10.0, 20.0, 40.0, 80.0])
 _SIDES = np.array([[1.0], [-1.0]])
 
 
-def suff_condition(mu: Measure1D, alpha: CostFunction,
-                   lambda_grid: Optional[Sequence[float]] = None) -> Verdict:
+def suff_condition(mu: Measure1D, alpha: CostFunction) -> Verdict:
     """Sufficiency via boundedness of ``alpha'(lambda u) / V'(u + m)``.
 
-    For each ``lambda`` the ratio is sampled at ``u = +/-{10,20,40,80}``;
+    For each ``lambda`` in ``2**-3, ..., 2**8`` the ratio is sampled at
+    ``u = +/-{10,20,40,80}``;
     a side counts as bounded when the last ratio does not exceed 1.2 times
     the largest earlier one.  Holds when some ``lambda`` is bounded on both
     sides (and the profile has no serious kink); fails when every lambda
@@ -568,19 +573,14 @@ def suff_condition(mu: Measure1D, alpha: CostFunction,
     probes are one array, from one call each of ``alpha.deriv`` and
     ``mu.potential_deriv``, which must accept numpy arrays.
     """
-    if lambda_grid is None:
-        # lambda >= 1/8 keeps lambda*u >= 1.25 at the smallest pinned probe,
-        # so spliced profiles are sampled outside their quadratic core
-        lambda_grid = tuple(2.0 ** k for k in range(-3, 9))
-    lams = list(lambda_grid)
+    # lambda >= 1/8 keeps lambda*u >= 1.25 at the smallest pinned probe, so
+    # spliced profiles are sampled outside their quadratic core
+    lams = [2.0 ** k for k in range(-3, 9)]
     if mu.potential_deriv is None:
         return Verdict(INCONCLUSIVE, {},
                        {"reason": "potential derivative unavailable"})
-    adm = validate_admissible(alpha)
-    if not adm.holds:
-        return Verdict(INCONCLUSIVE, {},
-                       {"reason": "cost profile outside the admissible class",
-                        "admissible": adm.to_dict()})
+    if (refusal := _inadmissible(alpha)) is not None:
+        return refusal
 
     m = mu.median
     x_end = mu.quantile(1.0 - 1e-8) - m
@@ -640,26 +640,24 @@ def suff_condition(mu: Measure1D, alpha: CostFunction,
     return Verdict(INCONCLUSIVE, {}, diag)
 
 
-def int_equiv_ratio(Phi: Callable[[float], float], x_probes,
-                        dPhi: Optional[Callable[[float], float]] = None
-                        ) -> np.ndarray:
+def int_equiv_ratio(Phi: Callable[[np.ndarray], np.ndarray],
+                    x_probes) -> np.ndarray:
     """Ratio of the upper tail integral to its first-order approximation.
 
     Returns ``r(x) = Phi'(x) e^{Phi(x)} int_x^inf e^{-Phi}`` at each probe,
     computed in the shifted form ``int_x^inf e^{-(Phi(t)-Phi(x))} dt`` so
-    that huge exponents cancel before quadrature.  ``Phi`` must accept
-    arrays: every probe's integral comes from one
-    :func:`_decaying_tail_integral` call.
+    that huge exponents cancel before quadrature.  ``Phi'`` is the central
+    difference with step ``1e-6 max(1, |x|)``.  ``Phi`` must accept arrays:
+    every probe's integral comes from one :func:`_decaying_tail_integral`
+    call.
     """
-    if dPhi is None:
-        dPhi = lambda x: (Phi(x + 1e-6 * max(1.0, abs(x)))
-                          - Phi(x - 1e-6 * max(1.0, abs(x)))) \
-            / (2e-6 * max(1.0, abs(x)))
     xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
     px = np.asarray(Phi(xs), dtype=float)
     vals = _decaying_tail_integral(
         lambda i, t: (0.0, -(Phi(xs[i] + t) - px[i])), xs)
-    return np.array([float(dPhi(float(x))) for x in xs]) * vals
+    unit = np.maximum(1.0, np.abs(xs))
+    dphi = (Phi(xs + 1e-6 * unit) - Phi(xs - 1e-6 * unit)) / (2e-6 * unit)
+    return dphi * vals
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,20 @@ class Measure1D:
         Log normalizer so that the density integrates to one.
     support : pair of floats
         Interval carrying the mass; infinite endpoints allowed.
-    cdf, sf, quantile_fn : callables, optional
-        Closed forms.  When omitted the measure must carry a cell table
-        (built by :func:`make_from_potential` / :func:`make_from_table`).
+    cdf, sf, quantile_fn, isf_fn : callables, optional
+        Closed forms of the cdf, the survival function, the quantile and the
+        upper-tail quantile (the inverse of ``sf``).  Give all four, or none:
+        then the measure must carry a cell table (built by
+        :func:`make_from_potential` / :func:`make_from_table`).  At +-inf
+        cdf and sf must give exactly 0 or 1: the verifiers take the mass of
+        an interval with an infinite end straight from them.
     potential_deriv : callable, optional
         ``V'`` where available; numeric central differences otherwise.
     kink_points : tuple
         Locations where the density is not smooth; quadrature grids place
         segment boundaries there.
+    median : float, optional
+        The median; ``quantile(0.5)`` when omitted.
 
     Numeric measures expose their cell table as ``grid`` (cell edges, which
     bound the mass window), ``F_grid`` (cdf at the edges, 0 to 1) and the
@@ -80,9 +86,15 @@ class Measure1D:
         self.potential_deriv = potential_deriv
         self.kink_points = tuple(kink_points)
         self._table = _table  # (grid, F_grid, S_grid) for numeric measures
-        if self._cdf is None and self._table is None:
-            raise ValueError("numeric measures must be built through "
-                             "make_from_potential / make_from_table")
+        forms = (("cdf", cdf), ("sf", sf), ("quantile_fn", quantile_fn),
+                 ("isf_fn", isf_fn))
+        missing = [k for k, fn in forms if fn is None]
+        if self._table is None and missing:
+            raise ValueError(
+                "a measure without a cell table needs all of cdf, sf, "
+                f"quantile_fn and isf_fn; missing {', '.join(missing)} "
+                "(numeric measures are built by make_from_potential / "
+                "make_from_table)")
         if self._table is not None:
             self.grid, self.F_grid, self._S_grid = self._table
         self.median = float(median) if median is not None else self.quantile(0.5)
@@ -132,10 +144,6 @@ class Measure1D:
         if self._isf is not None:
             out = self._isf(np.asarray(s, dtype=float))
             return out if np.ndim(s) else float(out)
-        if self._table is None:
-            # closed-form cdf but no dedicated tail inverse: best effort
-            return self.quantile(1.0 - np.asarray(s, dtype=float)) \
-                if np.ndim(s) else self.quantile(1.0 - float(s))
         return _shaped(self._table_isf, s)
 
     # -- cell table (numeric measures; flat float arrays in and out) -------
@@ -253,19 +261,6 @@ class ResidualDistribution:
         else:
             out = self.base.cdf(self.anchor - hp) / self.conditioning_mass
         out = np.minimum(out, 1.0)
-        return out if np.ndim(h) else float(out)
-
-    def cdf(self, h):
-        out = 1.0 - self.tail(h)
-        return out
-
-    def density(self, h):
-        h = np.asarray(h, dtype=float)
-        sgn = 1.0 if self.side == "plus" else -1.0
-        out = np.where(h >= 0,
-                       self.base.density(self.anchor + sgn * h)
-                       / self.conditioning_mass,
-                       0.0)
         return out if np.ndim(h) else float(out)
 
 
@@ -608,11 +603,11 @@ def residual(mu: Measure1D, x: float, side: str) -> ResidualDistribution:
     return ResidualDistribution(mu, float(x), side)
 
 
-def stochastically_dominated(nu1_tail, nu2_tail, h_grid, tol=1e-9) -> Verdict:
+def stochastically_dominated(nu1_tail, nu2_tail, h_grid) -> Verdict:
     """Pointwise survival-function ordering ``nu1.tail <= nu2.tail`` on a grid.
 
     ``holds`` means nu2 stochastically dominates nu1 at every grid point up to
-    ``tol``.  The verdict records the worst margin and where it occurs; the
+    1e-9.  The verdict records the worst margin and where it occurs; the
     grid spacing is reported so a reviewer can judge coverage.
     """
     h = np.asarray(h_grid, dtype=float)
@@ -624,24 +619,23 @@ def stochastically_dominated(nu1_tail, nu2_tail, h_grid, tol=1e-9) -> Verdict:
     diag = {
         "worst_gap": worst, "argmax_h": float(h[k]),
         "grid": {"lo": float(h[0]), "hi": float(h[-1]), "n": len(h)},
-        "tolerance": tol,
+        "tolerance": 1e-9,
     }
-    if worst <= tol:
+    if worst <= 1e-9:
         return Verdict(HOLDS, {}, diag)
     return Verdict(FAILS, {}, diag)
 
 
-def is_log_concave(mu: Measure1D, n_grid: int = 2048, tol: float = 1e-7,
-                   coverage: float = 1e-8) -> Verdict:
+def is_log_concave(mu: Measure1D) -> Verdict:
     """Hazard-rate test for log-concavity of the survival function.
 
     ``-log sf`` is convex iff the hazard ``density/sf`` is nondecreasing;
-    checked on an ``n_grid``-point grid covering the central ``1 - coverage``
-    mass, with tolerance ``tol`` (scaled by the local hazard size) on
-    consecutive differences.
+    checked on the fixed 2048-point grid from the ``1e-8`` to the
+    ``1 - 1e-8`` quantile, with tolerance ``1e-7`` (scaled by the local
+    hazard size) on consecutive differences.
     """
-    lo, hi = mu.quantile(coverage), mu.quantile(1.0 - coverage)
-    xs = np.linspace(lo, hi, n_grid)
+    lo, hi = mu.quantile(1e-8), mu.quantile(1.0 - 1e-8)
+    xs = np.linspace(lo, hi, 2048)
     sf = np.asarray(mu.sf(xs), dtype=float)
     dens = np.asarray(mu.density(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -649,11 +643,11 @@ def is_log_concave(mu: Measure1D, n_grid: int = 2048, tol: float = 1e-7,
     ok = np.isfinite(hazard)
     xs, hazard = xs[ok], hazard[ok]
     diffs = np.diff(hazard)
-    allowed = -tol * (1.0 + np.abs(hazard[:-1]))
+    allowed = -1e-7 * (1.0 + np.abs(hazard[:-1]))
     bad = np.nonzero(diffs < allowed)[0]
     diag = {
-        "grid": {"lo": float(lo), "hi": float(hi), "n": n_grid},
-        "tolerance": tol,
+        "grid": {"lo": float(lo), "hi": float(hi), "n": 2048},
+        "tolerance": 1e-7,
     }
     if len(bad):
         k = int(bad[np.argmin(diffs[bad] - allowed[bad])])

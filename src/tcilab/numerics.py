@@ -45,31 +45,32 @@ def quad(f: Callable[[float], float], a: float, b: float,
 
 
 def guarded_limit(partial: Callable[[float], float], start: float,
-                  factor: float = 2.0, max_steps: int = 60,
-                  rel_tol: float = 1e-9, abs_tol: float = 1e-13):
-    """Limit of ``partial(T)`` as the truncation T grows geometrically.
+                  rel_tol: float = 1e-9):
+    """Limit of ``partial(T)`` as the truncation T doubles.
 
-    ``partial`` is called at ``start, start * factor, ...`` in that order,
-    so it may keep a running sum.  Returns ``(value, converged)``.  The value
-    is ``inf`` when the sequence overflows or at the second growth step in a
-    row, a growth step being one whose relative increase exceeds
+    ``partial`` is called at ``start, 2 start, 4 start, ...`` (at most 60
+    doublings) in that order, so it may keep a running sum.  Returns
+    ``(value, converged)``.  The value is ``inf`` when the sequence
+    overflows or at the second growth step in a row, a growth step being one
+    whose relative increase (over ``max(|previous|, 1e-13)``) exceeds
     ``DIVERGENCE_GROWTH`` and is at least 0.95 times the previous step's: a
     divergent tail keeps that fraction from decaying, a slowly convergent
-    one shrinks it.  ``converged`` is False when the sequence neither
-    settled nor clearly diverged within ``max_steps`` (log-like growth).
+    one shrinks it.  It has settled at a step of at most ``1e-13 + rel_tol
+    |value|``; ``converged`` is False when it neither settled nor clearly
+    diverged within the 60 doublings (log-like growth).
     """
     t = start
     prev = partial(t)
     if not math.isfinite(prev):
         return math.inf, True
     growth_streak, last_rel = 0, 0.0
-    for _ in range(max_steps):
-        t *= factor
+    for _ in range(60):
+        t *= 2.0
         cur = partial(t)
         if not math.isfinite(cur):
             return math.inf, True
         step = cur - prev
-        rel = step / max(abs(prev), abs_tol)
+        rel = step / max(abs(prev), 1e-13)
         if rel > DIVERGENCE_GROWTH and rel >= 0.95 * last_rel:
             growth_streak += 1
             if growth_streak >= 2:
@@ -77,7 +78,7 @@ def guarded_limit(partial: Callable[[float], float], start: float,
         else:
             growth_streak = 0
         last_rel = rel
-        if abs(step) <= abs_tol + rel_tol * abs(cur):
+        if abs(step) <= 1e-13 + rel_tol * abs(cur):
             return cur, True
         prev = cur
     # never settled: treat as divergent but flag the non-convergence
@@ -297,14 +298,13 @@ def _golden_columns(f, a, b, live, tol):
     return np.where(left, x[0], x[1]), np.where(left, fx[0], fx[1])
 
 
-def wilson_interval(p, n: int, z: float = 2.5758293035489004):
-    """Wilson score interval around the observed fraction(s) ``p`` of ``n``.
-
-    ``p`` may be an array; the default z is the two-sided 99% quantile.  The
-    limits are not clipped to [0, 1].
+def wilson_interval(p, n: int):
+    """99% Wilson score interval around the observed fraction(s) ``p`` of
+    ``n``; ``p`` may be an array.  The limits are not clipped to [0, 1].
     """
     if n <= 0:
         raise ValueError("sample size must be positive")
+    z = 2.5758293035489004  # two-sided 99% standard normal quantile
     z2 = z ** 2
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom

@@ -316,23 +316,14 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 # integrability along left rays
 # ---------------------------------------------------------------------------
 
-def _ray_moment(mu: Measure1D, c, a: float, kinks, x0, side=1.0):
-    """``int_0^inf e^{c(z)} rho(x0 + side*z) dz`` along every ray ``(x0,
-    side)`` at once, with the decay-horizon rule."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    side = np.broadcast_to(np.asarray(side, dtype=float), x0.shape)
-    return _decaying_tail_integral(
-        lambda i, z: (c(z), mu.log_density(x0[i] + side[i] * z)),
-        x0, [k / a for k in kinks], mu.kink_points, side)
-
-
 def integrability_check(mu: Measure1D, alpha: CostFunction,
-                        scale: Optional[float] = None, prefactor: float = 1.0,
-                        x_grid=None) -> Verdict:
+                        scale: Optional[float] = None,
+                        prefactor: float = 1.0) -> Verdict:
     """Moment bounds along left rays that any strong inequality forces.
 
-    For each ``x`` with ``A = (-inf, x]``, ``F = mu(A)`` and ``g`` the ground
-    cost of the distance to ``A``:
+    For each ``x`` among the quantiles ``0.05, 0.15, ..., 0.95`` of ``mu``,
+    with ``A = (-inf, x]``, ``F = mu(A)`` and ``g`` the ground cost of the
+    distance to ``A``:
 
     * ray product: ``int e^{g((x'-x)+)} dmu(x') * F <= 1``;
     * residual form: the conditional moment ``int_0^inf e^{g} dmu_x^+``
@@ -342,19 +333,20 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
 
     Any violation beyond tolerance refutes the inequality at this scale and
     prefactor, so ``fails`` is certified; ``holds`` is supporting evidence.
+    Every moment, ``int_0^inf e^{g(z)} rho(x0 + side z) dz`` along the ray
+    ``(x0, side)``, comes from one :func:`_decaying_tail_integral` call.
     """
     a, c = transport._ground(alpha, scale, prefactor)
-    if x_grid is None:
-        x_grid = np.asarray(mu.quantile(np.linspace(0.05, 0.95, 10)), dtype=float)
-    else:
-        x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = np.asarray(mu.quantile(np.linspace(0.05, 0.95, 10)), dtype=float)
     tol = 1e-9
 
     m = mu.median
     n = len(x_grid)
-    moments = _ray_moment(mu, c, a, alpha.kinks,
-                          np.concatenate((x_grid, [m, m])),
-                          np.concatenate((np.ones(n), [1.0, -1.0])))
+    x0 = np.concatenate((x_grid, [m, m]))
+    side = np.concatenate((np.ones(n), [1.0, -1.0]))
+    moments = _decaying_tail_integral(
+        lambda i, z: (c(z), mu.log_density(x0[i] + side[i] * z)),
+        x0, [k / a for k in alpha.kinks], mu.kink_points, side)
     rows = []
     violations = []
     for x, M in zip(x_grid, moments[:n]):
@@ -416,27 +408,12 @@ def _as_intervals(spec) -> list:
     return merged
 
 
-def _cdf_ext(mu: Measure1D, x: float) -> float:
-    if x == math.inf:
-        return 1.0
-    if x == -math.inf:
-        return 0.0
-    return float(mu.cdf(x))
-
-
-def _sf_ext(mu: Measure1D, x: float) -> float:
-    if x == math.inf:
-        return 0.0
-    if x == -math.inf:
-        return 1.0
-    return float(mu.sf(x))
-
-
 def _set_mass(mu: Measure1D, intervals) -> float:
     # each difference is exact in its own tail; the other collapses to zero
-    # by cdf/sf absorption, so the max keeps far-tail masses positive
-    return sum(max(_cdf_ext(mu, hi) - _cdf_ext(mu, lo),
-                   _sf_ext(mu, lo) - _sf_ext(mu, hi)) for lo, hi in intervals)
+    # by cdf/sf absorption, so the max keeps far-tail masses positive.  At
+    # +-inf cdf and sf are exactly 0 or 1.
+    return sum(max(mu.cdf(hi) - mu.cdf(lo), mu.sf(lo) - mu.sf(hi))
+               for lo, hi in intervals)
 
 
 def _set_gap(A, B) -> float:
@@ -633,7 +610,7 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     if r_grid.ndim != 1 or not r_grid.size or not np.isfinite(r_grid).all():
         raise ValueError(f"r_grid must be nonempty, 1-D and finite: {r_grid}")
 
-    mass1 = _cdf_ext(mu, hi) - _cdf_ext(mu, lo)
+    mass1 = mu.cdf(hi) - mu.cdf(lo)
     mass_n = mass1 ** n
 
     counts = np.zeros(r_grid.size, dtype=np.int64)

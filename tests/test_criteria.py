@@ -2,13 +2,15 @@
 moment-constant pipeline, sufficient smooth conditions, and the modified
 log-Sobolev profile."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from tcilab import costs, measures
+from tcilab import costs, measures, verify
 from tcilab.criteria import (
     K_moment,
     _decaying_tail_integral,
@@ -298,6 +300,30 @@ class TestDecideLip:
         assert "b_scan" in v.diagnostics
 
 
+# sha256 of the sorted-key JSON of the "outside the admissible class"
+# verdict that all three decisions return on the reference law
+_INADMISSIBLE_VERDICTS = {
+    "maurey": "0622b0ade0777f463fe1d182259752ac49c04b165fa9eb1f97e85d14547e0816",
+    "doubled_theta2":
+        "4ea83b94189622521152a10528111f727f953c2b8928ddd22cb097a2680b55f7",
+}
+
+
+@pytest.mark.parametrize("decide", [decide_strong_tci_lip,
+                                    decide_strong_tci_logconcave,
+                                    suff_condition],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", sorted(_INADMISSIBLE_VERDICTS))
+def test_inadmissible_profile_verdict_is_pinned(mu1, decide, name):
+    alpha = costs.builtin_cost("maurey") if name == "maurey" else \
+        verify.tci_to_strong_cost(costs.builtin_cost("theta_p", p=2))
+    v = decide(mu1, alpha)
+    assert v.status == "inconclusive"
+    assert v.diagnostics["reason"] == "cost profile outside the admissible class"
+    body = json.dumps(v.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == _INADMISSIBLE_VERDICTS[name]
+
+
 class TestDecideLogConcave:
     def test_standard_gaussian(self, gaussian, theta2):
         v = decide_strong_tci_logconcave(gaussian, theta2)
@@ -399,6 +425,14 @@ class TestIntEquivRatio:
         assert r[0] == pytest.approx(0.9950731877867987, rel=1e-8)
         r = int_equiv_ratio(lambda t: t ** 1.5, [10.0])
         assert r[0] == pytest.approx(0.989873774843709, rel=1e-8)
+
+    def test_probe_ten_bit_for_bit(self):
+        # the ratios at x = 10 to the last bit; Phi' is a central difference
+        # with step 1e-6 max(1, |x|)
+        assert int_equiv_ratio(lambda t: t * t, [10.0])[0] \
+            == 0.9950731877867983
+        assert int_equiv_ratio(lambda t: t ** 1.5, [10.0])[0] \
+            == 0.9898737748437109
 
     def test_linear_probe_exact(self):
         # for a linear growth function the two quantities coincide exactly

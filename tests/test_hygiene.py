@@ -1,6 +1,8 @@
-"""Every module-level import of the package is referenced in its module."""
+"""Every module-level import of the package is referenced in its module,
+and every name a module exports through ``__all__`` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,11 @@ def test_no_unused_module_imports(path):
             used |= {c.value for c in ast.walk(node.value)
                      if isinstance(c, ast.Constant)}
     assert sorted(set(_module_imports(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    name = "tcilab" if path.stem == "__init__" else f"tcilab.{path.stem}"
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,60 @@ class TestBuiltins:
     def test_non_finite_parameter_rejected(self, name, param, bad):
         with pytest.raises(ValueError, match=f"{param} must be finite"):
             make_builtin(name, **{param: bad})
+
+
+def _exponential_forms():
+    mu = make_builtin("exponential")
+    return {"cdf": mu._cdf, "sf": mu._sf, "quantile_fn": mu._quantile,
+            "isf_fn": mu._isf}
+
+
+class TestClosedForms:
+    def test_cdf_and_quantile_alone_rejected(self):
+        forms = _exponential_forms()
+        with pytest.raises(ValueError, match=r"missing sf, isf_fn \("):
+            Measure1D(np.abs, math.log(2.0), cdf=forms["cdf"],
+                      quantile_fn=forms["quantile_fn"], median=0.0)
+
+    @pytest.mark.parametrize("left_out", ["cdf", "sf", "quantile_fn", "isf_fn"])
+    def test_each_missing_form_named(self, left_out):
+        forms = _exponential_forms()
+        del forms[left_out]
+        with pytest.raises(ValueError, match=rf"missing {left_out} \("):
+            Measure1D(np.abs, math.log(2.0), median=0.0, **forms)
+
+    def test_no_forms_and_no_table_rejected(self):
+        with pytest.raises(ValueError, match="make_from_potential"):
+            Measure1D(np.abs, math.log(2.0), median=0.0)
+
+
+_XS_129 = np.linspace(-4.0, 4.0, 129)
+_ENDPOINT_LAWS = {
+    "exponential": lambda: make_builtin("exponential"),
+    "exp_power": lambda: make_builtin("exp_power", p=1.5),
+    "gaussian": lambda: make_builtin("gaussian", mean=1.5),
+    "cauchy": lambda: make_builtin("cauchy"),
+    "one_sided_exp": lambda: make_builtin("one_sided_exp"),
+    "quartic_table": lambda: make_from_table(_XS_129, _XS_129 ** 4 / 4.0),
+    "potential": lambda: make_from_potential(
+        lambda x: np.abs(np.asarray(x)) + 0.1 * np.asarray(x) ** 2,
+        kink_points=(0.0,)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_ENDPOINT_LAWS))
+def test_cdf_and_sf_exact_at_infinity(law):
+    # the two-set and concentration verifiers take masses of intervals with
+    # infinite endpoints straight from cdf and sf
+    mu = _ENDPOINT_LAWS[law]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, at_minus, at_plus in ((mu.cdf, 0.0, 1.0), (mu.sf, 1.0, 0.0)):
+            lo, hi = fn(-math.inf), fn(math.inf)
+            assert type(lo) is float and type(hi) is float
+            assert (lo, hi) == (at_minus, at_plus)
+            arr = fn(np.array([-math.inf, 0.0, math.inf]))
+            assert (arr[0], arr[-1]) == (at_minus, at_plus)
 
 
 class TestInverses:

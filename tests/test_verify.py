@@ -365,6 +365,42 @@ class TestMartonBound:
                                scale=SCALE, prefactor=PREF)
 
 
+def _clamped_cdf(mu, x):
+    """cdf with +-inf clamped to 1 and 0 before the call."""
+    return 1.0 if x == math.inf else 0.0 if x == -math.inf else \
+        float(mu.cdf(x))
+
+
+def _clamped_sf(mu, x):
+    return 0.0 if x == math.inf else 1.0 if x == -math.inf else \
+        float(mu.sf(x))
+
+
+_INF_PAIRS = [((1.0, math.inf), (-math.inf, -1.0)),
+              ((-math.inf, 0.5), (2.0, math.inf)),
+              ([(-math.inf, -3.0), (3.0, math.inf)], (0.0, 1.0)),
+              ((-math.inf, math.inf), (-2.0, -1.0))]
+
+
+@pytest.mark.parametrize("law", ["exponential", "quartic"])
+def test_infinite_endpoints_give_the_clamped_masses(mu1, alpha1, quartic_table,
+                                                    law):
+    mu = mu1 if law == "exponential" else quartic_table
+    v = marton_bound_check(mu, alpha1, _INF_PAIRS, scale=SCALE, prefactor=PREF)
+    for pair, row in zip(_INF_PAIRS, v.diagnostics["rows"]):
+        for spec, key in zip(pair, ("mass_a", "mass_b")):
+            want = sum(max(_clamped_cdf(mu, hi) - _clamped_cdf(mu, lo),
+                           _clamped_sf(mu, lo) - _clamped_sf(mu, hi))
+                       for lo, hi in verify._as_intervals(spec))
+            assert row[key] == want
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.3), (-math.inf, math.inf)):
+        for n in (1, 3):
+            rep = concentration_mc(mu, alpha1, scale=SCALE, prefactor=PREF,
+                                   A=(lo, hi), n=n, samples=200, seed=2)
+            want = _clamped_cdf(mu, hi) - _clamped_cdf(mu, lo)
+            assert rep.mass_a == want ** n
+
+
 class TestTensorization:
     def test_product_of_reference_law(self, mu1, alpha1):
         dn = measures.quantile_discretize(mu1, 8)
