@@ -112,6 +112,76 @@ class TestFamilies:
             builtin_cost("gamma", lam=bad)
 
 
+#: abscissae and levels of the built-in pins: 0 and -0, both neighbours of
+#: the splice point 1 on either side, large |t|, nan and +-inf (the levels
+#: also take negative values)
+_ONE = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+_PIN_T = np.concatenate((np.linspace(-6.0, 6.0, 97), _ONE, -_ONE,
+                         [-0.0, 1e3, -1e6, 1e150, math.nan, math.inf,
+                          -math.inf]))
+_PIN_S = np.concatenate((np.geomspace(1e-6, 1e6, 49), _ONE,
+                         [-1.0, -0.0, 0.0, 1e300, math.nan, math.inf,
+                          -math.inf]))
+
+
+@pytest.mark.parametrize("name, params, label, convex, kinks, digests", [
+    ("alpha1", {}, "alpha1", False, (1.0,),
+     ("0c7d04ff1953e2d62f8dee0e5aa9af153bb5a35b9ecf0a685245c7fce9662f75",
+      "bfb8fcd3a320af051b18895f114150abbc2cbc4b150ba987b9cc06ce23122f83",
+      "246e892a83731c6d8eb5df9278c5959de3dce79e7d8bbb1b4afe3ee553addd76")),
+    ("alpha_p", {"p": 1.25}, "alpha_p(p=1.25)", False, (1.0,),
+     ("2c2550dbad4cf4bc3aa950ae3eb90696f3ad15b5e8bf6887a855c751afe210ae",
+      "f1448f7335780f3131e0d1bb0fa41ac629707039b14049f573ac28876da6f181",
+      "0e5ea34f901e83c5bf751216d1a9df3267d13a3c82ba102d0fde836a8a804927")),
+    ("alpha_p", {"p": 1.5}, "alpha_p(p=1.5)", False, (1.0,),
+     ("9fce9b73eb773fc97446e958232e07020adcacc8e40e75df803dfca8cee8e9a4",
+      "b799be1a2844d9cb2fdc6f1047096d9b618926628b6779782d35b96addd44865",
+      "4234e3a67480b5bce80c0ed7b09eedf90db07dda436507687e6495e5ab6e81f4")),
+    ("alpha_p", {"p": 1.9}, "alpha_p(p=1.9)", False, (1.0,),
+     ("8d8c08839770139dd5718c800157a92c4f8da1451416f41de0b0edcdbf7e9891",
+      "bf098855d5d595b50b5c54731290d6531ba5d93c8da17bce2118652aece50cc4",
+      "098b3b5e12453cb90dfb0814b9749404f8394316f5f90f95f97319bcf6d99366")),
+    ("alpha_p", {"p": 2}, "alpha_p(p=2)", True, (),
+     ("02ac40bf625921ccfe80e8ebfcd0a63f0fe8a29bbe0570517f28979bbbc3e6e3",
+      "97b8d21349a0bc12a9eb14f4be4c2b27a0d4988871a84b92929c6a4b98d425cf",
+      "5437799252079d85237e865b0635eec44f4c8b3c4152aacbe6beaf2db97ed34e")),
+    ("alpha_p", {"p": 3}, "alpha_p(p=3)", True, (),
+     ("d86936206876f05395eeea268fef6394e9df42c86b1e090aaa4c144e03138349",
+      "cb845305b9e7a1e64da6e8d387a1566e75405cc810512176950d9e92922f0ef8",
+      "a4a6939b743f619dc7d3b0ba0808920fe78ede1630e2ba3917cb3c9de1b02e26")),
+    ("theta_p", {"p": 1}, "theta_p(p=1)", True, (),
+     ("f813ee5c2cb9439f124d6030658f6f795357e9c27bf72fd1223e8c3a80415832",
+      "985011f0fbe0655719a17cf48da334f7f6da5785dbbf6e42cb3bb6a2bc94ae50",
+      "ddc1a763238e8720b8c2555db79310d3fd853ac82e0b6537a09cf4262adffec2")),
+    ("theta_p", {"p": 1.5}, "theta_p(p=1.5)", True, (),
+     ("f8500ec6c9fcb3fbf1eb8e2fa0a1836d7bc6240f95a40cf15680fe5b734cde98",
+      "166c0413cdc29af53cbad58937f43e365eacab6afc5bb13223e7b83ef8831f47",
+      "f3afe7553548c72687a93e395dd832af1c8f1a3bff350fd4b680b8bff19b8f0b")),
+    ("theta_p", {"p": 2}, "theta_p(p=2)", True, (),
+     ("02ac40bf625921ccfe80e8ebfcd0a63f0fe8a29bbe0570517f28979bbbc3e6e3",
+      "97b8d21349a0bc12a9eb14f4be4c2b27a0d4988871a84b92929c6a4b98d425cf",
+      "5437799252079d85237e865b0635eec44f4c8b3c4152aacbe6beaf2db97ed34e")),
+    ("theta_p", {"p": 2.5}, "theta_p(p=2.5)", True, (),
+     ("45a03e84439be063b58845e9db119ad8054f32cf66a7a71597e9807a7177788e",
+      "56664d3566653bb6601d1febbb3e92319b8c30cbed8afe5f711d644aae67b16c",
+      "4ed0b2a965fce46df9d07a9173a3f4f3ce2b98ac47b608f4ce2af1b03daa532b")),
+    ("theta_p", {"p": 3}, "theta_p(p=3)", True, (),
+     ("e7a10d25d8012ab25fa11c0077f4a1a2f43336c82582d12251a5d6c66226e3e0",
+      "6c4488e72ca23c7cb67b9eb7c94c39e0a27bc532492c7f33d0128f4b02cabce8",
+      "11375af0f80fef500aeceab520ba5fb3e24f146771d5bb89ea0e3895c2bc7dd1")),
+])
+def test_builtin_profiles_pinned(name, params, label, convex, kinks, digests):
+    # sha256 of the little-endian fn and deriv on _PIN_T and inverse on
+    # _PIN_S, bit for bit
+    cost = builtin_cost(name, **params)
+    assert (cost.name, cost.convex, cost.kinks) == (label, convex, kinks)
+    with np.errstate(over="ignore"):
+        outs = (cost.fn(_PIN_T), cost.deriv(_PIN_T), cost.inverse(_PIN_S))
+    got = tuple(hashlib.sha256(np.ascontiguousarray(o, "<f8").tobytes())
+                .hexdigest() for o in outs)
+    assert got == digests
+
+
 class TestAdmissibility:
     def test_builtin_flags_match_validation(self, alpha1, theta2):
         for cost in (alpha1, theta2, builtin_cost("theta_p", p=1.5),
