@@ -56,7 +56,9 @@ def _numeric_deriv(fn):
     # 1e-6) is 1.8e-11 to 2.5e-9 off.
     def d(t):
         tp = np.abs(np.asarray(t, dtype=float))
-        return (fn(tp + 1e-6) - fn(np.maximum(tp - 1e-6, 0.0))) / (
+        lo = fn(np.maximum(tp - 1e-6, 0.0))
+        # past a slope cap both points are +inf, and so is the derivative
+        return (fn(tp + 1e-6) - np.where(lo < math.inf, lo, 0.0)) / (
             1e-6 + np.minimum(tp, 1e-6))
     return d
 
@@ -93,21 +95,35 @@ def _numeric_inverse(fn):
 # built-ins
 # ---------------------------------------------------------------------------
 
-def _alpha1():
+def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks):
+    """Even profile equal to ``t**2`` on [-1, 1] and ``outer(|t|)`` beyond.
+
+    ``deriv`` is ``2|t|`` below 1 and ``outer_deriv(|t|)`` from 1 on (the
+    right derivative at a kink).  ``inverse`` is the square root up to
+    level 1 and ``outer_inverse`` of the level beyond (levels <= 0 give 0);
+    without ``outer_inverse`` it is :func:`_numeric_inverse` of the profile.
+    """
     def fn(t):
         t = np.abs(np.asarray(t, dtype=float))
-        return np.where(t <= 1.0, t * t, t)
+        return np.where(t <= 1.0, t * t, outer(t))
 
     def deriv(t):
         t = np.abs(np.asarray(t, dtype=float))
-        return np.where(t < 1.0, 2.0 * t, 1.0)
+        return np.where(t < 1.0, 2.0 * t, outer_deriv(t))
 
     def inverse(s):
         s = np.asarray(s, dtype=float)
-        return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)), s)
+        return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)),
+                        outer_inverse(np.maximum(s, 1.0)))
 
-    return CostFunction("alpha1", fn, deriv, inverse, convex=False,
-                        kinks=(1.0,))
+    if outer_inverse is None:
+        inverse = _numeric_inverse(fn)
+    return CostFunction(name, fn, deriv, inverse, convex=convex, kinks=kinks)
+
+
+def _alpha1():
+    return _spliced("alpha1", lambda t: t, lambda t: 1.0, lambda s: s,
+                    convex=False, kinks=(1.0,))
 
 
 def _exponent(p):
@@ -123,53 +139,29 @@ def _exponent(p):
 def _alpha_p(p):
     p = _exponent(p)
     if p < 2.0:
-        def fn(t):
-            t = np.abs(np.asarray(t, dtype=float))
-            return np.where(t <= 1.0, t * t, t ** p)
+        return _spliced(f"alpha_p(p={p:g})", lambda t: t ** p,
+                        lambda t: p * t ** (p - 1.0),
+                        lambda s: s ** (1.0 / p), convex=False, kinks=(1.0,))
 
-        def deriv(t):
-            t = np.abs(np.asarray(t, dtype=float))
-            return np.where(t < 1.0, 2.0 * t, p * t ** (p - 1.0))
+    def fn(t):
+        return np.abs(np.asarray(t, dtype=float)) ** p
 
-        def inverse(s):
-            s = np.asarray(s, dtype=float)
-            return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)),
-                            np.maximum(s, 0.0) ** (1.0 / p))
+    def deriv(t):
+        return p * np.abs(np.asarray(t, dtype=float)) ** (p - 1.0)
 
-        return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse,
-                            convex=False, kinks=(1.0,))
-    else:
-        def fn(t):
-            return np.abs(np.asarray(t, dtype=float)) ** p
+    def inverse(s):
+        return np.maximum(np.asarray(s, dtype=float), 0.0) ** (1.0 / p)
 
-        def deriv(t):
-            return p * np.abs(np.asarray(t, dtype=float)) ** (p - 1.0)
-
-        def inverse(s):
-            return np.maximum(np.asarray(s, dtype=float), 0.0) ** (1.0 / p)
-
-        return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse,
-                            convex=True)
+    return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse, convex=True)
 
 
 def _theta_p(p):
     p = _exponent(p)
     off = 1.0 - 2.0 / p
-
-    def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        return np.where(t <= 1.0, t * t, (2.0 / p) * t ** p + off)
-
-    def deriv(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        return np.where(t <= 1.0, 2.0 * t, 2.0 * t ** (p - 1.0))
-
-    def inverse(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)),
-                        (np.maximum(s - off, 0.0) * p / 2.0) ** (1.0 / p))
-
-    return CostFunction(f"theta_p(p={p:g})", fn, deriv, inverse, convex=True)
+    return _spliced(f"theta_p(p={p:g})", lambda t: (2.0 / p) * t ** p + off,
+                    lambda t: 2.0 * t ** (p - 1.0),
+                    lambda s: ((s - off) * p / 2.0) ** (1.0 / p),
+                    convex=True, kinks=())
 
 
 def _maurey_tilde():

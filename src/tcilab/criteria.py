@@ -13,13 +13,13 @@ criteria, returning :class:`Verdict` objects with witness constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import numerics
-from .costs import (CostFunction, _numeric_inverse, builtin_cost,
+from .costs import (CostFunction, _numeric_inverse, _spliced, builtin_cost,
                     validate_admissible)
 from .measures import Measure1D, is_log_concave, make_builtin
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
@@ -236,9 +236,10 @@ def _decay_horizons(log_parts: Callable, n: int) -> np.ndarray:
     ``i``'s integrand at offsets ``z >= 0`` (``i`` and ``z`` broadcast
     against each other).  Probes at ``z = 1, 2, 4, ...`` look for a
     sustained drop of ``_DECAY_NATS`` below the running peak; the horizon
-    is the first probe on the drop line.  A probe that climbs back above
-    the line after the horizon, or a horizon that never appears within
-    sixty doublings, marks the ray as divergent.
+    is the first probe on the drop line.  A ray that is ``-inf`` from the
+    first probe on has left the support and gets horizon 1.  A probe that
+    climbs back above the line after the horizon, or a horizon that never
+    appears within sixty doublings, marks the ray as divergent.
 
     A probe where the two log-terms cancel below their own rounding noise
     carries no information and is skipped instead of feeding a bogus
@@ -256,7 +257,7 @@ def _decay_horizons(log_parts: Callable, n: int) -> np.ndarray:
         # difference first: "peak - NATS" would absorb the offset once the
         # peak exceeds ~1e17 and misread a growing sequence as decayed
         dropped = (peak - v >= _DECAY_NATS) | (v == -np.inf)
-    found = ~skip & dropped & np.isfinite(peak)
+    found = ~skip & dropped & (np.isfinite(peak) | (v[:, :1] == -np.inf))
     first = np.argmax(found, axis=1)
     rerise = ~skip & ~dropped & (np.arange(len(_PROBES)) > first[:, None])
     finite = found.any(axis=1) & ~rerise.any(axis=1)
@@ -678,43 +679,22 @@ def lsi_tilde_potential(mu: Measure1D
     dV = mu.potential_deriv
     if dV is None:
         dV = lambda x: (V(x + 1e-6) - V(x - 1e-6)) / 2e-6
-
-    def g(t):
-        return t * float(dV(t)) - 2.0
-
-    lo, hi = 1e-6, 1.0
-    while g(hi) < 0.0 and hi < 1e6:
-        hi *= 2.0
-    if not (g(lo) <= 0.0 <= g(hi)):
+    a0 = _numeric_inverse(lambda t: t * dV(t))(2.0)
+    if not 1e-6 <= a0 <= 1e6:
         return None, math.nan, Verdict(
             INCONCLUSIVE, {},
             {"reason": "slope equation t V'(t) = 2 not bracketed on "
                        "[1e-6, 1e6]"})
-    a0 = float(numerics.monotone_root(lambda t: t * dV(t), np.array([2.0]),
-                                      [lo], [hi])[0])
-
     v_a0 = float(V(a0))
-
-    def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        inner = t * t
-        outer = np.asarray(V(a0 * t), dtype=float) + 1.0 - v_a0
-        out = np.where(t <= 1.0, inner, outer)
-        return out if out.ndim else float(out)
-
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        s = np.sign(t)
-        at = np.abs(t)
-        inner = 2.0 * at
-        outer = a0 * np.asarray(dV(a0 * at), dtype=float)
-        out = s * np.where(at <= 1.0, inner, outer)
-        return out if out.ndim else float(out)
-
+    profile = _spliced(
+        f"spliced({mu.name})",
+        lambda t: np.asarray(V(a0 * t), dtype=float) + 1.0 - v_a0,
+        lambda t: a0 * np.asarray(dV(a0 * t), dtype=float), None,
+        convex=False, kinks=())
+    # not _is_convex_numeric: its [-64, 64] grid overflows V = e^{x^2}
     ts = np.linspace(-8.0, 8.0, 401)
-    convex_ok = bool(np.all(np.diff(fn(ts), 2) >= -1e-9))
-    profile = CostFunction(f"spliced({mu.name})", fn, deriv,
-                           _numeric_inverse(fn), convex=convex_ok)
+    convex_ok = bool(np.all(np.diff(profile.fn(ts), 2) >= -1e-9))
+    profile = replace(profile, convex=convex_ok)
     adm = validate_admissible(profile)
     sym = float(np.max(np.abs(np.asarray(V(ts)) - np.asarray(V(-ts)))))
     status = HOLDS if (adm.holds and convex_ok and sym < 1e-8) else INCONCLUSIVE

@@ -157,6 +157,16 @@ class TestRunAnalyze:
         assert "concentration_n1" in small_run.curves
         assert "modulus" in small_run.curves
 
+    @pytest.mark.parametrize("rate", ["0.5", "1", "2"])
+    def test_one_sided_law_certified(self, rate):
+        rep = run_analyze(AnalysisConfig(
+            measure=f"one_sided_exp rate={rate}", cost="alpha1",
+            dual_trials=30, mc_samples=4000, seed=0))
+        assert rep.conclusion == "strong TCI certified at the assembled scale"
+        assert rep.criteria["char_lm"]["status"] == "holds"
+        assert rep.verification["dual"]["status"] == "no_violation"
+        assert rep.verification["integrability"]["status"] == "holds"
+
     def test_heavy_tail_not_certified(self):
         cfg = AnalysisConfig(measure="cauchy", cost="alpha1",
                              dual_trials=20, mc_samples=2000)

@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,11 +116,11 @@ class TestFamilies:
 #: abscissae and levels of the built-in pins: 0 and -0, both neighbours of
 #: the splice point 1 on either side, large |t|, nan and +-inf (the levels
 #: also take negative values)
-_ONE = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
-_PIN_T = np.concatenate((np.linspace(-6.0, 6.0, 97), _ONE, -_ONE,
+_NEAR_ONE = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+_PIN_T = np.concatenate((np.linspace(-6.0, 6.0, 97), _NEAR_ONE, -_NEAR_ONE,
                          [-0.0, 1e3, -1e6, 1e150, math.nan, math.inf,
                           -math.inf]))
-_PIN_S = np.concatenate((np.geomspace(1e-6, 1e6, 49), _ONE,
+_PIN_S = np.concatenate((np.geomspace(1e-6, 1e6, 49), _NEAR_ONE,
                          [-1.0, -0.0, 0.0, 1e300, math.nan, math.inf,
                           -math.inf]))
 
@@ -300,6 +301,22 @@ class TestConjugate:
             out = c.fn(np.array([math.nan, 1.0, -math.inf]))
             assert math.isnan(out[0]) and out[1] > 0.0 and out[2] == math.inf
 
+    def test_deriv_past_the_slope_cap_is_infinite(self, alpha1, theta2):
+        # both difference points are +inf there; finite slopes keep their bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            capped = conjugate(alpha1).deriv(np.array([1.0, 2.5, 7.0, 40.0]))
+            maurey = conjugate(builtin_cost("maurey")).deriv(
+                np.array([0.3, 1.0, 2.5, 7.0, 40.0]))
+            scalar = conjugate(alpha1).deriv(7.0)
+            finite = conjugate(theta2).deriv(
+                np.array([0.05, 0.3, 1.0, 2.5, 7.0, 40.0]))
+        assert np.all(capped == math.inf) and np.all(maurey == math.inf)
+        assert scalar == math.inf
+        assert finite.tolist() == [
+            0.02500000000006837, 0.14999999999737446, 0.49999999998662226,
+            1.2500000001747225, 3.5000000018214905, 19.999999949504854]
+
 
 class TestTableCosts:
     def test_roundtrip(self):
@@ -376,6 +393,13 @@ def test_deriv_matches_a_central_difference(name):
     h = 1e-5 * t
     diff = (np.asarray(cost.fn(t + h)) - np.asarray(cost.fn(t - h))) / (2 * h)
     np.testing.assert_allclose(cost.deriv(t), diff, rtol=rtol)
+
+
+@pytest.mark.parametrize("name", _DERIV_COSTS)
+def test_deriv_is_even(name):
+    cost = _DERIV_COSTS[name][0]()
+    t = np.array([0.0, 0.1, 0.37, 0.8, 1.0, 1.55, 2.7, 5.3, 7.9, 9.1, 20.0])
+    np.testing.assert_array_equal(cost.deriv(-t), cost.deriv(t))
 
 
 class TestRescaling:

@@ -363,6 +363,18 @@ class TestDecideLogConcave:
         assert lc.constants["a0"] == pytest.approx(lip.constants["a0"], rel=1e-9)
 
 
+@pytest.mark.parametrize("decide", [decide_strong_tci_lip,
+                                    decide_strong_tci_logconcave],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
+def test_one_sided_law_holds_under_alpha1(alpha1, decide, rate):
+    # the rate-1 law is the image of the reference law under x -> |x|; the
+    # minus-side rays of anchors below 1 leave the support before z = 1
+    v = decide(measures.make_builtin("one_sided_exp", rate=rate), alpha1)
+    assert v.status == "holds"
+    assert v.constants["a"] == pytest.approx(rate / 4.0, abs=1e-12)
+
+
 class TestSuffCondition:
     def test_gaussian_quadratic_holds(self, gaussian, theta2):
         v = suff_condition(gaussian, theta2)
@@ -454,6 +466,38 @@ class TestLsiProfile:
         beta, a0, v = lsi_tilde_potential(mu)
         assert a0 == pytest.approx(1.0, abs=1e-9)
         assert v.status == "holds"
+
+    @pytest.mark.parametrize("law, params, a0", [
+        ("exponential", {}, 2.0),
+        ("gaussian", {"sigma": 1.0}, 1.414213562373095),
+        ("gaussian", {"sigma": 2.0 ** -0.5}, 1.0),
+        ("exp_power", {"p": 1.5}, 1.2114137285547597),
+        ("exp_power", {"p": 3.0}, 0.8735804647362988)])
+    def test_slope_root_is_pinned(self, law, params, a0):
+        _, got, v = lsi_tilde_potential(measures.make_builtin(law, **params))
+        assert got == a0
+        assert v.status == "holds" and v.constants == {"a0": a0}
+        assert v.diagnostics == {"admissible": "holds", "convex": True,
+                                 "potential_asymmetry": 0.0}
+
+    @pytest.mark.parametrize("law, params", [("gaussian", {}),
+                                             ("exp_power", {"p": 3.0})])
+    def test_deriv_from_one_on_is_the_outer_branch(self, law, params):
+        # a0 V'(a0 |t|) on both sides, 1.9999999999999996 at |t| = 1 here
+        mu = measures.make_builtin(law, **params)
+        beta, a0, _ = lsi_tilde_potential(mu)
+        t = np.array([1.0, 1.5, 4.0])
+        edge = a0 * mu.potential_deriv(a0 * t)
+        np.testing.assert_array_equal(beta.deriv(t), edge)
+        np.testing.assert_array_equal(beta.deriv(-t), edge)
+        assert edge[0] == 1.9999999999999996
+
+    def test_unbracketed_slope_equation(self, cauchy):
+        # t V'(t) = 2 t^2 / (1 + t^2) reaches 2 only at infinity
+        beta, a0, v = lsi_tilde_potential(cauchy)
+        assert beta is None and math.isnan(a0)
+        assert v.status == "inconclusive"
+        assert "not bracketed" in v.diagnostics["reason"]
 
 
 class TestSkewedCost:

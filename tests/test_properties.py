@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tcilab import costs, measures
 from tcilab.costs import builtin_cost, validate_admissible
-from tcilab.criteria import assemble_rate
+from tcilab.criteria import _decaying_tail_integral, assemble_rate
 from tcilab.measures import DiscreteMeasure, make_builtin, quantile_discretize
 from tcilab.transport import (
     GridFunction,
@@ -136,3 +136,16 @@ def test_quantile_discretization_preserves_order_and_mass(seed, k):
     assert np.all(np.diff(dn.atoms) > 0)
     assert dn.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(dn.weights, 1.0 / k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=4.0, exclude_min=True,
+                 exclude_max=True))
+def test_ray_that_leaves_the_support_integrates_its_finite_part(eps):
+    # integrand e^{-z} on [0, eps), -inf beyond, the support end marked
+    def log_parts(i, z):
+        z = np.asarray(z, dtype=float)
+        return np.zeros(z.shape), np.where(z < eps, -z, -np.inf)
+
+    got = _decaying_tail_integral(log_parts, [0.0], marks=[eps])
+    assert got[0] == pytest.approx(-math.expm1(-eps), rel=1e-12)
