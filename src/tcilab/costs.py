@@ -30,11 +30,11 @@ class CostFunction:
     """Even scalar cost profile with its analytic companions.
 
     ``fn`` is the profile itself (vectorized, even); ``deriv`` its
-    right-derivative on the positive axis; ``inverse`` the inverse of the
-    restriction to the positive axis.  ``convex`` says whether ``fn`` is
-    convex, and ``kinks`` lists the positive abscissae where the derivative
-    jumps.  Membership in the admissible class is decided by
-    :func:`validate_admissible`.
+    right-derivative on the positive axis, taken at ``|t|`` (so even);
+    ``inverse`` the inverse of the restriction to the positive axis.
+    ``convex`` says whether ``fn`` is convex, and ``kinks`` lists the
+    positive abscissae where the derivative jumps.  Membership in the
+    admissible class is decided by :func:`validate_admissible`.
     """
 
     name: str
