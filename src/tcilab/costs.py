@@ -286,25 +286,36 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     evenness, ``alpha(0)=0``, monotonicity, exact quadratic behaviour on
     ``[0, 1]`` (tolerance 1e-12), and superadditivity on the triangle
     ``x + y <= 64`` of a 257-point grid of pairs (tolerance 1e-9).  The
-    verdict reports the first violated condition.
+    verdict reports the first violated condition.  A profile that
+    overflows on the grid is checked up to its first non-finite point,
+    ``overflow_from``, from which on it must stay ``+inf`` to be monotone,
+    and on the pairs where it is finite.
     """
     t = np.linspace(0.0, 64.0, 4096)
     v = np.asarray(cost.fn(t), dtype=float)
     diag = {"grid": {"lo": 0.0, "hi": 64.0, "n": 4096}}
+    ok = np.isfinite(v)
+    end = len(t) if ok.all() else int(np.argmin(ok))
+    if end < len(t):
+        diag["overflow_from"] = float(t[end])
 
-    sym_gap = float(np.max(np.abs(np.asarray(cost.fn(-t[1:])) - v[1:])))
-    if sym_gap > 1e-12 * (1.0 + float(np.max(np.abs(v)))):
+    head = v[:end]
+    sym_gap = float(np.max(np.abs(np.asarray(cost.fn(-t[1:end])) - head[1:]),
+                           initial=0.0))
+    if sym_gap > 1e-12 * (1.0 + float(np.max(np.abs(head), initial=0.0))):
         diag["violated"] = "evenness"
         diag["gap"] = sym_gap
         return Verdict(FAILS, {}, diag)
     if abs(float(cost.fn(0.0))) > 1e-12:
         diag["violated"] = "vanishing_at_zero"
         return Verdict(FAILS, {}, diag)
-    drops = np.diff(v)
-    if np.any(drops < -1e-12 * (1.0 + np.abs(v[:-1]))):
-        k = int(np.argmin(drops))
+    drops = np.diff(head)
+    falls = drops < -1e-12 * (1.0 + np.abs(head[:-1]))
+    back = v[end:] != math.inf  # finite again, -inf or nan past an overflow
+    if falls.any() or back.any():
         diag["violated"] = "monotonicity"
-        diag["at"] = float(t[k + 1])
+        diag["at"] = float(t[int(np.argmin(drops)) + 1 if falls.any()
+                             else end + int(np.argmax(back))])
         return Verdict(FAILS, {}, diag)
     core = t[t <= 1.0]
     quad_gap = float(np.max(np.abs(np.asarray(cost.fn(core)) - core * core)))
@@ -312,13 +323,18 @@ def validate_admissible(cost: CostFunction) -> Verdict:
         diag["violated"] = "quadratic_near_zero"
         diag["gap"] = quad_gap
         return Verdict(FAILS, {}, diag)
-    # superadditivity on a coarser triangle of pairs
+    # superadditivity on a coarser triangle of pairs with finite values
     s = np.linspace(0.0, 64.0, 257)
     x, y = np.meshgrid(s, s)
     keep = (x + y) <= 64.0
     x, y = x[keep], y[keep]
-    gap = np.asarray(cost.fn(x + y)) - np.asarray(cost.fn(x)) - np.asarray(cost.fn(y))
-    if np.any(gap < -1e-9 * (1.0 + np.abs(np.asarray(cost.fn(x + y))))):
+    fx, fy = np.asarray(cost.fn(x)), np.asarray(cost.fn(y))
+    if end < len(t):
+        live = np.isfinite(fx) & np.isfinite(fy)
+        x, y, fx, fy = x[live], y[live], fx[live], fy[live]
+    fxy = np.asarray(cost.fn(x + y))
+    gap = fxy - fx - fy
+    if np.any(gap < -1e-9 * (1.0 + np.abs(fxy))):
         k = int(np.argmin(gap))
         diag["violated"] = "superadditivity"
         diag["pair"] = [float(x[k]), float(y[k])]

@@ -319,16 +319,12 @@ def _decaying_tail_integral(log_parts: Callable, anchors, kinks=(),
     return out
 
 
-def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
-             side: str = "plus") -> float:
-    """``sup_x`` of the exponential moment of the residual at ``x``.
-
-    For the plus side this is ``sup_{x>=m} int_0^inf e^{alpha(b z)}
-    d(residual law at x)``; ``inf`` when any inner integral or the sup
-    itself diverges.  Each scan step (the grid, a golden step, the growth
-    probes) sends its anchors through one :func:`_decaying_tail_integral`
-    call.
-    """
+def _residual_moments(mu: Measure1D, alpha: CostFunction, b: float,
+                      side: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from anchors ``x`` to the exponential moment of the residual
+    at ``x`` on ``side``; ``inf`` where its ray diverges, ``nan`` where the
+    mass beyond ``x`` is below 1e-300.  The anchors of one call go through
+    one :func:`_decaying_tail_integral` call."""
     if b <= 0:
         raise ValueError("b must be positive")
     sgn = 1.0 if side == "plus" else -1.0
@@ -349,9 +345,52 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
                                             np.log(mass[live]))
         return out
 
+    return inner
+
+
+def _mirrored(mu: Measure1D) -> Measure1D:
+    """The law of ``-X`` for ``X ~ mu``, on ``mu``'s distribution functions."""
+    lo, hi = mu.support
+    return Measure1D(lambda x: mu.potential(-x), mu.logZ, (-hi, -lo),
+                     f"mirrored {mu.name}", cdf=lambda x: mu.sf(-x),
+                     sf=lambda x: mu.cdf(-x),
+                     quantile_fn=lambda t: -mu.isf(t),
+                     isf_fn=lambda s: -mu.quantile(s), median=-mu.median)
+
+
+def _K_scan_sup(mu: Measure1D, alpha: CostFunction, b: float,
+                side: str = "plus") -> float:
+    """:func:`K_moment` by a scan-sup over anchors: the 511-point grid of
+    :func:`_scan_grids`, golden refinement and growth probes
+    (:func:`numerics.sup_on_grid`), one ray-engine call per step."""
+    inner = _residual_moments(mu, alpha, b, side)
     grid = _scan_grids(mu)[:, _PLUS if side == "plus" else ~_PLUS]
     sup, _, diverged, _ = numerics.sup_on_grid(inner, grid, tol=1e-8)
     return math.inf if diverged[0] else float(sup[0])
+
+
+def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
+             side: str = "plus") -> float:
+    """``sup_x`` of the exponential moment of the residual at ``x``.
+
+    For the plus side this is ``sup_{x>=m} int_0^inf e^{alpha(b z)}
+    d(residual law at x)``; ``inf`` when any inner integral or the sup
+    itself diverges.  The median ``m`` is one of the anchors, so the ray
+    from ``m`` comes first and its divergence makes the sup ``inf``.  When
+    the law's tail on ``side`` passes :func:`is_log_concave` (the mirrored
+    law's, on the minus side, so the test reads the cdf), its hazard
+    rate is nondecreasing outward, the residual law at ``x`` is
+    stochastically decreasing as ``x`` moves away from ``m``, and for a
+    nondecreasing profile (every admissible one) the sup is that first
+    ray's value.  Other laws take the scan-sup of :func:`_K_scan_sup`.
+    """
+    at_median = float(_residual_moments(mu, alpha, b, side)(
+        np.array([mu.median]))[0])
+    if not math.isfinite(at_median):
+        return math.inf
+    if is_log_concave(mu if side == "plus" else _mirrored(mu)).holds:
+        return at_median
+    return _K_scan_sup(mu, alpha, b, side)
 
 
 def assemble_rate(a0: float, b: float, K: float, alpha: CostFunction) -> float:

@@ -257,7 +257,7 @@ _PANEL_DIGESTS = {
         "49f5ed143b8e97d99649f1e166049dc3285215f6f7ea5fde9786c338c789346f",
         "66ba42b230646b7a3f278508f2f77da817aeb19f1a33a498e8f96b555e370316"),
     "exponential": (
-        "dccf19966448b20f6695c4f59c5cdd15186a6d7f2ffbd85b86fea689874eeb7a",
+        "f463957549505bf5be48c414e3f813067e14f5a35235b929cadaa115fe484497",
         "dfa228f85951302ecfb148184eb4f51b337bc8545631e3b998564fa6d7344f73"),
     "gaussian-theta2": (
         "7484bbc1e48b918b10f167d44b0573345d28e17e22d78816eb5ebb1e661b1c96",
@@ -269,7 +269,7 @@ _PANEL_DIGESTS = {
         "cf738d958aa3159315452e5cefcd5e0df970e545b2936f848996da8f44698ee0",
         "3b2926adc02640af4dd1321a4a58987d2b2ad7970f14f1f0c983e1bcf6ec3d63"),
     "requested-cost": (
-        "012b1eadc52f1db06ed2df86d146672504ffea5b07135de4424c088d4bd3e068",
+        "3a6c619fb60d6e6e6676488f21d98e68d1e9e136aef1c5605474b15da83b771c",
         "ea91880d77ded63dd454c90e586f0f9e3676df5eb3ce111be71fb972f993cab9"),
 }
 

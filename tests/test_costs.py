@@ -2,6 +2,7 @@
 
 import decimal
 import hashlib
+import json
 import math
 import warnings
 
@@ -205,6 +206,66 @@ class TestAdmissibility:
         v = validate_admissible(bad)
         assert v.status == "fails"
         assert v.diagnostics["violated"] in ("monotonicity", "superadditivity")
+
+    # sha256 of the sorted-key JSON of each built-in's verdict, taken before
+    # overflowing profiles were checked on their finite points only
+    _BUILTIN_VERDICTS = {
+        ("alpha1", ()): "bc029af898945e026418bffed3a0936dc87866517edd73b00cac85424ca6ab5a",
+        ("alpha_p", (("p", 1.5),)): "bc029af898945e026418bffed3a0936dc87866517edd73b00cac85424ca6ab5a",
+        ("alpha_p", (("p", 3.0),)): "02b9cc57cd9df1dda69fce581198973bd0db70f1debc1cc5ecf8c086df285d21",
+        ("theta_p", (("p", 2.0),)): "bc029af898945e026418bffed3a0936dc87866517edd73b00cac85424ca6ab5a",
+        ("maurey", ()): "1b854e608912894a786197bebf1a15832a88f767fbb7f0b1c0016af294047dbd",
+        ("gamma", (("lam", 0.5),)): "a3c4e8b311d74ecb8115f7393067a024c52a162b8ad1101dc125f8b2b381774e",
+    }
+
+    @pytest.mark.parametrize("name,params", sorted(_BUILTIN_VERDICTS))
+    def test_builtin_verdicts_are_pinned(self, name, params):
+        v = validate_admissible(builtin_cost(name, **dict(params)))
+        body = json.dumps(v.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == \
+            self._BUILTIN_VERDICTS[name, params]
+
+    @staticmethod
+    def _overflowing(right, left):
+        # t^2 on [-1, 1], e^{t^2} - e + 1 beyond: e^{t^2} is inf from t ~ 26.6
+        def fn(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(over="ignore"):
+                outer = np.where(t > 1.0, right(t), left(t))
+            return np.where(np.abs(t) <= 1.0, t * t, outer)
+        return CostFunction("overflowing", fn, lambda t: 2.0 * np.abs(t),
+                            np.sqrt, convex=False)
+
+    def test_overflowing_profile_that_is_not_even(self):
+        cost = self._overflowing(lambda t: np.exp(t * t) - math.e + 1.0,
+                                 lambda t: 2.0 * np.abs(t) - 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = validate_admissible(cost)
+        assert v.status == "fails"
+        assert v.diagnostics["violated"] == "evenness"
+        assert v.diagnostics["overflow_from"] == pytest.approx(26.647,
+                                                               abs=1e-3)
+
+    def test_overflowing_even_profile_is_checked_where_finite(self):
+        outer = lambda t: np.exp(t * t) - math.e + 1.0  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = validate_admissible(self._overflowing(
+                outer, lambda t: outer(-t)))
+        assert v.holds
+        assert v.diagnostics["overflow_from"] == pytest.approx(26.647,
+                                                               abs=1e-3)
+
+    def test_finite_again_past_an_overflow_is_not_monotone(self):
+        outer = lambda t: np.where(np.abs(t) < 30.0,  # noqa: E731
+                                   np.exp(t * t) - math.e + 1.0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = validate_admissible(self._overflowing(outer, outer))
+        assert v.status == "fails"
+        assert v.diagnostics["violated"] == "monotonicity"
+        assert 30.0 <= v.diagnostics["at"] < 30.02
 
 
 class TestConjugate:

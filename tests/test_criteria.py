@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from tcilab import costs, measures, verify
+from tcilab import costs, criteria, measures, verify
 from tcilab.criteria import (
     K_moment,
+    _K_scan_sup,
     _decaying_tail_integral,
     _regular_class_check,
     assemble_rate,
@@ -207,10 +208,119 @@ class TestMomentClosedForm:
                                             else {}))
         assert K_moment(measures.make_builtin(law), alpha, b, side) == math.inf
 
+    @pytest.mark.parametrize("b", [0.25, 0.5])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_reference_law_to_the_last_bits(self, mu1, alpha1, b, side):
+        # the residual law is Exp(1) at every anchor, so the ray from the
+        # median is the whole sup
+        assert K_moment(mu1, alpha1, b, side) == pytest.approx(
+            _alpha1_closed_form(b), rel=1e-15)
+
 
 def _quartic_table():
     xs = np.linspace(-4.0, 4.0, 129)
     return measures.make_from_table(xs, xs ** 4 / 4.0)
+
+
+def _huber_table():
+    # asymmetric and not log-concave: Huber + 0.3 sin x
+    xs = np.linspace(-4.0, 4.0, 129)
+    return measures.make_from_table(
+        xs, np.where(np.abs(xs) <= 1.0, 0.5 * xs * xs, np.abs(xs) - 0.5)
+        + 0.3 * np.sin(xs))
+
+
+class TestMedianRule:
+    """``K_moment`` takes the ray from the median on laws that pass
+    ``is_log_concave``; the scan-sup over anchors is the reference."""
+
+    LOG_CONCAVE = {
+        "exponential": lambda: measures.make_builtin("exponential"),
+        "gaussian-1": lambda: measures.make_builtin("gaussian", sigma=1.0),
+        "gaussian-10": lambda: measures.make_builtin("gaussian", sigma=10.0),
+        "exp_power-1.25": lambda: measures.make_builtin("exp_power", p=1.25),
+        "exp_power-1.5": lambda: measures.make_builtin("exp_power", p=1.5),
+        "exp_power-3": lambda: measures.make_builtin("exp_power", p=3.0),
+        "one_sided_exp": lambda: measures.make_builtin("one_sided_exp"),
+        "quartic_table": _quartic_table,
+    }
+    OTHERS = {"cauchy": lambda: measures.make_builtin("cauchy"),
+              "huber_table": _huber_table}
+    COSTS = (("alpha1", {}), ("theta_p", {"p": 2}), ("alpha_p", {"p": 1.5}))
+    BS = (1.0, 0.5, 0.25, 1.0 / 16.0)
+
+    def _pairs(self, mu):
+        for name, params in self.COSTS:
+            alpha = costs.builtin_cost(name, **params)
+            for b in self.BS:
+                for side in ("plus", "minus"):
+                    yield (K_moment(mu, alpha, b, side),
+                           _K_scan_sup(mu, alpha, b, side))
+
+    @pytest.mark.parametrize("law", sorted(LOG_CONCAVE))
+    def test_median_ray_is_the_scan_sup(self, law):
+        mu = self.LOG_CONCAVE[law]()
+        assert measures.is_log_concave(mu).holds
+        for got, want in self._pairs(mu):
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("law", sorted(OTHERS))
+    def test_other_laws_keep_the_scan_sup(self, law):
+        mu = self.OTHERS[law]()
+        assert not measures.is_log_concave(mu).holds
+        for got, want in self._pairs(mu):
+            assert got == want
+
+    def test_left_side_reads_the_cdf(self, alpha1):
+        # the density rises on the left through a plateau on [-3, -1]: the
+        # hazard density/sf is nondecreasing, so is_log_concave holds, but
+        # density/cdf is not, and on the minus side the residual at -1 is
+        # larger than at the median
+        def shoulder(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x >= 0.0, 0.5 * x * x, np.where(
+                x >= -1.0, 2.0 * x * x,
+                np.where(x >= -3.0, 2.0, 2.0 + 0.5 * (x + 3.0) ** 2)))
+
+        mu = measures.make_from_potential(shoulder,
+                                          kink_points=(-3.0, -1.0, 0.0))
+        assert measures.is_log_concave(mu).holds
+        at_median = criteria._residual_moments(mu, alpha1, 0.5, "minus")(
+            np.array([mu.median]))[0]
+        K = K_moment(mu, alpha1, 0.5, "minus")
+        assert K == _K_scan_sup(mu, alpha1, 0.5, "minus")
+        assert K > 1.1 * at_median
+
+    @pytest.mark.parametrize("law,calls", [("exponential", 3),
+                                           ("cauchy", 21)])
+    def test_decision_integrates_one_ray_per_moment(self, monkeypatch,
+                                                    alpha1, law, calls):
+        # work count, no timing: exponential diverges at b = 1 and stops at
+        # b = 1/2 (plus, then minus); cauchy diverges on the plus side at
+        # all 21 steps of the b-scan
+        anchors = []
+        engine = criteria._decaying_tail_integral
+
+        def counted(log_parts, xs, *args, **kwargs):
+            anchors.append(np.size(xs))
+            return engine(log_parts, xs, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_decaying_tail_integral", counted)
+        decide_strong_tci_lip(measures.make_builtin(law), alpha1)
+        assert anchors == [1] * calls
+
+    @pytest.mark.parametrize("sigma,b,a", [
+        (1e3, 0.03125, 3.195463830027541e-05),
+        (1e6, 3.0517578125e-05, 3.271929659946836e-08)])
+    def test_wide_gaussian_general_route_is_pinned(self, alpha1, sigma, b,
+                                                   a):
+        v = decide_strong_tci_lip(
+            measures.make_builtin("gaussian", sigma=sigma), alpha1)
+        assert v.status == "holds"
+        assert (v.constants["b"], v.constants["a"]) == (b, a)
 
 
 _ORACLE_CASES = {
