@@ -359,7 +359,7 @@ def _mirrored(mu: Measure1D) -> Measure1D:
 
 
 def _K_scan_sup(mu: Measure1D, alpha: CostFunction, b: float,
-                side: str = "plus") -> float:
+                side: str) -> float:
     """:func:`K_moment` by a scan-sup over anchors: the 511-point grid of
     :func:`_scan_grids`, golden refinement and growth probes
     (:func:`numerics.sup_on_grid`), one ray-engine call per step."""
