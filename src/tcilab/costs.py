@@ -288,8 +288,8 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     ``x + y <= 64`` of a 257-point grid of pairs (tolerance 1e-9).  The
     verdict reports the first violated condition.  A profile that
     overflows on the grid is checked up to its first non-finite point,
-    ``overflow_from``, from which on it must stay ``+inf`` to be monotone,
-    and on the pairs where it is finite.
+    ``overflow_from``, from which on it must stay ``+inf`` to be monotone;
+    a pair whose sides both overflow tells nothing about superadditivity.
     """
     t = np.linspace(0.0, 64.0, 4096)
     v = np.asarray(cost.fn(t), dtype=float)
@@ -323,19 +323,17 @@ def validate_admissible(cost: CostFunction) -> Verdict:
         diag["violated"] = "quadratic_near_zero"
         diag["gap"] = quad_gap
         return Verdict(FAILS, {}, diag)
-    # superadditivity on a coarser triangle of pairs with finite values
+    # superadditivity on a coarser triangle of pairs
     s = np.linspace(0.0, 64.0, 257)
     x, y = np.meshgrid(s, s)
     keep = (x + y) <= 64.0
     x, y = x[keep], y[keep]
     fx, fy = np.asarray(cost.fn(x)), np.asarray(cost.fn(y))
-    if end < len(t):
-        live = np.isfinite(fx) & np.isfinite(fy)
-        x, y, fx, fy = x[live], y[live], fx[live], fy[live]
     fxy = np.asarray(cost.fn(x + y))
-    gap = fxy - fx - fy
+    with np.errstate(invalid="ignore"):
+        gap = fxy - fx - fy  # nan where both sides overflow: no information
     if np.any(gap < -1e-9 * (1.0 + np.abs(fxy))):
-        k = int(np.argmin(gap))
+        k = int(np.nanargmin(gap))
         diag["violated"] = "superadditivity"
         diag["pair"] = [float(x[k]), float(y[k])]
         diag["gap"] = float(gap[k])

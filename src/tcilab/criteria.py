@@ -348,14 +348,30 @@ def _residual_moments(mu: Measure1D, alpha: CostFunction, b: float,
     return inner
 
 
-def _mirrored(mu: Measure1D) -> Measure1D:
-    """The law of ``-X`` for ``X ~ mu``, on ``mu``'s distribution functions."""
-    lo, hi = mu.support
-    return Measure1D(lambda x: mu.potential(-x), mu.logZ, (-hi, -lo),
-                     f"mirrored {mu.name}", cdf=lambda x: mu.sf(-x),
-                     sf=lambda x: mu.cdf(-x),
-                     quantile_fn=lambda t: -mu.isf(t),
-                     isf_fn=lambda s: -mu.quantile(s), median=-mu.median)
+def _hazard_rises(mu: Measure1D, side: str) -> bool:
+    """Whether the hazard on ``side`` rises outward over every anchor that
+    :func:`_K_scan_sup` reaches.
+
+    The hazard is ``density/sf`` on the plus side and ``density/cdf`` on
+    the minus side; it is sampled on the side's column of
+    :func:`_scan_grids` and on 256 equally spaced points from its end out
+    to the last growth probe of :func:`numerics.sup_on_grid`, where the
+    mass outward exceeds 1e-300.  It rises when no sample falls below the
+    running maximum by more than ``1e-7 (1 + max)``, the tolerance of
+    :func:`is_log_concave`.
+    """
+    plus = side == "plus"
+    grid = _scan_grids(mu)[:, _PLUS if plus else ~_PLUS]
+    span = abs(grid[-1] - grid[0])
+    reach = numerics.growth_probe_offsets(span)[-1, 0]
+    ahead = grid[0] + (1.0 if plus else -1.0) * np.linspace(span, reach, 257)
+    xs = np.concatenate((grid, ahead[1:]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mass = np.asarray(_tail(mu, xs, plus), dtype=float)
+        hazard = np.asarray(mu.density(xs), dtype=float) / mass
+    hazard = hazard[(mass > 1e-300) & np.isfinite(hazard)]
+    peak = np.maximum.accumulate(hazard)
+    return not np.any(peak - hazard > 1e-7 * (1.0 + peak))
 
 
 def _K_scan_sup(mu: Measure1D, alpha: CostFunction, b: float,
@@ -377,9 +393,10 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
     d(residual law at x)``; ``inf`` when any inner integral or the sup
     itself diverges.  The median ``m`` is one of the anchors, so the ray
     from ``m`` comes first and its divergence makes the sup ``inf``.  When
-    the law's tail on ``side`` passes :func:`is_log_concave` (the mirrored
-    law's, on the minus side, so the test reads the cdf), its hazard
-    rate is nondecreasing outward, the residual law at ``x`` is
+    the hazard on ``side`` rises outward over every anchor the scan-sup
+    reaches (:func:`_hazard_rises`: ``density/sf`` on the plus side,
+    ``density/cdf`` on the minus side, the one-sided form of the
+    :func:`is_log_concave` test), the residual law at ``x`` is
     stochastically decreasing as ``x`` moves away from ``m``, and for a
     nondecreasing profile (every admissible one) the sup is that first
     ray's value.  Other laws take the scan-sup of :func:`_K_scan_sup`.
@@ -388,7 +405,7 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
         np.array([mu.median]))[0])
     if not math.isfinite(at_median):
         return math.inf
-    if is_log_concave(mu if side == "plus" else _mirrored(mu)).holds:
+    if _hazard_rises(mu, side):
         return at_median
     return _K_scan_sup(mu, alpha, b, side)
 

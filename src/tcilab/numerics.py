@@ -230,6 +230,13 @@ def geometric_offsets(span: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(span * 1e-8, span, n)))
 
 
+def growth_probe_offsets(span) -> np.ndarray:
+    """The offsets ``span + max(span, 1) 2**k``, k < 6, from the start of a
+    scan grid of extent ``span`` at which :func:`sup_on_grid` probes past
+    it; one column per entry of ``span``."""
+    return span + np.maximum(span, 1.0) * 2.0 ** np.arange(6)[:, None]
+
+
 def sup_on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 tol: float = 1e-12):
     """Supremum of ``f`` along each column of a scan grid, with growth probes.
@@ -262,7 +269,7 @@ def sup_on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
         arg, sup = np.where(better, x, arg), np.where(better, v, sup)
 
     span = np.abs(grid[-1] - grid[0])
-    offsets = span + np.maximum(span, 1.0) * 2.0 ** np.arange(6)[:, None]
+    offsets = growth_probe_offsets(span)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pv = np.asarray(f(grid[0] + np.sign(grid[-1] - grid[0]) * offsets),
                         dtype=float)

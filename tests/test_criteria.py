@@ -261,6 +261,8 @@ class TestMedianRule:
     def test_median_ray_is_the_scan_sup(self, law):
         mu = self.LOG_CONCAVE[law]()
         assert measures.is_log_concave(mu).holds
+        assert criteria._hazard_rises(mu, "plus")
+        assert criteria._hazard_rises(mu, "minus")
         for got, want in self._pairs(mu):
             if math.isinf(want):
                 assert got == math.inf
@@ -293,6 +295,24 @@ class TestMedianRule:
         K = K_moment(mu, alpha1, 0.5, "minus")
         assert K == _K_scan_sup(mu, alpha1, 0.5, "minus")
         assert K > 1.1 * at_median
+
+    def test_hazard_drop_past_the_log_concavity_grid(self, alpha1):
+        # Laplace up to |x| = 30, slope 0.6 beyond: the hazard falls from 1
+        # to 0.6 past the 1 - 1e-8 quantile (17.7), so is_log_concave holds,
+        # but the scan-sup reaches anchors there through its grid (to 22.3)
+        # and growth probes, and the rays from them gain on the median's
+        kinked = measures.make_from_potential(
+            lambda x: np.where(np.abs(x) < 30.0, np.abs(x),
+                               30.0 + 0.6 * (np.abs(x) - 30.0)),
+            kink_points=(-30.0, 30.0))
+        assert measures.is_log_concave(kinked).holds
+        for side in ("plus", "minus"):
+            assert not criteria._hazard_rises(kinked, side)
+            at_median = criteria._residual_moments(kinked, alpha1, 0.5, side)(
+                np.array([kinked.median]))[0]
+            K = K_moment(kinked, alpha1, 0.5, side)
+            assert K == _K_scan_sup(kinked, alpha1, 0.5, side)
+            assert K > 1.05 * at_median
 
     @pytest.mark.parametrize("law,calls", [("exponential", 3),
                                            ("cauchy", 21)])
