@@ -328,10 +328,9 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     x, y = np.meshgrid(s, s)
     keep = (x + y) <= 64.0
     x, y = x[keep], y[keep]
-    fx, fy = np.asarray(cost.fn(x)), np.asarray(cost.fn(y))
     fxy = np.asarray(cost.fn(x + y))
-    with np.errstate(invalid="ignore"):
-        gap = fxy - fx - fy  # nan where both sides overflow: no information
+    with np.errstate(invalid="ignore"):  # nan where both sides overflow
+        gap = fxy - np.asarray(cost.fn(x)) - np.asarray(cost.fn(y))
     if np.any(gap < -1e-9 * (1.0 + np.abs(fxy))):
         k = int(np.nanargmin(gap))
         diag["violated"] = "superadditivity"
