@@ -122,8 +122,19 @@ def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks):
 
 
 def _alpha1():
-    return _spliced("alpha1", lambda t: t, lambda t: 1.0, lambda s: s,
-                    convex=False, kinks=(1.0,))
+    spliced = _spliced("alpha1", lambda t: t, lambda t: 1.0, lambda s: s,
+                       convex=False, kinks=(1.0,))
+
+    def fn(t):
+        # min(t**2, |t|) is the splice bit for bit (t**2 rounds to at most
+        # |t| below 1 and to at least |t| above), without the select, which
+        # on random arguments costs more than the arithmetic
+        t = np.abs(np.asarray(t, dtype=float))
+        sq = np.multiply(t, t, out=np.empty_like(t))
+        return np.minimum(sq, t, out=sq)
+
+    return CostFunction("alpha1", fn, spliced.deriv, spliced.inverse,
+                        convex=False, kinks=(1.0,))
 
 
 def _exponent(p):

@@ -271,20 +271,28 @@ class ResidualDistribution:
 def _exponential_symmetric():
     log2 = math.log(2.0)
 
+    # One exp or log per element, and no select on the inverses' logs
+    # (np.where over random draws costs as much as the log).  They take the
+    # log of the branch that applies, log(2 min(t, 1 - t)) (1 - t is exact
+    # where it is the smaller), and its sign from copysign; the level 1/2
+    # gives -0.0, as -log(1) does.
+
     def cdf(x):
-        return np.where(x >= 0, 1.0 - 0.5 * np.exp(-np.abs(x)),
-                        0.5 * np.exp(-np.abs(x)))
+        half = 0.5 * np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 - half, half)
 
     def sf(x):
         return cdf(-np.asarray(x, dtype=float))
 
     def quantile(t):
         t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.5, -np.log(2.0 * (1.0 - t)), np.log(2.0 * t))
+        log = np.log(2.0 * np.minimum(t, 1.0 - t))
+        return log * np.copysign(1.0, -(t - 0.5))
 
     def isf(s):
         s = np.asarray(s, dtype=float)
-        return np.where(s <= 0.5, -np.log(2.0 * s), np.log(2.0 * (1.0 - s)))
+        log = np.log(2.0 * np.minimum(s, 1.0 - s))
+        return log * np.copysign(1.0, -(0.5 - s))
 
     return Measure1D(lambda x: np.abs(x), log2, name="exponential_symmetric",
                      cdf=cdf, sf=sf, quantile_fn=quantile, isf_fn=isf,
@@ -659,16 +667,24 @@ def is_log_concave(mu: Measure1D) -> Verdict:
 
 
 def _draw_blocks(mu: Measure1D, rows: int, n: int, seed: int):
-    """The ``(rows, n)`` draw of :func:`sample`, one block of rows at a time
-    from its one Philox stream, so stacked the blocks are that draw."""
+    """The clipped uniform levels of the ``(rows, n)`` draw of
+    :func:`sample`, one block of rows at a time from its one Philox stream,
+    so mapped by :func:`_draw_inverse` and stacked the blocks are that
+    draw."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     step = max(1, _DRAW_BLOCK // n)
     for start in range(0, rows, step):
-        u = np.clip(rng.random((min(step, rows - start), n)), 1e-16,
-                    1.0 - 1e-16)
-        # numeric measures: interpolated, not the costlier Newton, inverse
-        yield np.interp(u, mu.F_grid, mu.grid) if mu._quantile is None \
-            else np.asarray(mu.quantile(u), dtype=float)
+        yield np.clip(rng.random((min(step, rows - start), n)), 1e-16,
+                      1.0 - 1e-16)
+
+
+def _draw_inverse(mu: Measure1D, u) -> np.ndarray:
+    """The inverse cdf the draws use, elementwise: interpolated in the cell
+    table of numeric measures (not the costlier Newton), the closed-form
+    quantile otherwise."""
+    if mu._quantile is None:
+        return np.interp(u, mu.F_grid, mu.grid)
+    return np.asarray(mu.quantile(u), dtype=float)
 
 
 def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
@@ -680,8 +696,13 @@ def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
     if np.min(shape) < 1:
         raise ValueError(f"sample shape {shape!r} has no draws")
     rows, *rest = np.atleast_1d(shape)
-    blocks = _draw_blocks(mu, rows, math.prod(rest), seed)
-    return np.concatenate(list(blocks)).reshape(shape)
+    n = math.prod(rest)
+    out = np.empty((rows, n))
+    start = 0
+    for u in _draw_blocks(mu, rows, n, seed):
+        out[start:start + len(u)] = _draw_inverse(mu, u)
+        start += len(u)
+    return out.reshape(shape)
 
 
 def quantile_discretize(mu: Measure1D, k: int) -> DiscreteMeasure:

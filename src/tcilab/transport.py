@@ -286,6 +286,9 @@ def _relative_entropy_continuous(nu: Measure1D, mu: Measure1D) -> float:
 # inf-convolution
 # ---------------------------------------------------------------------------
 
+_BAND_GRID = 4096    # distances on which knot_min's bands are read off c
+
+
 class ExactInfConvolution:
     """Continuum inf-convolution of piecewise-linear potentials.
 
@@ -305,6 +308,15 @@ class ExactInfConvolution:
     largest cost on blocks of consecutive queries, so ``min_k vals_k +
     M[k, j]`` bounds ``Q phi`` on all of block ``j``; ``knot_min`` bounds it
     at every query, and ``refine`` lowers that bound in place to ``Q phi``.
+
+    ``refine`` always tries the offset 0, so ``Q phi <= max phi + c(0)``
+    and a knot term above :meth:`cap` can never be the minimum.  Given that
+    cap, ``knot_min`` visits each knot only on its band of the sorted
+    queries, where its term can still be below the cap.  The band is read
+    off ``c`` tabulated on a distance grid, which takes ``c`` nondecreasing
+    in ``|x - y|``; a cost that falls on the grid gets no bands.  ``refine``
+    then returns the all-knot result bit for bit, since a minimum does not
+    round.
     """
 
     def __init__(self, query, knots, alpha: CostFunction,
@@ -320,6 +332,20 @@ class ExactInfConvolution:
             self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
         self._order = np.argsort(self.query, kind="stable")
         self._sorted = self.query[self._order]
+        self._c0 = float(c(np.zeros(1))[0])
+        # the nondecreasing head of the queries carries the bands; the rest
+        # (the dual check's two window edges) takes every knot
+        drop = np.flatnonzero(np.diff(self.query) < 0.0)
+        self._head = drop[0] + 1 if len(drop) else len(self.query)
+        # c on a geometric grid of distances (0.7 % apart) out to the
+        # farthest query-knot pair; the band of a knot ends at the first
+        # distance whose cost tops its room
+        far = np.ptp(np.concatenate([self.query, self.knots]))
+        dist = np.append(0.0, np.geomspace(1e-12, 1.0, _BAND_GRID)) * far \
+            if math.isfinite(far) else np.zeros(1)
+        cost = c(dist)
+        self._reach = (np.append(dist, math.inf), cost) \
+            if np.all(np.diff(cost) >= 0.0) and math.isfinite(far) else None
         span = np.ptp(self.knots) + np.ptp(self.query) + 1.0
         kinks = [k for k in alpha.kinks if 0.0 < k / a < span]
         self._fixed = np.array([0.0, *(k / a for k in kinks)])
@@ -344,14 +370,47 @@ class ExactInfConvolution:
         queries; the blocks are consecutive and begin at ``starts``."""
         return np.maximum.reduceat(self.knot_cost, starts, axis=1)
 
-    def knot_min(self, vals: np.ndarray) -> np.ndarray:
-        """``min_k vals_k + c(x - knot_k)`` at every query point, an upper
-        bound on ``Q phi``, in one in-place pass over the knot rows."""
-        best = self.knot_cost[0] + vals[0]
+    def cap(self, vals: np.ndarray) -> float:
+        """Just above ``max phi + c(0)``, so above ``Q phi`` everywhere; the
+        margin covers the rounding of ``np.interp`` and of ``c``."""
+        top = float(vals.max()) + self._c0
+        return top + 1e-9 * (1.0 + float(np.abs(vals).max()) + abs(self._c0))
+
+    def _bands(self, vals: np.ndarray, cap: float):
+        """Per knot, the slice ``[lo, hi)`` of the sorted head of the queries
+        outside which its term ``vals_k + c(x - knot_k)`` tops ``cap``."""
+        head, K = self._head, len(self.knots)
+        if self._reach is None or not cap < math.inf:
+            return [0] * K, [head] * K
+        dist, cost = self._reach
+        # first grid distance whose cost tops the room, widened past the
+        # rounding of x - knot_k
+        w = dist[np.searchsorted(cost, cap - vals, side="right")]
+        w = w + 1e-12 * (w + np.abs(self.knots))
+        q = self.query[:head]
+        return (np.searchsorted(q, self.knots - w, side="left").tolist(),
+                np.searchsorted(q, self.knots + w, side="right").tolist())
+
+    def knot_min(self, vals: np.ndarray, cap: float = math.inf) -> np.ndarray:
+        """``min(cap, min_k vals_k + c(x - knot_k))`` at every query point,
+        an upper bound on ``Q phi``, in one in-place pass over the knot rows.
+
+        Each knot visits only its band (:meth:`_bands`): outside it the
+        term is above ``cap``.  With the default ``cap = inf`` every band is
+        the whole axis and this is the exact all-knot minimum; with
+        :meth:`cap` the minimum differs only where it is above the cap,
+        which :meth:`refine` lowers to the same ``Q phi`` bit for bit.
+        """
+        best = np.full(len(self.query), cap)
         tmp = np.empty_like(best)
-        for k in range(1, len(self.knots)):
-            np.add(self.knot_cost[k], vals[k], out=tmp)
-            np.minimum(best, tmp, out=best)
+        for k, (i, j) in enumerate(zip(*self._bands(vals, cap))):
+            np.add(self.knot_cost[k, i:j], vals[k], out=tmp[i:j])
+            np.minimum(best[i:j], tmp[i:j], out=best[i:j])
+        head, rows = self._head, max(1, 2 ** 16 // max(len(self.knots), 1))
+        for i in range(head, len(best), rows):
+            tail = self.knot_cost[:, i:i + rows] + vals[:, None]
+            np.minimum(best[i:i + rows], tail.min(axis=0),
+                       out=best[i:i + rows])
         return best
 
     def refine(self, vals: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -382,7 +441,7 @@ class ExactInfConvolution:
         return best
 
     def q(self, vals: np.ndarray) -> np.ndarray:
-        return self.refine(vals, self.knot_min(vals))
+        return self.refine(vals, self.knot_min(vals, self.cap(vals)))
 
 
 def inf_convolution_exact(phi: GridFunction, alpha: CostFunction, out_x,

@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics, transport
 from .costs import CostFunction
 from .criteria import _decaying_tail_integral
-from .measures import DiscreteMeasure, Measure1D, _draw_blocks
+from .measures import DiscreteMeasure, Measure1D, _draw_blocks, _draw_inverse
 from .transport import GridFunction
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
@@ -49,6 +49,10 @@ _TENSOR_SLACK = 1e-7
 _PRODUCT_STATE_CAP = 1296       # 6**4; largest product LP we will pose
 
 _LSI_SLACK = 1e-8
+
+#: inward steps of a threshold of A's level band; the first that works wins
+_BAND_STEPS = np.array([0.0, 2.0 ** -40, 2.0 ** -34, 2.0 ** -28, 2.0 ** -22,
+                        2.0 ** -16, 2.0 ** -10])
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +260,13 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
        quadrature cell, the knot minimum over the cell's largest knot costs
        (:meth:`transport.ExactInfConvolution.cell_max`) and the smaller of
        the two enclosing knot values of ``phi``;
-    2. the exact second factor times the all-knot minimum at every node
-       (:meth:`transport.ExactInfConvolution.knot_min`).
+    2. the exact second factor times the knot minimum at every node
+       (:meth:`transport.ExactInfConvolution.knot_min`), each knot visited
+       only on its band under the engine's cap, just above
+       ``max phi + c(0)``.
 
-    Both bounds on ``Q phi`` are capped at ``max phi + c(0)``.
+    Both bounds on ``Q phi`` are capped at ``max phi + c(0)``, so the
+    banded minimum gives tier 2 and the exact pass the all-knot values.
     ``screened`` counts the candidates a tier decided; the rest take the
     exact pass.  The report is the unscreened one bit for bit and does not
     depend on the BLAS thread count; non-finite products raise.
@@ -294,7 +301,7 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
             screened += 1
             continue
         factor = second(vals)
-        upper = engine.knot_min(vals)
+        upper = engine.knot_min(vals, engine.cap(vals))
         # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
         if first(np.minimum(upper, vals.max() + c0)) * factor <= cut:
             screened += 1
@@ -583,6 +590,29 @@ class ConcentrationReport:
                                          self.bound)]
 
 
+def _inside_levels(mu: Measure1D, lo: float, hi: float):
+    """Levels ``(t_lo, t_hi)``: a draw's clipped uniform level strictly
+    between them maps into ``[lo, hi]``.
+
+    Each threshold starts at the cdf of its end of A and steps inward by
+    ``_BAND_STEPS`` until the draw's own inverse
+    (:func:`measures._draw_inverse`) of the clipped threshold lies in A,
+    inside by 1e-9 of its size, which covers the rounding of the monotone
+    inverse.  A side where no step does gets a threshold that no level
+    passes, so nothing is skipped: a cdf that rounds to 1 at ``lo`` (or to
+    0 at ``hi``) skips no coordinate.
+    """
+    def threshold(end: float, sign: float) -> float:
+        t = float(mu.cdf(end)) + sign * _BAND_STEPS
+        # an array, as the draws are: a closed form's scalar path may round
+        # differently
+        x = _draw_inverse(mu, np.clip(t, 1e-16, 1.0 - 1e-16))
+        ok = np.isfinite(x) & (sign * (x - end) >= 1e-9 * np.abs(x))
+        return float(t[np.argmax(ok)]) if ok.any() else sign * math.inf
+
+    return threshold(lo, 1.0), threshold(hi, -1.0)
+
+
 def concentration_mc(mu: Measure1D, alpha: CostFunction,
                      scale: Optional[float] = None,
                      A=(0.0, math.inf), n: int = 1, r_grid=None,
@@ -597,6 +627,10 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     ``r_grid`` must be nonempty, 1-D and finite.  The draw of ``sample(mu,
     (samples, n), seed)`` is streamed and counted in blocks of rows: memory
     is O(block * n), not O(samples * n), and the curve is the same bits.
+    Only the coordinates drawn outside A are evaluated: a uniform level
+    strictly inside A's level band (:func:`_inside_levels`) maps into A, so
+    its cost is ``c(0)``, and only the other levels go through the inverse
+    cdf, the distance and the cost.
     """
     n = _whole("n", n, 1)
     samples = _whole("samples", samples, 1)
@@ -613,10 +647,16 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     mass1 = mu.cdf(hi) - mu.cdf(lo)
     mass_n = mass1 ** n
 
+    t_lo, t_hi = _inside_levels(mu, lo, hi)
+    inside_cost = float(c(np.zeros(1))[0])
     counts = np.zeros(r_grid.size, dtype=np.int64)
-    for X in _draw_blocks(mu, samples, n, seed):
-        D = np.maximum(np.maximum(lo - X, X - hi), 0.0)
-        costs = np.sort(np.asarray(c(D), dtype=float).sum(axis=1))
+    for u in _draw_blocks(mu, samples, n, seed):
+        # flat indices: a boolean gather and scatter cost twice as much
+        out = np.flatnonzero((u <= t_lo) | (u >= t_hi))
+        X = _draw_inverse(mu, u.take(out))
+        C = np.full(u.size, inside_cost)
+        C[out] = c(np.maximum(np.maximum(lo - X, X - hi), 0.0))
+        costs = np.sort(C.reshape(u.shape).sum(axis=1))
         counts += np.searchsorted(costs, r_grid, side="right")
     emp = counts / float(samples)
 

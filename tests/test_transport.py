@@ -1,5 +1,6 @@
 """Transport costs: monotone coupling, LP oracle, entropy, inf-convolution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import integrate, optimize, sparse
 
 from tcilab import numerics, transport, verify
-from tcilab.costs import builtin_cost, cost_from_table
+from tcilab.costs import builtin_cost, conjugate, cost_from_table
 from tcilab.measures import (DiscreteMeasure, make_builtin, make_from_table,
                              quantile_discretize)
 from tcilab.transport import (ExactInfConvolution, GridFunction, cost_lp,
@@ -486,6 +487,100 @@ class TestScreenedEngine:
                 * quadr.exp_integral(-phi, -vals[0], -vals[-1]))
         assert rep.worst_product == pytest.approx(want, rel=1e-9)
         assert rep.worst_product == pytest.approx(2085138.25, rel=1e-6)
+
+
+def _lifted_alpha1():
+    # c(0) = 1 > 0: the cap must sit above max phi + c(0), not max phi
+    alpha1 = builtin_cost("alpha1")
+    return dataclasses.replace(alpha1, name="alpha1+1",
+                               fn=lambda t: alpha1.fn(t) + 1.0)
+
+
+_BAND_COSTS = {
+    "alpha1": lambda: builtin_cost("alpha1"),
+    "alpha_p1.5": lambda: builtin_cost("alpha_p", p=1.5),
+    "theta2": lambda: builtin_cost("theta_p", p=2.0),
+    "maurey": lambda: builtin_cost("maurey"),
+    "gamma0.5": lambda: builtin_cost("gamma", lam=0.5),
+    "conj-theta2": lambda: conjugate(builtin_cost("theta_p", p=2.0)),
+    "spliced-table": _EXACT_COSTS["spliced-table"],
+    "alpha1+1": _lifted_alpha1,
+}
+_BAND_SETTINGS = [(1.0, 10.0), (1.0, 1.0), (0.25, 1.0 / 72.0),
+                  (None, 1.0 / 36.0)]
+
+
+@pytest.fixture(scope="module")
+def band_setups():
+    """Per law, the dual check's knots, every eighth quadrature node and the
+    two window edges (sorted but for the edges, as in the check), and every
+    fifth potential of a 20-walk family."""
+    out = {}
+    for law in ("exponential", "gaussian", "cauchy"):
+        knots, cands = verify._dual_family(make_builtin(law), 20, 1)
+        quadr = verify._DualQuadrature(make_builtin(law), knots)
+        query = np.concatenate([quadr.nodes[::8], [quadr.lo, quadr.hi]])
+        out[law] = knots, query, [v for _, v in cands[::5]]
+    return out
+
+
+class TestBandedKnotMin:
+    @pytest.mark.parametrize("law", ["exponential", "gaussian", "cauchy"])
+    @pytest.mark.parametrize("name", list(_BAND_COSTS))
+    def test_banded_pass_refines_to_the_all_knot_result(self, band_setups,
+                                                        law, name):
+        # the capped, banded knot minimum gives the dual check's screen
+        # value and, through refine, Q phi bit for bit
+        knots, query, potentials = band_setups[law]
+        alpha = _BAND_COSTS[name]()
+        if name == "conj-theta2":
+            # its c' is a numeric derivative of a golden-section search,
+            # so refine takes about 0.1 s per potential
+            potentials = potentials[::6]
+        perm = np.random.default_rng(5).permutation(len(query))
+        for scale, pref in _BAND_SETTINGS:
+            engine = ExactInfConvolution(query, knots, alpha, scale, pref)
+            top_c = float(transport._ground(alpha, scale, pref)[1](0.0))
+            visited = 0
+            for vals in potentials:
+                full = engine.knot_min(vals)
+                cap = engine.cap(vals)
+                banded = engine.knot_min(vals, cap)
+                top = vals.max() + top_c
+                np.testing.assert_array_equal(np.minimum(banded, top),
+                                              np.minimum(full, top))
+                oracle = engine.refine(vals, full)
+                np.testing.assert_array_equal(engine.refine(vals, banded),
+                                              oracle)
+                visited += sum(j - i for i, j in zip(*engine._bands(vals,
+                                                                   cap)))
+            if (scale, pref) == (1.0, 10.0):
+                # prefactor 10 leaves each knot a narrow band
+                assert visited < 0.5 * len(potentials) * len(knots) * len(query)
+            # unsorted queries through q: the sorted head is short and the
+            # rest takes every knot, still the same values
+            phi = GridFunction(knots, potentials[-1])
+            np.testing.assert_array_equal(
+                inf_convolution_exact(phi, alpha, query[perm], scale, pref),
+                oracle[perm])
+
+    def test_band_width_follows_the_room_under_the_cap(self, band_setups):
+        # alpha1 at prefactor 10: a knot at max phi has room c(0) plus the
+        # cap's margin, about 6e-9, so its band is about 2.4e-5 wide; a knot
+        # 5 below has room 5, so its band reaches sqrt(1/2); the distance
+        # grid overshoots by at most 0.7 %
+        knots, query, _ = band_setups["exponential"]
+        engine = ExactInfConvolution(query, knots, builtin_cost("alpha1"),
+                                     1.0, 10.0)
+        vals = np.zeros(len(knots))
+        vals[0] = -5.0
+        lo, hi = engine._bands(vals, engine.cap(vals))
+        assert np.all(np.abs(query[lo[1]:hi[1]] - knots[1]) <= 3e-5)
+        near = np.abs(query[:engine._head] - knots[0]) <= math.sqrt(0.5)
+        assert lo[0] <= np.flatnonzero(near)[0]
+        assert hi[0] - 1 >= np.flatnonzero(near)[-1]
+        assert np.all(np.abs(query[lo[0]:hi[0]] - knots[0])
+                      <= 1.01 * math.sqrt(0.5))
 
 
 class TestWeakDuality:

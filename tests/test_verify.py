@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from test_numerics import _fresh_python
 
@@ -38,6 +40,15 @@ def gauss_half():
 def quartic_table():
     xs = np.linspace(-4.0, 4.0, 129)
     return measures.make_from_table(xs, xs ** 4 / 4.0)
+
+
+@pytest.fixture(scope="module")
+def mc_laws(quartic_table):
+    laws = {name: measures.make_builtin(name, **params) for name, params in (
+        ("exponential", {}), ("gaussian", {}), ("exp_power", {"p": 1.5}),
+        ("cauchy", {}))}
+    laws["quartic"] = quartic_table
+    return laws
 
 
 # criterion 10's margins (gaussian sigma 2**-0.5, conjugate of theta_p 2,
@@ -596,6 +607,81 @@ class TestConcentration:
             lower, upper = numerics.wilson_interval(expect, samples)
             np.testing.assert_array_equal(rep.lower_ci, lower)
             np.testing.assert_array_equal(rep.upper_ci, upper)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_curve_is_the_one_shot_count(self, mc_laws, data):
+        # the coordinates drawn inside A skip the inverse cdf and the cost:
+        # the curve is still the sort-and-count of the whole sample, bit for
+        # bit, whatever A's ends, the law, the cost and the r grid
+        name = data.draw(st.sampled_from(sorted(mc_laws)), label="law")
+        mu = mc_laws[name]
+        n = data.draw(st.sampled_from([1, 2, 3, 8]), label="n")
+        rows = max(1, measures._DRAW_BLOCK // n)
+        samples = data.draw(st.sampled_from(
+            [1, 7, rows - 1, rows, rows + 1, 2 * rows + 5]), label="samples")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+
+        def end(sign):
+            kind = data.draw(st.sampled_from(
+                ["inf", "finite", "quantile", "draw", "next to a draw",
+                 "far"]))
+            if kind == "inf":
+                return sign * math.inf
+            if kind == "finite":
+                return data.draw(st.floats(-6.0, 6.0))
+            if kind == "quantile":
+                return float(mu.quantile(data.draw(st.floats(1e-9, 1 - 1e-9))))
+            if kind in ("draw", "next to a draw"):
+                # one of the sample's own values, so a draw sits on the end
+                # or just outside it
+                u = next(measures._draw_blocks(mu, samples, n, seed))
+                i = data.draw(st.integers(0, u.size - 1))
+                x = float(measures._draw_inverse(mu, u).flat[i])
+                return x if kind == "draw" else \
+                    float(np.nextafter(x, -sign * math.inf))
+            # the cdf rounds to 0 or 1 there
+            return data.draw(st.sampled_from([-1e300, -1e8, 1e8, 1e300]))
+
+        lo, hi = end(-1.0), end(1.0)
+        assume(lo < hi)
+        alpha = data.draw(st.sampled_from(
+            [costs.builtin_cost("alpha1"), _lifted_alpha1()]), label="cost")
+        scale, pref = data.draw(st.sampled_from(
+            [(None, 1.0), (SCALE, PREF), (1.0, 10.0)]), label="scale, pref")
+        # unsorted, with 0, negatives and the all-inside sum n c(0)
+        r = np.array(data.draw(st.lists(st.floats(-2.0, 12.0), min_size=1,
+                                        max_size=6), label="r")
+                     + [0.0, float(n) * float(alpha.fn(0.0)) * pref])
+        with np.errstate(over="ignore"):     # the far ends, squared
+            rep = concentration_mc(mu, alpha, scale=scale, prefactor=pref,
+                                   A=(lo, hi), n=n, r_grid=r,
+                                   samples=samples, seed=seed)
+            X = measures.sample(mu, (samples, n), seed)
+            c = transport._ground(alpha, scale, pref)[1]
+            cost = np.sort(c(np.maximum(np.maximum(lo - X, X - hi), 0.0))
+                           .sum(axis=1))
+        expect = np.searchsorted(cost, r, side="right") / float(samples)
+        np.testing.assert_array_equal(rep.empirical, expect)
+
+    @pytest.mark.parametrize("law", ["exponential", "gaussian", "exp_power",
+                                     "cauchy", "quartic"])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_draw_one_ulp_outside_is_evaluated(self, mc_laws, alpha1, law,
+                                               side):
+        # an end of A one ulp inside a draw: that draw costs c(1 ulp) > 0
+        # and must not be read as inside, though the cdf at the end is at
+        # most an ulp away from its level (for the quartic table the cdf
+        # and the interpolated inverse disagree by far more)
+        mu, r = mc_laws[law], np.array([0.0])
+        for seed in range(40):
+            u = next(measures._draw_blocks(mu, 1, 1, seed))
+            x = float(measures._draw_inverse(mu, u)[0, 0])
+            A = (float(np.nextafter(x, math.inf)), math.inf) if side == "lo" \
+                else (-math.inf, float(np.nextafter(x, -math.inf)))
+            rep = concentration_mc(mu, alpha1, A=A, n=1, r_grid=r,
+                                   samples=1, seed=seed)
+            assert rep.empirical[0] == 0.0, seed
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is in KiB on Linux only")
