@@ -126,6 +126,38 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="make_from_potential"):
             Measure1D(np.abs, math.log(2.0), median=0.0)
 
+    def test_exponential_forms_are_the_two_branch_formulas(self):
+        # one exp or log per element and no select on the inverses, the
+        # same bits as evaluating both branches and selecting, on every
+        # level in [0, 1] (the ends, 1/2 and its neighbours included) and
+        # nan
+        forms = _exponential_forms()
+        rng = np.random.default_rng(8)
+        half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        t = np.concatenate([rng.random(20000), rng.random(200) * 1e-12,
+                            1.0 - rng.random(200) * 1e-12,
+                            [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16, math.nan],
+                            half])
+        x = np.concatenate([rng.standard_normal(20000) * 20.0,
+                            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0,
+                             math.inf, -math.inf, math.nan]])
+        with np.errstate(divide="ignore"):
+            want = {
+                "cdf": np.where(x >= 0, 1.0 - 0.5 * np.exp(-np.abs(x)),
+                                0.5 * np.exp(-np.abs(x))),
+                "sf": np.where(-x >= 0, 1.0 - 0.5 * np.exp(-np.abs(x)),
+                               0.5 * np.exp(-np.abs(x))),
+                "quantile_fn": np.where(t >= 0.5, -np.log(2.0 * (1.0 - t)),
+                                        np.log(2.0 * t)),
+                "isf_fn": np.where(t <= 0.5, -np.log(2.0 * t),
+                                   np.log(2.0 * (1.0 - t))),
+            }
+            for name, arg in (("cdf", x), ("sf", x), ("quantile_fn", t),
+                              ("isf_fn", t)):
+                got = forms[name](arg)
+                assert np.array_equal(got.view(np.int64),
+                                      want[name].view(np.int64)), name
+
 
 _XS_129 = np.linspace(-4.0, 4.0, 129)
 _ENDPOINT_LAWS = {
