@@ -796,30 +796,45 @@ def _on(fn, x):
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
-def _lsi_integrals(mu: Measure1D, beta_fn, t: float, f, df, edges):
-    """``int f^2``, ``int f^2 log f^2`` and ``int beta(t f'/f) f^2`` over
-    ``mu`` restricted to ``[edges[0], edges[-1]]``, as owners 0, 1 and 2 of
-    one owner-mode :func:`numerics.gauss_kronrod_cells` call on the cells of
-    ``edges`` (targets 1e-13 abs / 1e-12 rel per cell): ``f``, ``f'``,
-    ``beta`` and the density are called once per round."""
+def _lsi_integrals(mu: Measure1D, beta_fn, t: float, family):
+    """For every ``(f, f', edges)`` of ``family``: ``int f^2``,
+    ``int f^2 log f^2`` and ``int beta(t f'/f) f^2`` over ``mu`` restricted
+    to ``[edges[0], edges[-1]]``, as one row of a ``(len(family), 3)`` table.
+
+    All of them are the owners ``3 k + j`` (function k, integral j) of one
+    owner-mode :func:`numerics.gauss_kronrod_cells` call on the cells of each
+    function's ``edges`` (targets 1e-13 abs / 1e-12 rel per cell).  Each
+    round calls every ``f`` and ``f'`` once on its own rows, the density once
+    and ``beta`` once on the rows of all third integrals.  Cells, rules and
+    the owner cap act row by row, and the owners keep their cells in order,
+    so each row is the one the function gets alone, bit for bit.
+    """
 
     def integrand(x, owner):
-        fx, dfx = _on(f, x), _on(df, x)
+        fn_of, integral = np.divmod(owner[:, 0], 3)
+        fx, dfx = np.empty(x.shape), np.empty(x.shape)
+        for k, (f, df, _) in enumerate(family):
+            rows = fn_of == k
+            if rows.any():
+                fx[rows], dfx[rows] = _on(f, x[rows]), _on(df, x[rows])
         f2 = fx * fx * np.asarray(mu.density(x), dtype=float)
-        out = np.where(owner == 1, f2 * np.log(fx * fx), f2)
-        third = owner[:, 0] == 2
+        out = np.where((integral == 1)[:, None], f2 * np.log(fx * fx), f2)
+        third = integral == 2
         if third.any():
             bx = np.asarray(beta_fn(t * dfx[third] / fx[third]), dtype=float)
             # 0 * inf is 0: a slope cap where the weight underflows
             out[third] *= np.where(out[third] > 0.0, bx, 0.0)
         return out
 
-    cells = len(edges) - 1
+    lo = np.concatenate([np.tile(e[:-1], 3) for _, _, e in family])
+    hi = np.concatenate([np.tile(e[1:], 3) for _, _, e in family])
+    owner = np.concatenate([np.repeat(np.arange(3 * k, 3 * k + 3), len(e) - 1)
+                            for k, (_, _, e) in enumerate(family)])
     with np.errstate(invalid="ignore"):     # an inf cell has a nan error
-        owner, val = numerics.gauss_kronrod_cells(
-            integrand, (np.tile(edges[:-1], 3), np.tile(edges[1:], 3)),
-            1e-13, 1e-12, owner=np.repeat(np.arange(3), cells))
-    return np.bincount(owner, weights=val, minlength=3)
+        owner, val = numerics.gauss_kronrod_cells(integrand, (lo, hi), 1e-13,
+                                                  1e-12, owner=owner)
+    return np.bincount(owner, weights=val,
+                       minlength=3 * len(family)).reshape(-1, 3)
 
 
 def lsi_check(mu: Measure1D, beta, C: float, t: float,
@@ -828,20 +843,23 @@ def lsi_check(mu: Measure1D, beta, C: float, t: float,
 
     ``beta`` is a callable profile (a ``CostFunction`` works too); the test
     family defaults to the fifty built-ins of :func:`_lsi_builtins`, or pass
-    ``(label, f, f', corner_points)`` tuples.  ``f``, ``f'`` and ``beta``
-    are called on numpy arrays of points; a scalar result is broadcast.
-    Every ``f`` must be strictly positive on the integration window, else
-    ``ValueError``, which a ``nan`` entropy or right-hand side also raises;
-    an infinite right-hand side (a slope-capped ``beta``) passes.  The
-    window runs from the ``1e-12`` quantile to the ``1e-12`` upper quantile,
-    widened to 1 beyond every corner point, and is cut into ``_LSI_CELLS``
-    equal cells and at the corners for :func:`_lsi_integrals`.  A margin
-    above ``1e-8`` on any test function fails the check.
+    a nonempty list of ``(label, f, f', corner_points)`` tuples.  ``f``,
+    ``f'`` and ``beta`` are called on numpy arrays of points; a scalar
+    result is broadcast.  ``C`` and ``t`` must be finite and positive, and
+    every ``f`` strictly positive on its integration window; all of this is
+    checked before any integral, else ``ValueError``, which a ``nan``
+    entropy or right-hand side also raises.  An infinite right-hand side (a
+    slope-capped ``beta``) passes.  The window runs from the ``1e-12``
+    quantile to the ``1e-12`` upper quantile, widened to 1 beyond every
+    corner point, and is cut into ``_LSI_CELLS`` equal cells and at the
+    corners; the whole family is integrated together by
+    :func:`_lsi_integrals`.  A margin above ``1e-8`` on any test function
+    fails the check.
     """
     beta_fn = beta.fn if isinstance(beta, CostFunction) else beta
     C, t = float(C), float(t)
-    if C <= 0.0 or t <= 0.0:
-        raise ValueError("C and t must be positive")
+    if not (0.0 < C < math.inf and 0.0 < t < math.inf):
+        raise ValueError("C and t must be finite and positive")
     family = []
     for entry in (test_family if test_family is not None else _lsi_builtins(mu)):
         if len(entry) == 3:
@@ -850,21 +868,25 @@ def lsi_check(mu: Measure1D, beta, C: float, t: float,
         else:
             label, f, df, pts = entry
         family.append((str(label), f, df, tuple(float(p) for p in pts)))
+    if not family:
+        raise ValueError("the test family is empty")
 
     w_lo = float(mu.quantile(1e-12))
     w_hi = float(mu.isf(1e-12))
-
-    rows = []
-    violations = []
+    windows = []
     for label, f, df, pts in family:
         a = min([w_lo] + [p - 1.0 for p in pts])
         b = max([w_hi] + [p + 1.0 for p in pts])
         if not np.all(_on(f, np.linspace(a, b, 1024)) > 0.0):
             raise ValueError(f"test function {label} is not strictly "
                              "positive on the integration window")
-        edges = np.union1d(np.linspace(a, b, _LSI_CELLS + 1),
-                           [p for p in pts if a < p < b])
-        i1, i2, i3 = _lsi_integrals(mu, beta_fn, t, f, df, edges)
+        windows.append((f, df, np.union1d(np.linspace(a, b, _LSI_CELLS + 1),
+                                          [p for p in pts if a < p < b])))
+
+    rows = []
+    violations = []
+    for (label, *_), (i1, i2, i3) in zip(
+            family, _lsi_integrals(mu, beta_fn, t, windows)):
         ent = float(i2 - i1 * math.log(i1))
         rhs = float(C * i3)
         if math.isnan(ent) or math.isnan(rhs):

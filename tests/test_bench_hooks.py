@@ -77,8 +77,8 @@ def test_scan_sups_call_through_the_wrapped_module_attributes(monkeypatch):
 
 
 def test_lsi_check_runs_without_quad_or_golden_max(monkeypatch):
-    # the benchmark's lsi pair, traced: one cell call per test function and
-    # one column search per conjugate call, no scalar quadrature or search
+    # the benchmark's lsi pair, traced: one cell call for the whole family
+    # and one column search per conjugate call, no scalar quadrature or search
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 

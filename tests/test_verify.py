@@ -773,6 +773,30 @@ class TestLsiCheck:
         with pytest.raises(ValueError, match="positive"):
             lsi_check(gauss_half, costs.conjugate(theta2), C=0.0, t=8.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["C", "t"])
+    def test_parameters_checked_before_any_work(self, gauss_half, which, bad):
+        params = {"C": 1.0, "t": 8.0, which: bad}
+        with pytest.raises(ValueError, match="C and t must be finite and "
+                                             "positive"):
+            lsi_check(gauss_half, _never_called, **params)
+
+    def test_empty_family_rejected(self, gauss_half):
+        with pytest.raises(ValueError, match="empty"):
+            lsi_check(gauss_half, _never_called, C=1.0, t=8.0,
+                      test_family=[])
+
+    def test_whole_family_checked_before_any_work(self, gauss_half):
+        family = verify._lsi_builtins(gauss_half)[:3] + [
+            ("neg_last", lambda x: 0.0 * x - 1.0, lambda x: 0.0)]
+        with pytest.raises(ValueError, match="neg_last is not strictly"):
+            lsi_check(gauss_half, _never_called, C=1.0, t=8.0,
+                      test_family=family)
+
+
+def _never_called(y):
+    raise AssertionError("beta called before the inputs were checked")
+
 
 class TestLsiArrays:
     """The three integrals of ``lsi_check`` on arrays of nodes."""
@@ -788,7 +812,7 @@ class TestLsiArrays:
         edges = np.union1d(np.linspace(a, b, verify._LSI_CELLS + 1), pts)
         t = 8.0
         got = verify._lsi_integrals(gauss_half, costs.conjugate(theta2).fn, t,
-                                    f, df, edges)
+                                    [(f, df, edges)])[0]
 
         def h(x, k):
             fx, s = float(f(x)), t * float(df(x)) / float(f(x))
@@ -853,6 +877,69 @@ class TestLsiArrays:
                       test_family=[("steep", np.exp, np.exp)])
         assert v.diagnostics["rows"][0]["rhs"] == math.inf
         assert v.holds
+
+
+class TestLsiFamilyRun:
+    """``lsi_check`` integrates its whole family in one cell run."""
+
+    @staticmethod
+    def _assert_rows_stand_alone(mu, beta, t, family):
+        together = lsi_check(mu, beta, C=1.0, t=t, test_family=family)
+        rows = together.diagnostics["rows"]
+        assert len(rows) == len(family)
+        for entry, row in zip(family, rows):
+            alone = lsi_check(mu, beta, C=1.0, t=t, test_family=[entry])
+            # == on floats, so a single differing bit fails
+            assert alone.diagnostics["rows"] == [row], row["label"]
+        return rows
+
+    def test_builtin_rows_do_not_depend_on_the_family(self, gauss_half,
+                                                      theta2):
+        self._assert_rows_stand_alone(
+            gauss_half, costs.conjugate(theta2), 8.0,
+            verify._lsi_builtins(gauss_half))
+
+    def test_mixed_rows_do_not_depend_on_the_family(self, gauss_half,
+                                                    alpha1):
+        far = 12.0              # corner points beyond the 1e-12 quantiles
+
+        def bump(x):
+            return 1.0 + 0.3 * verify._bump(x - far)[0]
+
+        def dbump(x):
+            return 0.3 * verify._bump(x - far)[1]
+
+        family = [("line", lambda x: 3.0 + 0.25 * x, lambda x: 0.25, ()),
+                  ("far_bump", bump, dbump, (far - 1.0, far + 1.0)),
+                  ("steep", np.exp, np.exp),
+                  ("two", lambda x: 2.0, lambda x: 0.0)]
+        rows = self._assert_rows_stand_alone(
+            gauss_half, costs.conjugate(alpha1), 2.0, family)
+        by_label = {r["label"]: r for r in rows}
+        assert 0.0 < by_label["line"]["rhs"] < math.inf
+        assert by_label["steep"]["rhs"] == math.inf
+        assert by_label["two"]["rhs"] == 0.0
+
+    def test_one_cell_run_and_one_beta_call_per_round(self, gauss_half,
+                                                      theta2, monkeypatch):
+        calls = {"cells": 0, "beta": 0}
+        cells = numerics.gauss_kronrod_cells
+
+        def counted_cells(*args, **kwargs):
+            calls["cells"] += 1
+            return cells(*args, **kwargs)
+
+        beta = costs.conjugate(theta2).fn
+
+        def counted_beta(y):
+            calls["beta"] += 1
+            return beta(y)
+
+        monkeypatch.setattr(numerics, "gauss_kronrod_cells", counted_cells)
+        v = lsi_check(gauss_half, counted_beta, C=1.0, t=8.0)
+        assert v.diagnostics["family_size"] == 50
+        assert calls["cells"] == 1
+        assert 1 <= calls["beta"] <= numerics._GK_ROUNDS + 1
 
 
 class TestCostDoubling:
