@@ -749,6 +749,10 @@ def test_concentration_dimension_rejected_at_entry(mu1, alpha1, monkeypatch,
         verify.concentration_mc(mu1, alpha1, n=n)
 
 
+def _never_called(y):
+    raise AssertionError("beta called before the inputs were checked")
+
+
 class TestLsiCheck:
     def test_gaussian_profile_holds(self, gauss_half, theta2):
         beta = costs.conjugate(theta2)
@@ -792,10 +796,6 @@ class TestLsiCheck:
         with pytest.raises(ValueError, match="neg_last is not strictly"):
             lsi_check(gauss_half, _never_called, C=1.0, t=8.0,
                       test_family=family)
-
-
-def _never_called(y):
-    raise AssertionError("beta called before the inputs were checked")
 
 
 class TestLsiArrays:
