@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,8 +33,14 @@ class CostFunction:
     right-derivative on the positive axis, taken at ``|t|`` (so even);
     ``inverse`` the inverse of the restriction to the positive axis.
     ``convex`` says whether ``fn`` is convex, and ``kinks`` lists the
-    positive abscissae where the derivative jumps.  Membership in the
-    admissible class is decided by :func:`validate_admissible`.
+    positive abscissae where the derivative jumps.  ``maximizer``, set by
+    the built-in constructors, maps slopes ``s >= 0`` to the least
+    ``x >= 0`` where ``x s - fn(x)`` reaches its supremum over the convex
+    envelope of ``fn`` (finite at a slope cap; at ``gamma``'s asymptotic
+    cap, where it reaches it in floating point), ``+inf`` past a slope cap
+    and ``nan`` at ``nan``; :func:`conjugate` evaluates through it.
+    Membership in the admissible class is decided by
+    :func:`validate_admissible`.
     """
 
     name: str
@@ -43,15 +49,16 @@ class CostFunction:
     inverse: Callable
     convex: bool
     kinks: tuple = ()
+    maximizer: Optional[Callable] = None
 
     def __call__(self, t):
         return self.fn(t)
 
 
 def _numeric_deriv(fn):
-    # Only the conjugate uses it.  The envelope theorem, (alpha*)'(y) =
-    # argmax, is less accurate there: on conjugate(theta_p 2) at y in
-    # {0.3, 1, 2.5, 7, 40} the golden-section argmax (tol 1e-13) is 7e-9 to
+    # The conjugate of a profile without a maximizer uses it.  The
+    # golden-section argmax (tol 1e-13) would be less accurate: on the
+    # column search of theta_p 2 at y in {0.3, 1, 2.5, 7, 40} it is 7e-9 to
     # 1.9e-8 off, relative to the exact y/2; this central difference (step
     # 1e-6) is 1.8e-11 to 2.5e-9 off.
     def d(t):
@@ -95,13 +102,29 @@ def _numeric_inverse(fn):
 # built-ins
 # ---------------------------------------------------------------------------
 
-def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks):
+def _power_argmax(k, q):
+    """Inverse of the slope ``k t**(q - 1)`` (``q >= 1``) on the positive
+    axis; a constant slope ``k`` (``q = 1``) gives 0 up to ``k`` and
+    ``+inf`` beyond."""
+    if q == 1.0:
+        return lambda s: np.where(np.asarray(s) > k, math.inf,
+                                  np.minimum(s, 0.0))
+    return lambda s: (np.asarray(s, dtype=float) / k) ** (1.0 / (q - 1.0))
+
+
+def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks,
+             outer_argmax=None):
     """Even profile equal to ``t**2`` on [-1, 1] and ``outer(|t|)`` beyond.
 
     ``deriv`` is ``2|t|`` below 1 and ``outer_deriv(|t|)`` from 1 on (the
     right derivative at a kink).  ``inverse`` is the square root up to
     level 1 and ``outer_inverse`` of the level beyond (levels <= 0 give 0);
     without ``outer_inverse`` it is :func:`_numeric_inverse` of the profile.
+    ``maximizer`` takes the better of the two pieces' peaks, ``s/2``
+    clipped to [0, 1] and ``outer_argmax(s)`` (the inverse of
+    ``outer_deriv``) clipped to [1, inf): the conjugate of a minimum is the
+    maximum of the conjugates, so a nonconvex splice gets the conjugate of
+    its convex envelope.  Without ``outer_argmax`` there is no maximizer.
     """
     def fn(t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -116,14 +139,25 @@ def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks):
         return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)),
                         outer_inverse(np.maximum(s, 1.0)))
 
+    def maximizer(s):
+        s = np.asarray(s, dtype=float)
+        inner = np.minimum(s / 2.0, 1.0)
+        far = np.maximum(outer_argmax(s), 1.0)
+        # inf - inf (past a cap, or an overflow) compares False: far wins
+        with np.errstate(invalid="ignore", over="ignore"):
+            near = s * inner - inner * inner >= s * far - outer(far)
+        return np.where(near, inner, far)
+
     if outer_inverse is None:
         inverse = _numeric_inverse(fn)
-    return CostFunction(name, fn, deriv, inverse, convex=convex, kinks=kinks)
+    return CostFunction(name, fn, deriv, inverse, convex=convex, kinks=kinks,
+                        maximizer=None if outer_argmax is None else maximizer)
 
 
 def _alpha1():
     spliced = _spliced("alpha1", lambda t: t, lambda t: 1.0, lambda s: s,
-                       convex=False, kinks=(1.0,))
+                       convex=False, kinks=(1.0,),
+                       outer_argmax=_power_argmax(1.0, 1.0))
 
     def fn(t):
         # min(t**2, |t|) is the splice bit for bit (t**2 rounds to at most
@@ -134,7 +168,8 @@ def _alpha1():
         return np.minimum(sq, t, out=sq)
 
     return CostFunction("alpha1", fn, spliced.deriv, spliced.inverse,
-                        convex=False, kinks=(1.0,))
+                        convex=False, kinks=(1.0,),
+                        maximizer=spliced.maximizer)
 
 
 def _exponent(p):
@@ -152,7 +187,8 @@ def _alpha_p(p):
     if p < 2.0:
         return _spliced(f"alpha_p(p={p:g})", lambda t: t ** p,
                         lambda t: p * t ** (p - 1.0),
-                        lambda s: s ** (1.0 / p), convex=False, kinks=(1.0,))
+                        lambda s: s ** (1.0 / p), convex=False, kinks=(1.0,),
+                        outer_argmax=_power_argmax(p, p))
 
     def fn(t):
         return np.abs(np.asarray(t, dtype=float)) ** p
@@ -163,7 +199,8 @@ def _alpha_p(p):
     def inverse(s):
         return np.maximum(np.asarray(s, dtype=float), 0.0) ** (1.0 / p)
 
-    return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse, convex=True)
+    return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse, convex=True,
+                        maximizer=_power_argmax(p, p))
 
 
 def _theta_p(p):
@@ -172,7 +209,7 @@ def _theta_p(p):
     return _spliced(f"theta_p(p={p:g})", lambda t: (2.0 / p) * t ** p + off,
                     lambda t: 2.0 * t ** (p - 1.0),
                     lambda s: ((s - off) * p / 2.0) ** (1.0 / p),
-                    convex=True, kinks=())
+                    convex=True, kinks=(), outer_argmax=_power_argmax(2.0, p))
 
 
 def _maurey_tilde():
@@ -190,7 +227,12 @@ def _maurey_tilde():
         return np.where(s <= 4.0 / 9.0, 6.0 * np.sqrt(np.maximum(s, 0.0)),
                         2.0 + 4.5 * s)
 
-    return CostFunction("maurey_tilde", fn, deriv, inverse, convex=True)
+    def maximizer(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s > 2.0 / 9.0, math.inf, np.minimum(18.0 * s, 4.0))
+
+    return CostFunction("maurey_tilde", fn, deriv, inverse, convex=True,
+                        maximizer=maximizer)
 
 
 def _talagrand_gamma(lam):
@@ -200,20 +242,32 @@ def _talagrand_gamma(lam):
     c = 1.0 / lam - 1.0
 
     def fn(t):
-        # exp(-x) - 1 + x cancels at small x: below x = 1e-3 its series to
-        # x**6 (4e-19 relative truncation); from 1e-3 up the bits are kept
+        # exp(-x) - 1 + x cancels at small x: below x = 0.1 its series to
+        # x**11 (4e-19 relative truncation), from 0.1 up expm1(-x) + x
+        # (within 2.2e-16 / x relative, which would be 2e-13 at x = 1e-3)
         x = lam * np.abs(np.asarray(t, dtype=float))
-        s = np.minimum(x, 1e-3)
-        series = s * s * (1 / 2 - s * (1 / 6 - s * (1 / 24 - s * (
-            1 / 120 - s / 720))))
-        return c * np.where(x < 1e-3, series, np.exp(-x) - 1.0 + x)
+        s = np.minimum(x, 0.1)
+        series = 0.0
+        for k in range(11, 1, -1):
+            series = 1.0 / math.factorial(k) - s * series
+        return c * np.where(x < 0.1, s * s * series, np.expm1(-x) + x)
 
     def deriv(t):
         t = np.abs(np.asarray(t, dtype=float))
         return (1.0 - lam) * (1.0 - np.exp(-lam * t))
 
+    def maximizer(s):
+        # deriv only tends to its cap 1 - lam; at the cap itself x = 40/lam,
+        # where e^{-lam x} is below the rounding of 1, so x s - fn(x) is the
+        # supremum 1/lam - 1
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = -np.log1p(-s / (1.0 - lam)) / lam
+        return np.where(s > 1.0 - lam, math.inf, np.minimum(x, 40.0 / lam))
+
     return CostFunction(f"talagrand_gamma(lambda={lam:g})", fn, deriv,
-                        _numeric_inverse(fn), convex=True)
+                        _numeric_inverse(fn), convex=True,
+                        maximizer=maximizer)
 
 
 _COST_BUILTINS = {
@@ -354,17 +408,23 @@ def validate_admissible(cost: CostFunction) -> Verdict:
 def conjugate(cost: CostFunction) -> CostFunction:
     """Convex (Legendre) conjugate ``alpha*(y) = sup_x (x y - alpha(x))``.
 
-    Evaluated for a whole array of ``y`` at once, on the positive axis.  The
-    bracket ``[0, 2 hi]`` doubles ``hi`` from 1 until ``x |y| - alpha(x)``
-    stops growing, per entry; an entry whose increments still grow past
-    ``hi = 1e12 max(1, |y|)`` (far beyond the maximizer of any profile that
-    grows faster than linearly), or that finds no bracket in 80 doublings,
-    lies beyond a slope cap and gives ``inf``.  All brackets are then refined
-    together by one golden-section column search (tol 1e-13, one call of
-    ``alpha`` per step).  When the profile is not convex a 2049-point scan of
-    each bracket (in blocks of about 2**16 entries) picks the bracket of the
-    search first, so the result is the conjugate of the convex envelope.
-    ``nan`` gives ``nan``; a scalar gives a float.
+    Evaluated for a whole array of ``y`` at once, on the positive axis.
+    When ``cost.maximizer`` is set, ``alpha*(y) = |y| x* - alpha(x*)`` at
+    ``x* = cost.maximizer(|y|)`` (``+inf`` where ``x*`` is, or where both
+    terms overflow) and ``deriv`` is ``x*`` by the envelope theorem, exact;
+    it is ``+inf`` at a slope cap, where ``alpha*`` is ``+inf`` one ulp on.
+    Otherwise the bracket ``[0, 2 hi]`` doubles ``hi`` from 1 until
+    ``x |y| - alpha(x)`` stops growing, per entry; an entry whose increments
+    still grow past ``hi = 1e12 max(1, |y|)`` (far beyond the maximizer of
+    any profile that grows faster than linearly), or that finds no bracket
+    in 80 doublings, lies beyond a slope cap and gives ``inf``.  All
+    brackets are then refined together by one golden-section column search
+    (tol 1e-13, one call of ``alpha`` per step).  When the profile is not
+    convex a 2049-point scan of each bracket (in blocks of about 2**16
+    entries) picks the bracket of the search first, so the result is the
+    conjugate of the convex envelope; ``deriv`` is then a central
+    difference of the values.  ``nan`` gives ``nan``; a scalar gives a
+    float.
     """
     base = cost.fn
 
@@ -413,12 +473,29 @@ def conjugate(cost: CostFunction) -> CostFunction:
         out[idx] = np.maximum(best, 0.0)
         return out
 
+    top = cost.maximizer
+
+    def closed(y):
+        y = np.abs(y)
+        x = top(y)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = g(x, y)
+        return np.where(np.isnan(out) & ~np.isnan(x), math.inf, out)
+
+    evaluate = value if top is None else closed
+
     def fn(t):
         t = np.asarray(t, dtype=float)
-        out = value(t.ravel())
+        out = evaluate(t.ravel())
         return out.reshape(t.shape) if t.ndim else float(out[0])
 
-    return CostFunction(f"conjugate({cost.name})", fn, _numeric_deriv(fn),
+    def deriv(t):
+        y = np.abs(np.asarray(t, dtype=float))
+        return np.where(top(np.nextafter(y, math.inf)) == math.inf, math.inf,
+                        top(y))
+
+    return CostFunction(f"conjugate({cost.name})", fn,
+                        _numeric_deriv(fn) if top is None else deriv,
                         _numeric_inverse(fn), convex=True)
 
 

@@ -1,5 +1,6 @@
 """Cost profiles: builtin forms, admissibility, conjugation, rescaling."""
 
+import dataclasses
 import decimal
 import hashlib
 import json
@@ -84,9 +85,8 @@ class TestFamilies:
 
     @pytest.mark.parametrize("t,rtol", [
         (1e-8, 1e-13), (1e-6, 1e-13), (1e-4, 1e-13), (1e-3, 1e-13),
-        # exp(-x) - 1 + x is kept from x = 1e-3 up, where the pinned
-        # conjugate digest evaluates it: 4.4e-16 / x**2 off at most
-        (1e-2, 4.4e-16 / 0.005 ** 2),
+        # exp(-x) - 1 + x was 4.4e-16 / x**2 off for 1e-3 <= x < 0.1
+        (2e-3, 1e-14), (1e-2, 1e-14), (5e-2, 1e-14),
         (0.5, 1e-13), (2.0, 1e-13), (10.0, 1e-13), (50.0, 1e-13)])
     def test_gamma_profile_against_a_50_digit_reference(self, t, rtol):
         with decimal.localcontext() as ctx:
@@ -268,6 +268,15 @@ class TestAdmissibility:
         assert 30.0 <= v.diagnostics["at"] < 30.02
 
 
+#: the built-in profiles whose conjugates take the closed form
+_CLOSED_FORMS = [
+    ("theta_p", {"p": 1.5}), ("theta_p", {"p": 2.0}), ("theta_p", {"p": 3.0}),
+    ("alpha_p", {"p": 1.5}), ("alpha_p", {"p": 2.0}), ("alpha_p", {"p": 3.0}),
+    ("alpha1", {}), ("maurey", {}), ("gamma", {"lam": 0.25}),
+    ("gamma", {"lam": 0.5})]
+_SLOPES = np.geomspace(1e-3, 1e6, 409)
+
+
 class TestConjugate:
     def test_quadratic(self, theta2):
         c = conjugate(theta2)
@@ -325,25 +334,40 @@ class TestConjugate:
 
     @pytest.mark.parametrize("name, params, digest", [
         ("theta_p", {"p": 2},
-         "daefa70816bbe0e628e9db74826bd50f3d055dfc0ce1169532c1818f482d047c"),
+         "650ea00fb5c3cded8f18e9f4f50c0eb5c9023461c68e1a4f21721f51a12d98a5"),
         ("alpha1", {},
-         "852d9beb5c28c60dfa1d6064604a92ca99684a48ddd2b29215ff17e6607d3850"),
+         "9882b175a02a0aef2431c535bbab48e0ebbfc94db08d5513d98d8227a2335410"),
         ("alpha_p", {"p": 1.5},
-         "e5f8628f93fe7b5caa59216f20c9487b7f5d4e6709dc96e9723d691b445638d4"),
+         "8e048beac8c832734c1dfeb61ccb3c15496bd4769b28e104f10510046819f6ad"),
         ("maurey", {},
-         "d54582bcf8934b16d460863ec3969c012222354e5a9e54733e96e7a013a20edc"),
+         "1f057d9c94a47ad9785f8fdf3996c605243cd54acd7e150bc2af2adcb2dc31ad"),
         ("gamma", {"lam": 0.5},
-         "0457ee3d992b4ede55d799a76b1d5479ad151b0964d70459967c055afb6d3270")])
+         "40375e6c2643487b30c13afbd91f7c664efb57c09481c802ce32c2766a539fd7")])
     def test_moderate_slopes_are_pinned(self, name, params, digest):
-        # values of the fixed-threshold slope cap on 409 slopes, bit for bit
-        out = conjugate(builtin_cost(name, **params)).fn(
-            np.geomspace(1e-3, 1e6, 409))
+        # closed-form values on 409 slopes, bit for bit
+        out = conjugate(builtin_cost(name, **params)).fn(_SLOPES)
         got = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
         assert got.hexdigest() == digest
 
+    def test_column_search_is_pinned(self):
+        # a table cost has no maximizer: its values are the column search's,
+        # bit for bit as before the closed forms
+        ts = np.linspace(0.0, 6.0, 200)
+        out = conjugate(cost_from_table(ts, ts * ts)).fn(_SLOPES)
+        got = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
+        assert got.hexdigest() == \
+            "97c40afe92f3a8f1f4e0f1fcf5fa2dabafa7fa645da504f05fb542bb1c662c29"
+
     @pytest.mark.parametrize("name, params", [("theta_p", {"p": 2.0}),
                                               ("alpha1", {}),
-                                              ("gamma", {"lam": 0.5})])
+                                              ("gamma", {"lam": 0.5}),
+                                              ("theta_p", {"p": 1.5}),
+                                              ("theta_p", {"p": 3.0}),
+                                              ("alpha_p", {"p": 1.5}),
+                                              ("alpha_p", {"p": 2.0}),
+                                              ("alpha_p", {"p": 3.0}),
+                                              ("maurey", {}),
+                                              ("gamma", {"lam": 0.25})])
     def test_scalar_is_the_length_one_array(self, name, params):
         c = conjugate(builtin_cost(name, **params))
         for y in (0.0, 0.3, -0.7, 1.5, 12.0, math.inf):
@@ -356,14 +380,14 @@ class TestConjugate:
         assert np.array_equal(out.ravel(), c.fn(grid.ravel()))
         assert np.array_equal(out.ravel(), [c.fn(float(y)) for y in grid.flat])
 
-    def test_nan_gives_nan(self, theta2, alpha1):
-        for c in (conjugate(theta2), conjugate(alpha1)):
+    def test_nan_gives_nan(self):
+        for c in (conjugate(builtin_cost(n, **p)) for n, p in _CLOSED_FORMS):
             assert math.isnan(c.fn(math.nan))
             out = c.fn(np.array([math.nan, 1.0, -math.inf]))
             assert math.isnan(out[0]) and out[1] > 0.0 and out[2] == math.inf
 
     def test_deriv_past_the_slope_cap_is_infinite(self, alpha1, theta2):
-        # both difference points are +inf there; finite slopes keep their bits
+        # the right derivative; finite slopes are the exact maximizer y/2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             capped = conjugate(alpha1).deriv(np.array([1.0, 2.5, 7.0, 40.0]))
@@ -374,9 +398,75 @@ class TestConjugate:
                 np.array([0.05, 0.3, 1.0, 2.5, 7.0, 40.0]))
         assert np.all(capped == math.inf) and np.all(maurey == math.inf)
         assert scalar == math.inf
-        assert finite.tolist() == [
-            0.02500000000006837, 0.14999999999737446, 0.49999999998662226,
-            1.2500000001747225, 3.5000000018214905, 19.999999949504854]
+        assert finite.tolist() == [0.025, 0.15, 0.5, 1.25, 3.5, 20.0]
+
+
+@pytest.mark.parametrize("name, params", _CLOSED_FORMS)
+class TestClosedFormConjugates:
+    """``conjugate`` through ``CostFunction.maximizer``, against the column
+    search that profiles without one take."""
+
+    @pytest.fixture
+    def cost(self, name, params):
+        return builtin_cost(name, **params)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_the_column_search(self, cost, sign):
+        y = sign * _SLOPES
+        got = conjugate(cost).fn(y)
+        ref = conjugate(dataclasses.replace(cost, maximizer=None)).fn(y)
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        if cost.name in ("theta_p(p=2)", "alpha_p(p=2)"):
+            np.testing.assert_allclose(got, y * y / 4.0, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fenchel_young_equality(self, cost, sign):
+        y = sign * _SLOPES
+        x = cost.maximizer(_SLOPES)
+        peak = np.isfinite(x)
+        np.testing.assert_allclose(cost.fn(x[peak]) + conjugate(cost).fn(
+            y[peak]), x[peak] * _SLOPES[peak], rtol=1e-15, atol=0.0)
+        assert np.all(np.isinf(conjugate(cost).fn(y[~peak])))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_deriv_is_the_maximizer(self, cost, sign):
+        # the right derivative: +inf where the conjugate is +inf one ulp on
+        y = sign * _SLOPES
+        c = conjugate(cost)
+        past = np.isinf(c.fn(np.nextafter(_SLOPES, math.inf)))
+        want = np.where(past, math.inf, cost.maximizer(_SLOPES))
+        assert np.array_equal(c.deriv(y), want)
+
+    def test_shape_and_nan(self, cost):
+        c = conjugate(cost)
+        grid = np.geomspace(1e-2, 1e2, 12).reshape(3, 4)
+        for f in (c.fn, c.deriv):
+            assert np.shape(f(grid)) == (3, 4)
+            assert np.array_equal(f(grid).ravel(), f(grid.ravel()))
+            assert math.isnan(f(math.nan))
+            assert math.isnan(np.asarray(f(np.array([math.nan, 1.0])))[0])
+
+
+@pytest.mark.parametrize("name, params, cap, value", [
+    ("gamma", {"lam": 0.25}, 0.75, 3.0), ("gamma", {"lam": 0.5}, 0.5, 1.0),
+    ("maurey", {}, 2.0 / 9.0, 4.0 / 9.0), ("alpha1", {}, 1.0, 0.25),
+    ("theta_p", {"p": 1.0}, 2.0, 1.0), ("alpha_p", {"p": 1.0}, 1.0, 0.25)])
+def test_closed_form_slope_caps(name, params, cap, value):
+    c = conjugate(builtin_cost(name, **params))
+    past = np.nextafter(cap, math.inf)
+    assert c.fn(cap) == c.fn(-cap) == value
+    assert c.fn(past) == c.fn(-past) == math.inf
+    assert c.deriv(cap) == c.deriv(past) == math.inf
+    assert math.isfinite(c.deriv(np.nextafter(cap, 0.0)))
+
+
+def test_derived_profiles_carry_no_maximizer(theta2):
+    # their conjugates must take the column search: a maximizer inherited
+    # from theta2 would give a too-low conjugate
+    assert verify.tci_to_strong_cost(theta2).maximizer is None
+    spliced = criteria.lsi_tilde_potential(measures.make_builtin("gaussian"))
+    assert spliced[0].maximizer is None
 
 
 class TestTableCosts:
@@ -438,10 +528,8 @@ _DERIV_COSTS = {
         measures.make_builtin("exp_power", p=3.0))[0], 1e-8),
     "doubled_theta_p2": (lambda: verify.tci_to_strong_cost(
         builtin_cost("theta_p", p=2.0)), 1e-8),
-    # its deriv is itself a difference quotient (h = 1e-6) of the column
-    # search, about 1.4e-9 off here
     "conjugate_theta_p3": (lambda: conjugate(builtin_cost("theta_p", p=3.0)),
-                           1e-7),
+                           1e-8),
 }
 
 

@@ -1,11 +1,15 @@
 """Every module-level import of the package is referenced in its module,
-and every name a module exports through ``__all__`` exists."""
+every name a module exports through ``__all__`` exists, and every built-in
+cost has a closed-form conjugate."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from tcilab import costs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tcilab"
 
@@ -41,3 +45,14 @@ def test_every_export_resolves(path):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", sorted(costs._COST_BUILTINS))
+def test_every_builtin_cost_has_a_maximizer(name):
+    # without one, its conjugate would silently take the column search
+    factory = costs._COST_BUILTINS[name]
+    wanted = inspect.signature(factory).parameters
+    for p in (1.0, 1.5, 2.0, 3.0):
+        params = {k: v for k, v in {"p": p, "lam": p / 4.0}.items()
+                  if k in wanted}
+        assert factory(**params).maximizer is not None

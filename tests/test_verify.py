@@ -144,6 +144,21 @@ class TestDualCheck:
         assert a.worst_product == b.worst_product
         assert a.worst_label == b.worst_label
 
+    def test_conjugate_cost_runs_no_column_search(self, mu1, theta2,
+                                                  monkeypatch):
+        # the engine's stationary offsets solve c' = |s| on the conjugate's
+        # exact derivative; its central difference ran two column searches
+        # per step (about 9 s for this call)
+        calls = []
+        search = numerics._golden_columns
+        monkeypatch.setattr(numerics, "_golden_columns",
+                            lambda *a: calls.append(1) or search(*a))
+        rep = dual_check_strong(mu1, costs.conjugate(theta2), scale=1.0,
+                                prefactor=10.0, trials=5, seed=0)
+        assert calls == []
+        assert rep.worst_product == pytest.approx(488021.337948179,
+                                                  rel=1e-13)
+
 
 def _unscreened_dual(mu, alpha, scale, prefactor, trials, seed, plain):
     """The dual loop with no screening: every candidate's exact product
