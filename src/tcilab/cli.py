@@ -25,7 +25,8 @@ import numpy as np
 
 from .costs import (CostFunction, builtin_cost, conjugate, cost_from_table,
                     validate_admissible)
-from .criteria import (DEFAULT_KAPPA, decide_strong_tci_lip,
+from .criteria import (DEFAULT_KAPPA, _decide_lip, _decide_logconcave,
+                       _suff_condition, decide_strong_tci_lip,
                        decide_strong_tci_logconcave, lipschitz_check,
                        lsi_tilde_potential, muckenhoupt, omega_bounds,
                        rearrangement, suff_condition)
@@ -384,12 +385,14 @@ def _muckenhoupt(report, out):
 def _decide(report, out):
     # char-lm is the general criterion and is always recorded; the
     # log-concave specialization runs only when the shape predicate
-    # certified it, and then supplies the primary certificate.
+    # certified it, and then supplies the primary certificate.  Both take
+    # the verdicts of the shape and lipschitz stages.
     mu, alpha, config = out["measure"], out["cost"], report.config
-    primary = decide_strong_tci_lip(mu, alpha, kappa=config.kappa)
+    adm, lc = out["shape"]
+    primary = _decide_lip(mu, alpha, config.kappa, adm, out["lipschitz"])
     report.criteria["char_lm"] = primary.to_dict()
-    if "shape" in out and out["shape"][1].holds:
-        primary = decide_strong_tci_logconcave(mu, alpha, kappa=config.kappa)
+    if lc.holds:
+        primary = _decide_logconcave(mu, alpha, config.kappa, adm, lc)
         report.criteria["char_logconcave"] = primary.to_dict()
     else:
         report.criteria["char_logconcave"] = Verdict(INCONCLUSIVE, {}, {
@@ -404,7 +407,8 @@ def _decide(report, out):
 
 
 def _suff_cond(report, out):
-    v = suff_condition(out["measure"], out["cost"])
+    v = _suff_condition(out["measure"], out["cost"], out["shape"][0],
+                        out["lipschitz"])
     report.criteria["suff_cond"] = v.to_dict()
     return v
 
@@ -479,8 +483,9 @@ _STAGES = (
     ("shape", ("measure", "cost"), False, _shape),
     ("lipschitz", ("measure",), False, _lipschitz),
     ("muckenhoupt", ("measure",), False, _muckenhoupt),
-    ("decide", ("measure", "cost"), False, _decide),
-    ("suff_cond", ("measure", "cost"), False, _suff_cond),
+    ("decide", ("measure", "cost", "shape", "lipschitz"), False, _decide),
+    ("suff_cond", ("measure", "cost", "shape", "lipschitz"), False,
+     _suff_cond),
     ("modulus", ("measure",), False, _modulus),
     ("dual", ("measure", "cost"), True, _dual),
     ("integrability", ("measure", "cost"), False, _integrability),

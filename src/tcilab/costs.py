@@ -350,11 +350,16 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     Checks on the fixed grid of 4096 equally spaced points of ``[0, 64]``:
     evenness, ``alpha(0)=0``, monotonicity, exact quadratic behaviour on
     ``[0, 1]`` (tolerance 1e-12), and superadditivity on the triangle
-    ``x + y <= 64`` of a 257-point grid of pairs (tolerance 1e-9).  The
-    verdict reports the first violated condition.  A profile that
-    overflows on the grid is checked up to its first non-finite point,
-    ``overflow_from``, from which on it must stay ``+inf`` to be monotone;
-    a pair whose sides both overflow tells nothing about superadditivity.
+    ``x + y <= 64`` of pairs of the 257-point grid ``s`` of step 1/4
+    (tolerance 1e-9).  The profile is evaluated once on ``s``: its points
+    are exact multiples of 1/4, so ``s[i] + s[j]`` is ``s[i + j]`` and the
+    triangle's gaps ``alpha(x + y) - alpha(x) - alpha(y)`` are differences
+    of those 257 values.  The verdict reports the first violated condition
+    (for superadditivity, the worst pair, the first in the order of ``y``,
+    then ``x``).  A profile that overflows on the grid is checked up to its
+    first non-finite point, ``overflow_from``, from which on it must stay
+    ``+inf`` to be monotone; a pair whose sides both overflow tells nothing
+    about superadditivity.
     """
     t = np.linspace(0.0, 64.0, 4096)
     v = np.asarray(cost.fn(t), dtype=float)
@@ -388,19 +393,19 @@ def validate_admissible(cost: CostFunction) -> Verdict:
         diag["violated"] = "quadratic_near_zero"
         diag["gap"] = quad_gap
         return Verdict(FAILS, {}, diag)
-    # superadditivity on a coarser triangle of pairs
+    # superadditivity on a coarser triangle of pairs: row j (y = s[j]) of
+    # fxy is a view of fs from j on, nan-padded past x + y = 64
     s = np.linspace(0.0, 64.0, 257)
-    x, y = np.meshgrid(s, s)
-    keep = (x + y) <= 64.0
-    x, y = x[keep], y[keep]
-    fxy = np.asarray(cost.fn(x + y))
+    fs = np.asarray(cost.fn(s))
+    fxy = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((fs, np.full(256, math.nan))), 257)
     with np.errstate(invalid="ignore"):  # nan where both sides overflow
-        gap = fxy - np.asarray(cost.fn(x)) - np.asarray(cost.fn(y))
+        gap = fxy - fs - fs[:, None]
     if np.any(gap < -1e-9 * (1.0 + np.abs(fxy))):
-        k = int(np.nanargmin(gap))
+        j, i = divmod(int(np.nanargmin(gap)), 257)
         diag["violated"] = "superadditivity"
-        diag["pair"] = [float(x[k]), float(y[k])]
-        diag["gap"] = float(gap[k])
+        diag["pair"] = [float(s[i]), float(s[j])]
+        diag["gap"] = float(gap[j, i])
         return Verdict(FAILS, {}, diag)
     return Verdict(HOLDS, {}, diag)
 
@@ -417,14 +422,14 @@ def conjugate(cost: CostFunction) -> CostFunction:
     ``x |y| - alpha(x)`` stops growing, per entry; an entry whose increments
     still grow past ``hi = 1e12 max(1, |y|)`` (far beyond the maximizer of
     any profile that grows faster than linearly), or that finds no bracket
-    in 80 doublings, lies beyond a slope cap and gives ``inf``.  All
-    brackets are then refined together by one golden-section column search
-    (tol 1e-13, one call of ``alpha`` per step).  When the profile is not
-    convex a 2049-point scan of each bracket (in blocks of about 2**16
-    entries) picks the bracket of the search first, so the result is the
-    conjugate of the convex envelope; ``deriv`` is then a central
-    difference of the values.  ``nan`` gives ``nan``; a scalar gives a
-    float.
+    before ``2 hi`` would overflow, lies beyond a slope cap and gives
+    ``inf``.  All brackets are then refined together by one golden-section
+    column search (tol 1e-13, one call of ``alpha`` per step).  When the
+    profile is not convex a 2049-point scan of each bracket (in blocks of
+    about 2**16 entries) picks the bracket of the search first, so the
+    result is the conjugate of the convex envelope; ``deriv`` is then a
+    central difference of the values.  ``nan`` gives ``nan``; a scalar
+    gives a float.
     """
     base = cost.fn
 
@@ -442,7 +447,8 @@ def conjugate(cost: CostFunction) -> CostFunction:
         g_hi = g(hi, y)
         act = np.arange(len(y))          # entries still growing a bracket
         found = np.zeros(len(y), dtype=bool)
-        for _ in range(80):
+        # hi = 2**k after k doublings: the last probe is 2 hi = 2**1023
+        for _ in range(1023):
             if not act.size:
                 break
             g_next = g(2.0 * hi[act], y[act])

@@ -64,8 +64,19 @@ def _scan_grids(mu: Measure1D) -> np.ndarray:
 
 
 def _tail(mu: Measure1D, x, plus) -> np.ndarray:
-    """Mass outward of ``x``: ``sf`` where ``plus``, ``cdf`` elsewhere."""
-    return np.where(plus, mu.sf(x), mu.cdf(x))
+    """Mass outward of ``x``: ``sf`` where ``plus``, ``cdf`` elsewhere.
+
+    A scalar ``plus`` calls one of the two; a per-column ``plus`` (one
+    flag per entry of the last axis of ``x``) calls each on its own
+    columns only.
+    """
+    if np.ndim(plus) == 0:
+        return np.asarray(mu.sf(x) if plus else mu.cdf(x), dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    out[..., plus] = mu.sf(x[..., plus])
+    out[..., ~plus] = mu.cdf(x[..., ~plus])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +201,13 @@ def muckenhoupt(mu: Measure1D):
 
     Returns ``(D_plus, D_minus)`` with ``inf`` markers on divergence.  The
     weight ``int 1/density`` is cumulated over the scan-grid cells; off the
-    grid it adds the cell integral from the grid node behind the point.  A
-    point whose weight overflows reads ``nan``: a growth probe there stops
-    without claiming divergence.
+    grid it adds the cell integral from the grid node behind the point,
+    the last node of its column no farther from ``m``, found by a binary
+    search of the column's distances ``|grid - m|``.  These are sorted:
+    the offsets of :func:`_scan_grids` are, and rounding ``m`` plus or
+    minus an offset is monotone in the offset.  A point whose weight
+    overflows reads ``nan``: a growth probe there stops without claiming
+    divergence.
     """
     m = mu.median
     grid = _scan_grids(mu)
@@ -211,7 +226,9 @@ def muckenhoupt(mu: Measure1D):
                           np.cumsum(weight(grid[:-1], grid[1:]), axis=0)))
 
     def product(x):
-        behind = (dist <= np.abs(x - m)[:, None, :]).sum(axis=1) - 1
+        d = np.abs(x - m)
+        behind = np.stack([np.searchsorted(dist[:, j], d[:, j], side="right")
+                           for j in range(grid.shape[1])], axis=1) - 1
         node = np.take_along_axis(grid, behind, axis=0)
         c = np.take_along_axis(cum, behind, axis=0) + weight(node, x)
         with np.errstate(invalid="ignore"):
@@ -367,7 +384,7 @@ def _hazard_rises(mu: Measure1D, side: str) -> bool:
     ahead = grid[0] + (1.0 if plus else -1.0) * np.linspace(span, reach, 257)
     xs = np.concatenate((grid, ahead[1:]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mass = np.asarray(_tail(mu, xs, plus), dtype=float)
+        mass = _tail(mu, xs, plus)
         hazard = np.asarray(mu.density(xs), dtype=float) / mass
     hazard = hazard[(mass > 1e-300) & np.isfinite(hazard)]
     peak = np.maximum.accumulate(hazard)
@@ -432,10 +449,10 @@ def assemble_rate(a0: float, b: float, K: float, alpha: CostFunction) -> float:
 _B_SCAN = tuple(2.0 ** -k for k in range(0, 21))
 
 
-def _inadmissible(alpha: CostFunction) -> Optional[Verdict]:
+def _inadmissible(adm: Verdict) -> Optional[Verdict]:
     """The ``inconclusive`` verdict that a decision returns for a profile
-    outside the admissible class; None when ``alpha`` is admissible."""
-    adm = validate_admissible(alpha)
+    outside the admissible class, from its :func:`validate_admissible`
+    verdict ``adm``; None when the profile is admissible."""
     if adm.holds:
         return None
     return Verdict(INCONCLUSIVE, {},
@@ -455,9 +472,18 @@ def decide_strong_tci_lip(mu: Measure1D, alpha: CostFunction,
     necessary); a failed Lipschitz check with some finite moment stays
     ``inconclusive``.
     """
-    if (refusal := _inadmissible(alpha)) is not None:
+    adm = validate_admissible(alpha)
+    return _decide_lip(mu, alpha, kappa, adm,
+                       lipschitz_check(mu) if adm.holds else None)
+
+
+def _decide_lip(mu: Measure1D, alpha: CostFunction, kappa: float,
+                adm: Verdict, lip: Optional[Verdict]) -> Verdict:
+    """:func:`decide_strong_tci_lip` from the verdicts of
+    :func:`validate_admissible` on ``alpha`` and, read only when that
+    holds, of :func:`lipschitz_check` on ``mu``."""
+    if (refusal := _inadmissible(adm)) is not None:
         return refusal
-    lip = lipschitz_check(mu)
 
     chosen = None
     for b in _B_SCAN:
@@ -514,9 +540,18 @@ def decide_strong_tci_logconcave(mu: Measure1D, alpha: CostFunction,
     median-tail cost ``alpha1(-log G0(h))`` against ``alpha(a h)``, where
     ``G0(h) = 2 max(sf(m+h), cdf(m-h))``.
     """
-    if (refusal := _inadmissible(alpha)) is not None:
+    adm = validate_admissible(alpha)
+    return _decide_logconcave(mu, alpha, kappa, adm,
+                              is_log_concave(mu) if adm.holds else None)
+
+
+def _decide_logconcave(mu: Measure1D, alpha: CostFunction, kappa: float,
+                       adm: Verdict, lc: Optional[Verdict]) -> Verdict:
+    """:func:`decide_strong_tci_logconcave` from the verdicts of
+    :func:`validate_admissible` on ``alpha`` and, read only when that
+    holds, of :func:`is_log_concave` on ``mu``."""
+    if (refusal := _inadmissible(adm)) is not None:
         return refusal
-    lc = is_log_concave(mu)
     if not lc.holds:
         return Verdict(INCONCLUSIVE, {},
                        {"reason": "measure not certified log-concave",
@@ -630,13 +665,25 @@ def suff_condition(mu: Measure1D, alpha: CostFunction) -> Verdict:
     probes are one array, from one call each of ``alpha.deriv`` and
     ``mu.potential_deriv``, which must accept numpy arrays.
     """
+    adm = validate_admissible(alpha)
+    return _suff_condition(mu, alpha, adm, lipschitz_check(mu)
+                           if adm.holds and mu.potential_deriv is not None
+                           else None)
+
+
+def _suff_condition(mu: Measure1D, alpha: CostFunction, adm: Verdict,
+                    lip: Optional[Verdict]) -> Verdict:
+    """:func:`suff_condition` from the verdicts of
+    :func:`validate_admissible` on ``alpha`` and, read only when that holds
+    and ``mu`` has a potential derivative, of :func:`lipschitz_check` on
+    ``mu``."""
     # lambda >= 1/8 keeps lambda*u >= 1.25 at the smallest pinned probe, so
     # spliced profiles are sampled outside their quadratic core
     lams = [2.0 ** k for k in range(-3, 9)]
     if mu.potential_deriv is None:
         return Verdict(INCONCLUSIVE, {},
                        {"reason": "potential derivative unavailable"})
-    if (refusal := _inadmissible(alpha)) is not None:
+    if (refusal := _inadmissible(adm)) is not None:
         return refusal
 
     m = mu.median
@@ -644,7 +691,6 @@ def suff_condition(mu: Measure1D, alpha: CostFunction) -> Verdict:
     v_cls = _regular_class_check(mu.potential_deriv, x_end)
     a_cls = _regular_class_check(alpha.deriv,
                                  _RATIO_PROBES[-1] * max(lams), sides=(1.0,))
-    lip = lipschitz_check(mu)
 
     # r[lambda, side, probe], sides (+, -)
     lam_col = np.asarray(lams, dtype=float)[:, None, None]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcilab import cli, costs, measures, transport
+from tcilab import cli, costs, criteria, measures, transport
 from tcilab.cli import (
     AnalysisConfig,
     emit_report,
@@ -194,6 +194,54 @@ class TestRunAnalyze:
         assert "certified" not in rep.conclusion
         assert rep.conclusion == ("certificate assembled but not verified "
                                   f"({stage} error)")
+
+    def test_criteria_prerequisites_run_once(self, monkeypatch):
+        # decide and suff_cond take the verdicts of the shape and lipschitz
+        # stages instead of computing their own
+        calls = dict.fromkeys(("validate_admissible", "lipschitz_check",
+                               "is_log_concave"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, criteria):
+            for name in calls:
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
+                                         dual_trials=10, mc_samples=1000))
+        assert rep.conclusion == "strong TCI certified at the assembled scale"
+        assert calls == dict.fromkeys(calls, 1)
+        # a direct call validates for itself, and an inadmissible profile
+        # is refused before the Lipschitz check
+        v = criteria.decide_strong_tci_lip(measures.make_builtin("exponential"),
+                                           costs.builtin_cost("maurey"))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == \
+            "cost profile outside the admissible class"
+        assert calls == {"validate_admissible": 2, "lipschitz_check": 1,
+                         "is_log_concave": 1}
+
+    @pytest.mark.parametrize("check,stage", [("lipschitz_check", "lipschitz"),
+                                             ("is_log_concave", "shape")])
+    def test_failed_prerequisite_skips_the_decisions(self, check, stage,
+                                                     monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("check unavailable")
+
+        monkeypatch.setattr(cli, check, broken)
+        rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
+                                         dual_trials=10, mc_samples=1000))
+        stages = {s["stage"]: s for s in rep.stages}
+        assert stages[stage]["status"] == "error"
+        for name in ("decide", "suff_cond"):
+            assert (stages[name]["status"], stages[name]["detail"]) == \
+                ("skipped", "prerequisite unavailable")
+        assert "char_lm" not in rep.criteria
+        assert rep.conclusion == "inconclusive"
 
     def test_refuted_requested_cost_is_not_a_bug(self):
         # scale 1 is four times the assembled 0.25: the verifiers refute the

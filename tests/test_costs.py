@@ -274,6 +274,96 @@ _CLOSED_FORMS = [
     ("alpha_p", {"p": 1.5}), ("alpha_p", {"p": 2.0}), ("alpha_p", {"p": 3.0}),
     ("alpha1", {}), ("maurey", {}), ("gamma", {"lam": 0.25}),
     ("gamma", {"lam": 0.5})]
+
+
+def _admissible_by_meshgrid(cost):
+    """:func:`validate_admissible` with the superadditivity triangle taken
+    from ``cost.fn`` on the meshgrid of all pairs ``(x, y)``."""
+    t = np.linspace(0.0, 64.0, 4096)
+    v = np.asarray(cost.fn(t), dtype=float)
+    diag = {"grid": {"lo": 0.0, "hi": 64.0, "n": 4096}}
+    ok = np.isfinite(v)
+    end = len(t) if ok.all() else int(np.argmin(ok))
+    if end < len(t):
+        diag["overflow_from"] = float(t[end])
+    head = v[:end]
+    sym_gap = float(np.max(np.abs(np.asarray(cost.fn(-t[1:end])) - head[1:]),
+                           initial=0.0))
+    if sym_gap > 1e-12 * (1.0 + float(np.max(np.abs(head), initial=0.0))):
+        return {"violated": "evenness", "gap": sym_gap, **diag}
+    if abs(float(cost.fn(0.0))) > 1e-12:
+        return {"violated": "vanishing_at_zero", **diag}
+    drops = np.diff(head)
+    falls = drops < -1e-12 * (1.0 + np.abs(head[:-1]))
+    back = v[end:] != math.inf
+    if falls.any() or back.any():
+        return {"violated": "monotonicity", **diag,
+                "at": float(t[int(np.argmin(drops)) + 1 if falls.any()
+                              else end + int(np.argmax(back))])}
+    core = t[t <= 1.0]
+    quad_gap = float(np.max(np.abs(np.asarray(cost.fn(core)) - core * core)))
+    if quad_gap > 1e-12:
+        return {"violated": "quadratic_near_zero", "gap": quad_gap, **diag}
+    s = np.linspace(0.0, 64.0, 257)
+    x, y = np.meshgrid(s, s)
+    keep = (x + y) <= 64.0
+    x, y = x[keep], y[keep]
+    fxy = np.asarray(cost.fn(x + y))
+    with np.errstate(invalid="ignore"):
+        gap = fxy - np.asarray(cost.fn(x)) - np.asarray(cost.fn(y))
+    if np.any(gap < -1e-9 * (1.0 + np.abs(fxy))):
+        k = int(np.nanargmin(gap))
+        return {"violated": "superadditivity", **diag,
+                "pair": [float(x[k]), float(y[k])], "gap": float(gap[k])}
+    return diag
+
+
+def _spliced_profile(name, outer):
+    """``t**2`` on [-1, 1] and ``outer(|t|)`` beyond."""
+    def fn(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.where(t <= 1.0, t * t, outer(np.maximum(t, 1.0)))
+    return CostFunction(name, fn, lambda t: 2.0 * np.abs(t), np.sqrt,
+                        convex=False)
+
+
+_TABLE_TS = np.linspace(0.0, 6.0, 200)
+_ADMISSIBLE_PANEL = {
+    **{" ".join([n, *(f"{k}={v:g}" for k, v in p.items())]):
+       (lambda n=n, p=p: builtin_cost(n, **p)) for n, p in _CLOSED_FORMS},
+    "table": lambda: cost_from_table(_TABLE_TS, _TABLE_TS ** 2),
+    "table past 1": lambda: _spliced_profile(
+        "table past 1", cost_from_table(_TABLE_TS, _TABLE_TS ** 2).fn),
+    "1 + 2 log t past 1": lambda: _spliced_profile(
+        "log", lambda t: 1.0 + 2.0 * np.log(t)),
+    "sqrt past 1": lambda: _spliced_profile("sqrt", np.sqrt),
+    # f(x) + f(y) at x + y = 64 peaks at the lopsided split (40, 24)
+    "t^2 capped at 40": lambda: _spliced_profile(
+        "capped", lambda t: np.minimum(t, 40.0) ** 2),
+    "exp(t^2) past 1": lambda: _spliced_profile(
+        "exp", lambda t: np.exp(t * t) - math.e + 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADMISSIBLE_PANEL))
+def test_admissibility_matches_the_meshgrid_triangle(name):
+    # the triangle's gaps from the 257 grid values are the meshgrid's, bit
+    # for bit, and so is the first failing pair
+    cost = _ADMISSIBLE_PANEL[name]()
+    got, want = validate_admissible(cost).to_dict(), _admissible_by_meshgrid(cost)
+    assert got["diagnostics"] == want
+    assert got["status"] == ("fails" if "violated" in want else "holds")
+    if name == "t^2 capped at 40":
+        assert got["diagnostics"]["pair"] == [40.0, 24.0]
+    if name in ("1 + 2 log t past 1", "sqrt past 1", "t^2 capped at 40"):
+        assert want["violated"] == "superadditivity"
+        assert got["diagnostics"]["pair"] == want["pair"]
+        assert float.hex(got["diagnostics"]["gap"]) == float.hex(want["gap"])
+    if name in ("table past 1", "exp(t^2) past 1"):
+        assert got["status"] == "holds"
+
+
 _SLOPES = np.geomspace(1e-3, 1e6, 409)
 
 
@@ -357,6 +447,13 @@ class TestConjugate:
         got = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
         assert got.hexdigest() == \
             "97c40afe92f3a8f1f4e0f1fcf5fa2dabafa7fa645da504f05fb542bb1c662c29"
+
+    def test_column_search_brackets_past_80_doublings(self):
+        # x -> 2 theta_2(x/2) = x^2/2 has no maximizer; the peak of
+        # x y - x^2/2 is at x = y, beyond 2**80 for y = 1e25
+        c = conjugate(verify.tci_to_strong_cost(builtin_cost("theta_p", p=2)))
+        y = np.array([1e20, 1e24, 1e25])
+        np.testing.assert_allclose(c.fn(y), y * y / 2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("name, params", [("theta_p", {"p": 2.0}),
                                               ("alpha1", {}),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from tcilab import costs, criteria, measures, verify
+from tcilab import costs, criteria, measures, numerics, verify
 from tcilab.criteria import (
     K_moment,
     _K_scan_sup,
@@ -157,6 +157,86 @@ class TestMuckenhoupt:
         dp, dm = muckenhoupt(_quartic_table())
         assert dp == pytest.approx(0.4186467504364798, rel=1e-9)
         assert dm == pytest.approx(0.41864675043648214, rel=1e-9)
+
+
+def _muckenhoupt_by_count(mu):
+    """:func:`muckenhoupt` with each point's cell found by an O(n^2) count
+    of the grid distances, and both tails evaluated at every point."""
+    m = mu.median
+    grid = criteria._scan_grids(mu)
+    dist = np.abs(grid - m)
+    plus = np.array([True, False])
+
+    def weight(a, b):
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            own, val = numerics.gauss_kronrod_cells(
+                lambda x, _own: 1.0 / mu.density(x), (lo, hi),
+                criteria._CELL_EPSABS, criteria._CELL_EPSREL,
+                owner=np.arange(lo.size))
+            total = np.bincount(own, weights=val, minlength=lo.size)
+        return total.reshape(np.shape(a))
+
+    cum = np.concatenate((np.zeros((1, 2)),
+                          np.cumsum(weight(grid[:-1], grid[1:]), axis=0)))
+
+    def product(x):
+        behind = (dist <= np.abs(x - m)[:, None, :]).sum(axis=1) - 1
+        node = np.take_along_axis(grid, behind, axis=0)
+        c = np.take_along_axis(cum, behind, axis=0) + weight(node, x)
+        with np.errstate(invalid="ignore"):
+            tail = np.where(plus, mu.sf(x), mu.cdf(x))
+            return np.where(np.isfinite(c), tail * c, np.nan)
+
+    sup, _, diverged, _ = numerics.sup_on_grid(product, grid, tol=1e-9)
+    d_plus, d_minus = np.where(diverged, math.inf, sup)
+    return float(d_plus), float(d_minus)
+
+
+_MUCKENHOUPT_LAWS = {
+    "exponential": lambda: measures.make_builtin("exponential"),
+    "gaussian": lambda: measures.make_builtin("gaussian", sigma=1.0),
+    "exp_power p=1.5": lambda: measures.make_builtin("exp_power", p=1.5),
+    "one_sided_exp": lambda: measures.make_builtin("one_sided_exp", rate=1.0),
+    "cauchy": lambda: measures.make_builtin("cauchy"),
+    "quartic table": lambda: _quartic_table(),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_MUCKENHOUPT_LAWS))
+def test_muckenhoupt_matches_the_quadratic_cell_count(law):
+    # the binary search finds the same cell as counting every grid distance
+    mu = _MUCKENHOUPT_LAWS[law]()
+    got = [float.hex(d) for d in muckenhoupt(mu)]
+    assert got == [float.hex(d) for d in _muckenhoupt_by_count(mu)]
+    if law == "cauchy":
+        assert got == [float.hex(math.inf)] * 2
+
+
+@pytest.mark.parametrize("law", ["exponential", "gaussian", "cauchy",
+                                 "quartic table"])
+def test_tail_evaluates_each_side_on_its_own_points(law):
+    mu = _MUCKENHOUPT_LAWS[law]()
+    seen = {"sf": 0, "cdf": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            seen[name] += np.size(x)
+            return fn(x)
+        return wrapper
+
+    x = mu.median + np.random.default_rng(3).normal(0.0, 3.0, size=(7, 6))
+    plus = np.array([True, False, False, True, True, False])
+    sf, cdf = mu.sf(x), mu.cdf(x)
+    mu.sf, mu.cdf = counted("sf", mu.sf), counted("cdf", mu.cdf)
+    # per column: each function sees its own three columns only
+    assert criteria._tail(mu, x, plus).tobytes() == \
+        np.where(plus, sf, cdf).tobytes()
+    assert seen == {"sf": 21, "cdf": 21}
+    # a scalar side calls one function on every point
+    assert criteria._tail(mu, x, True).tobytes() == sf.tobytes()
+    assert criteria._tail(mu, x, False).tobytes() == cdf.tobytes()
+    assert seen == {"sf": 21 + x.size, "cdf": 21 + x.size}
 
 
 class TestMomentConstant:
