@@ -763,9 +763,10 @@ def _cmd_verify(args) -> int:
     else:  # lsi
         C, t = args.const_c, args.const_t
         if C is None or t is None:
-            primary = (decide_strong_tci_logconcave(mu, alpha)
-                       if is_log_concave(mu).holds
-                       else decide_strong_tci_lip(mu, alpha))
+            lc = is_log_concave(mu)
+            primary = (_decide_logconcave(mu, alpha, DEFAULT_KAPPA,
+                                          validate_admissible(alpha), lc)
+                       if lc.holds else decide_strong_tci_lip(mu, alpha))
             if not primary.holds:
                 out.update({"status": INCONCLUSIVE,
                             "reason": "no assembled rate to derive (C, t); "

@@ -21,7 +21,8 @@ import numpy as np
 from . import numerics
 from .costs import (CostFunction, _numeric_inverse, _spliced, builtin_cost,
                     validate_admissible)
-from .measures import Measure1D, is_log_concave, make_builtin
+from .measures import (_GRID_LEVEL, Measure1D, _hazard_side, _scan_grids,
+                       is_log_concave, make_builtin)
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 __all__ = [
@@ -39,9 +40,8 @@ DEFAULT_KAPPA = 36.0
 _REF = make_builtin("exponential")         # reference law, density e^{-|x|}/2
 _ALPHA1 = builtin_cost("alpha1")           # its canonical cost min(t^2, |t|)
 
-# level walls used everywhere a quantile must stay strictly inside (0, 1)
+# level wall used everywhere a quantile must stay strictly inside (0, 1)
 _TINY_LEVEL = 1e-15
-_GRID_LEVEL = 1e-10
 
 
 #: per-cell targets of the cell integrals (ray moments and the Muckenhoupt
@@ -52,15 +52,6 @@ _CELL_EPSABS = 1e-16
 _CELL_EPSREL = 1e-12
 #: the columns of :func:`_scan_grids`: right tail, then left tail
 _PLUS = np.array([True, False])
-
-
-def _scan_grids(mu: Measure1D) -> np.ndarray:
-    """Geometric-progression grids from the median out to the far quantile
-    of each tail, as the columns of one array (see ``_PLUS``)."""
-    m = mu.median
-    right = numerics.geometric_offsets(mu.quantile(1.0 - _GRID_LEVEL) - m, 511)
-    left = numerics.geometric_offsets(m - mu.quantile(_GRID_LEVEL), 511)
-    return m + np.stack((right, -left), axis=1)
 
 
 def _tail(mu: Measure1D, x, plus) -> np.ndarray:
@@ -337,25 +328,26 @@ def _decaying_tail_integral(log_parts: Callable, anchors, kinks=(),
 
 
 def _residual_moments(mu: Measure1D, alpha: CostFunction, b: float,
-                      side: str) -> Callable[[np.ndarray], np.ndarray]:
+                      plus) -> Callable[[np.ndarray], np.ndarray]:
     """The map from anchors ``x`` to the exponential moment of the residual
-    at ``x`` on ``side``; ``inf`` where its ray diverges, ``nan`` where the
-    mass beyond ``x`` is below 1e-300.  The anchors of one call go through
-    one :func:`_decaying_tail_integral` call."""
+    at ``x``, right of ``x`` where ``plus`` (one flag, or one per entry of
+    the last axis of ``x``, as in :func:`_tail`); ``inf`` where its ray
+    diverges, ``nan`` where the mass beyond ``x`` is below 1e-300.  One
+    :func:`_decaying_tail_integral` call takes all anchors of a call."""
     if b <= 0:
         raise ValueError("b must be positive")
-    sgn = 1.0 if side == "plus" else -1.0
     kinks = [k / b for k in alpha.kinks if k > 0]
 
     def inner(xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        mass = _tail(mu, xs, side == "plus")
+        mass = _tail(mu, xs, plus)
         out = np.full(xs.shape, math.nan)
         live = mass > 1e-300  # beyond: no information, not growth
         x0 = xs[live]
+        sgn = np.broadcast_to(np.where(plus, 1.0, -1.0), xs.shape)[live]
 
         def log_parts(i, z):
-            return alpha.fn(b * z), mu.log_density(x0[i] + sgn * z)
+            return alpha.fn(b * z), mu.log_density(x0[i] + sgn[i] * z)
 
         out[live] = _decaying_tail_integral(log_parts, x0, kinks,
                                             mu.kink_points, sgn,
@@ -365,39 +357,13 @@ def _residual_moments(mu: Measure1D, alpha: CostFunction, b: float,
     return inner
 
 
-def _hazard_rises(mu: Measure1D, side: str) -> bool:
-    """Whether the hazard on ``side`` rises outward over every anchor that
-    :func:`_K_scan_sup` reaches.
-
-    The hazard is ``density/sf`` on the plus side and ``density/cdf`` on
-    the minus side; it is sampled on the side's column of
-    :func:`_scan_grids` and on 256 equally spaced points from its end out
-    to the last growth probe of :func:`numerics.sup_on_grid`, where the
-    mass outward exceeds 1e-300.  It rises when no sample falls below the
-    running maximum by more than ``1e-7 (1 + max)``, the tolerance of
-    :func:`is_log_concave`.
-    """
-    plus = side == "plus"
-    grid = _scan_grids(mu)[:, _PLUS if plus else ~_PLUS]
-    span = abs(grid[-1] - grid[0])
-    reach = numerics.growth_probe_offsets(span)[-1, 0]
-    ahead = grid[0] + (1.0 if plus else -1.0) * np.linspace(span, reach, 257)
-    xs = np.concatenate((grid, ahead[1:]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mass = _tail(mu, xs, plus)
-        hazard = np.asarray(mu.density(xs), dtype=float) / mass
-    hazard = hazard[(mass > 1e-300) & np.isfinite(hazard)]
-    peak = np.maximum.accumulate(hazard)
-    return not np.any(peak - hazard > 1e-7 * (1.0 + peak))
-
-
 def _K_scan_sup(mu: Measure1D, alpha: CostFunction, b: float,
                 side: str) -> float:
     """:func:`K_moment` by a scan-sup over anchors: the 511-point grid of
     :func:`_scan_grids`, golden refinement and growth probes
     (:func:`numerics.sup_on_grid`), one ray-engine call per step."""
-    inner = _residual_moments(mu, alpha, b, side)
-    grid = _scan_grids(mu)[:, _PLUS if side == "plus" else ~_PLUS]
+    inner = _residual_moments(mu, alpha, b, side == "plus")
+    grid = _scan_grids(mu, (side == "plus",))
     sup, _, diverged, _ = numerics.sup_on_grid(inner, grid, tol=1e-8)
     return math.inf if diverged[0] else float(sup[0])
 
@@ -411,18 +377,17 @@ def K_moment(mu: Measure1D, alpha: CostFunction, b: float,
     itself diverges.  The median ``m`` is one of the anchors, so the ray
     from ``m`` comes first and its divergence makes the sup ``inf``.  When
     the hazard on ``side`` rises outward over every anchor the scan-sup
-    reaches (:func:`_hazard_rises`: ``density/sf`` on the plus side,
-    ``density/cdf`` on the minus side, the one-sided form of the
+    reaches (:func:`measures._hazard_side`, the one-sided form of the
     :func:`is_log_concave` test), the residual law at ``x`` is
     stochastically decreasing as ``x`` moves away from ``m``, and for a
     nondecreasing profile (every admissible one) the sup is that first
     ray's value.  Other laws take the scan-sup of :func:`_K_scan_sup`.
     """
-    at_median = float(_residual_moments(mu, alpha, b, side)(
+    at_median = float(_residual_moments(mu, alpha, b, side == "plus")(
         np.array([mu.median]))[0])
     if not math.isfinite(at_median):
         return math.inf
-    if _hazard_rises(mu, side):
+    if _hazard_side(mu, side == "plus").holds:
         return at_median
     return _K_scan_sup(mu, alpha, b, side)
 
@@ -517,28 +482,32 @@ def _decide_lip(mu: Measure1D, alpha: CostFunction, kappa: float,
 
 
 def _moment_integral(mu: Measure1D, alpha: CostFunction, b: float) -> float:
-    """``int exp(alpha(b x)) d mu``, each tail truncated at its decay horizon."""
-    m = mu.median
-    sides = np.array([1.0, -1.0])
-    marks = [s * k / b for k in alpha.kinks for s in (1.0, -1.0)] \
-        + list(mu.kink_points)
-
-    def log_parts(i, z):
-        x = m + sides[i] * z
-        return alpha.fn(b * x), mu.log_density(x)
-
-    halves = _decaying_tail_integral(log_parts, [m, m], (), marks, sides)
-    return float(halves.sum()) if np.isfinite(halves).all() else math.inf
+    """``int exp(alpha(b |x - m|)) d mu`` about the median ``m``: the mass
+    on each side of ``m`` times the residual moment there,
+    ``sf(m) K+_m + cdf(m) K-_m``, from :func:`_residual_moments`."""
+    m = np.full(2, mu.median)
+    return float(np.sum(_tail(mu, m, _PLUS)
+                        * _residual_moments(mu, alpha, b, _PLUS)(m)))
 
 
 def decide_strong_tci_logconcave(mu: Measure1D, alpha: CostFunction,
                                  kappa: float = DEFAULT_KAPPA) -> Verdict:
     """Strong transport-entropy decision for log-concave measures.
 
-    Scans ``b`` for a finite plain moment ``int e^{alpha(bx)} d mu``; on
-    success assembles a rate and certifies the pointwise comparison of the
+    Scans ``b`` for a finite moment ``K = int e^{alpha(b|x-m|)} d mu`` about
+    the median ``m``; on success assembles a rate from ``a0 = 2 density(m)``,
+    ``b`` and ``K`` and certifies the pointwise comparison of the
     median-tail cost ``alpha1(-log G0(h))`` against ``alpha(a h)``, where
     ``G0(h) = 2 max(sf(m+h), cdf(m-h))``.
+
+    The shape test is :func:`is_log_concave`, monotone hazards on both
+    sides of ``m``.  They give ``a0``: the isoperimetric profile
+    ``I(t) = density(F^{-1}(t))`` is ``1 - t`` times ``density/sf`` above
+    ``t = 1/2`` and ``t`` times ``density/cdf`` below, both hazards are
+    ``2 density(m)`` at ``m``, so ``I(t) >= 2 density(m) min(t, 1 - t)``.
+    The moment may be centred at the median: the cost and the relative
+    entropy are invariant under translation, so ``mu`` satisfies the
+    inequality iff its copy with median 0 does, whose plain moment is K.
     """
     adm = validate_admissible(alpha)
     return _decide_logconcave(mu, alpha, kappa, adm,
@@ -557,18 +526,15 @@ def _decide_logconcave(mu: Measure1D, alpha: CostFunction, kappa: float,
                        {"reason": "measure not certified log-concave",
                         "log_concave": lc.to_dict()})
 
-    chosen = None
     for b in _B_SCAN:
         Mb = _moment_integral(mu, alpha, b)
         if math.isfinite(Mb):
-            chosen = (b, Mb)
             break
-    if chosen is None:
+    else:
         return Verdict(FAILS, {},
                        {"reason": "exponential moment diverges for every b "
                                   "in the scan",
                         "b_scan": list(_B_SCAN)})
-    b, Mb = chosen
     m = mu.median
     a0 = 2.0 * float(mu.density(m))
     a = assemble_rate(a0, b, Mb, alpha)

@@ -299,25 +299,25 @@ _PANEL = {
 #: sha256 of (to_json(), to_text()) per panel config
 _PANEL_DIGESTS = {
     "cauchy": (
-        "831ee323c7259c71c1a207798821e347e056ab85c9db97781a6df845fb54d335",
+        "b84643a6538557bdc2ebf3a7525f508a151af567aa4240104278a6b47ab7b7d6",
         "3c492afa931354126032ebbfdc464273180dddfdaffabe30d4228e44f649a819"),
     "exp_power-alpha_p": (
-        "49f5ed143b8e97d99649f1e166049dc3285215f6f7ea5fde9786c338c789346f",
+        "93776f24fded2ae8a59593b9205479ada95958da631e38d9d0471c00f06c0eb4",
         "66ba42b230646b7a3f278508f2f77da817aeb19f1a33a498e8f96b555e370316"),
     "exponential": (
-        "f463957549505bf5be48c414e3f813067e14f5a35235b929cadaa115fe484497",
+        "82412851e41a1a25c14ae929ad8096766c1c33575787f09c0f5e943453424038",
         "dfa228f85951302ecfb148184eb4f51b337bc8545631e3b998564fa6d7344f73"),
     "gaussian-theta2": (
-        "7484bbc1e48b918b10f167d44b0573345d28e17e22d78816eb5ebb1e661b1c96",
+        "78e78336b97658ecc9e801da93719e95983be661541f4822214f9145508f5551",
         "395abb104c6f77d8fac8611305ee22b1d18ef0c5963470209630acda94959386"),
     "lognormal": (
         "913f2a5a4c27520a83b42ac151d6c19c16210dd0f4792aa36dd5f19ef141bbae",
         "418be7356a96ed84fabb5e31b7d45b7287e7e8f12e7f9536b344dbde6416bb30"),
     "quartic-table": (
-        "cf738d958aa3159315452e5cefcd5e0df970e545b2936f848996da8f44698ee0",
+        "b5b3fa5828baf29aced37e93fb171486d28ca073debd08eaaecea9820d6aa3e3",
         "3b2926adc02640af4dd1321a4a58987d2b2ad7970f14f1f0c983e1bcf6ec3d63"),
     "requested-cost": (
-        "3a6c619fb60d6e6e6676488f21d98e68d1e9e136aef1c5605474b15da83b771c",
+        "69e541ff105423ceebd2ff362cf362c8a84aacbb71af38be0f63054abfa35c05",
         "ea91880d77ded63dd454c90e586f0f9e3676df5eb3ce111be71fb972f993cab9"),
 }
 
@@ -546,7 +546,11 @@ class TestCriteriaChecks:
         rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
                                      "--check", "logconcave"])
         assert (rc, doc["status"]) == (0, "holds")
-        assert doc["diagnostics"]["grid"]["n"] == 2048
+        # both hazards sampled from the median past the 1e-10 quantiles
+        diag = doc["diagnostics"]
+        assert diag["tolerance"] == 1e-7
+        assert diag["plus"]["reach"] > 6.36 and diag["minus"]["reach"] < -6.36
+        assert diag["plus"]["samples"] > 512 and diag["minus"]["samples"] > 512
 
     def test_lsi_tilde_gaussian(self, capsys):
         rc, doc = _run_json(capsys, ["criteria", "--mu", "gaussian",
@@ -630,6 +634,26 @@ class TestVerifyKinds:
         # C = lam / (1 - lam) and t = 1 / (a lam) at lam = 1/2, a = 1/4
         assert doc["C"] == 1.0
         assert doc["t"] == pytest.approx(8.0, rel=1e-12)
+
+    def test_lsi_checks_the_shape_once(self, capsys, monkeypatch):
+        # the derived constants come from the log-concave decision, which
+        # takes the verdict of the one shape test instead of its own
+        calls = dict.fromkeys(("validate_admissible", "is_log_concave"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, criteria):
+            for name in calls:
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        rc, doc = _run_json(capsys, ["verify", "lsi", "--mu", "gaussian",
+                                     "--cost", "theta_p p=2"])
+        assert (rc, doc["status"]) == (0, "holds")
+        assert calls == dict.fromkeys(calls, 1)
 
     def test_lsi_without_assembled_rate(self, capsys):
         rc, doc = _run_json(capsys, ["verify", "lsi", "--mu", "cauchy",

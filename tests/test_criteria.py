@@ -341,8 +341,6 @@ class TestMedianRule:
     def test_median_ray_is_the_scan_sup(self, law):
         mu = self.LOG_CONCAVE[law]()
         assert measures.is_log_concave(mu).holds
-        assert criteria._hazard_rises(mu, "plus")
-        assert criteria._hazard_rises(mu, "minus")
         for got, want in self._pairs(mu):
             if math.isinf(want):
                 assert got == math.inf
@@ -358,9 +356,9 @@ class TestMedianRule:
 
     def test_left_side_reads_the_cdf(self, alpha1):
         # the density rises on the left through a plateau on [-3, -1]: the
-        # hazard density/sf is nondecreasing, so is_log_concave holds, but
-        # density/cdf is not, and on the minus side the residual at -1 is
-        # larger than at the median
+        # hazard density/sf is nondecreasing but density/cdf is not, so the
+        # law is not log-concave, and on the minus side the residual at -1
+        # is larger than at the median
         def shoulder(x):
             x = np.asarray(x, dtype=float)
             return np.where(x >= 0.0, 0.5 * x * x, np.where(
@@ -369,8 +367,13 @@ class TestMedianRule:
 
         mu = measures.make_from_potential(shoulder,
                                           kink_points=(-3.0, -1.0, 0.0))
-        assert measures.is_log_concave(mu).holds
-        at_median = criteria._residual_moments(mu, alpha1, 0.5, "minus")(
+        lc = measures.is_log_concave(mu)
+        assert lc.status == "fails"
+        assert "first_violation_x" not in lc.diagnostics["plus"]
+        assert lc.diagnostics["minus"]["first_violation_x"] < 0.0
+        assert decide_strong_tci_logconcave(mu, alpha1).status == \
+            "inconclusive"
+        at_median = criteria._residual_moments(mu, alpha1, 0.5, False)(
             np.array([mu.median]))[0]
         K = K_moment(mu, alpha1, 0.5, "minus")
         assert K == _K_scan_sup(mu, alpha1, 0.5, "minus")
@@ -378,17 +381,21 @@ class TestMedianRule:
 
     def test_hazard_drop_past_the_log_concavity_grid(self, alpha1):
         # Laplace up to |x| = 30, slope 0.6 beyond: the hazard falls from 1
-        # to 0.6 past the 1 - 1e-8 quantile (17.7), so is_log_concave holds,
-        # but the scan-sup reaches anchors there through its grid (to 22.3)
-        # and growth probes, and the rays from them gain on the median's
+        # to 0.6 past the 1 - 1e-10 quantile (22.3), where the scan-sup
+        # reaches anchors through its growth probes, and the rays from them
+        # gain on the median's; the shape test samples out to the same
+        # probes, so the law is not taken as log-concave
         kinked = measures.make_from_potential(
             lambda x: np.where(np.abs(x) < 30.0, np.abs(x),
                                30.0 + 0.6 * (np.abs(x) - 30.0)),
             kink_points=(-30.0, 30.0))
-        assert measures.is_log_concave(kinked).holds
+        assert not measures.is_log_concave(kinked).holds
+        assert decide_strong_tci_logconcave(kinked, alpha1).status == \
+            "inconclusive"
         for side in ("plus", "minus"):
-            assert not criteria._hazard_rises(kinked, side)
-            at_median = criteria._residual_moments(kinked, alpha1, 0.5, side)(
+            assert not measures._hazard_side(kinked, side == "plus").holds
+            at_median = criteria._residual_moments(kinked, alpha1, 0.5,
+                                                   side == "plus")(
                 np.array([kinked.median]))[0]
             K = K_moment(kinked, alpha1, 0.5, side)
             assert K == _K_scan_sup(kinked, alpha1, 0.5, side)
@@ -559,6 +566,21 @@ class TestDecideLogConcave:
         v = decide_strong_tci_logconcave(mu, costs.builtin_cost("theta_p", p=1.5))
         assert v.status == "holds"
         assert v.constants["a"] == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("cost", ["alpha1", "theta2"])
+    def test_shifted_gaussian(self, request, cost):
+        # the moment is centred at the median, so shifting the law moves
+        # neither b nor a, and K only by the rounding of the shifted rays
+        alpha = request.getfixturevalue(cost)
+        got = [decide_strong_tci_logconcave(
+            measures.make_builtin("gaussian", mean=mean), alpha)
+            for mean in (0.0, 5.0, 500.0, 1e5)]
+        for v in got:
+            assert v.status == "holds"
+            assert (v.constants["b"], v.constants["a"]) == \
+                (got[0].constants["b"], got[0].constants["a"])
+            assert v.constants["K"] == pytest.approx(got[0].constants["K"],
+                                                     rel=1e-12)
 
     def test_not_log_concave_is_inconclusive(self, cauchy, alpha1):
         v = decide_strong_tci_logconcave(cauchy, alpha1)

@@ -158,6 +158,24 @@ class TestClosedForms:
                 assert np.array_equal(got.view(np.int64),
                                       want[name].view(np.int64)), name
 
+    @pytest.mark.parametrize("p,ref", [
+        (1.0, ("exponential", {})),
+        (2.0, ("gaussian", {"sigma": 2.0 ** -0.5}))])
+    def test_exp_power_far_tails(self, p, ref):
+        # the far tails come from the upper incomplete gamma, with full
+        # relative precision down to the underflow; 0.5 - 0.5 gammainc
+        # read 0 on p = 2 at x = 20 and was off by 6e-2 on p = 1 at x = 35
+        mu, want = make_builtin("exp_power", p=p), make_builtin(ref[0],
+                                                                 **ref[1])
+        xs = np.linspace(0.0, 800.0, 16001)
+        xs = np.concatenate((-xs[::-1], xs))
+        for fn in ("sf", "cdf"):
+            got, exact = getattr(mu, fn)(xs), getattr(want, fn)(xs)
+            live = exact > 1e-300
+            assert live.sum() > 1000
+            np.testing.assert_allclose(got[live], exact[live], rtol=1e-12,
+                                       atol=0.0)
+
 
 _XS_129 = np.linspace(-4.0, 4.0, 129)
 _ENDPOINT_LAWS = {
@@ -432,17 +450,31 @@ class TestResiduals:
 class TestLogConcavity:
     @pytest.mark.parametrize("name,params", [
         ("gaussian", {"sigma": 1.0}),
+        ("gaussian", {"sigma": 1e-6, "mean": 5e-4}),
+        ("gaussian", {"sigma": 1e6, "mean": 5e8}),
         ("exponential", {}),
+        ("exp_power", {"p": 1.0}),
         ("exp_power", {"p": 1.5}),
         ("exp_power", {"p": 3.0}),
+        ("one_sided_exp", {"rate": 2.0}),
     ])
     def test_holds(self, name, params):
         assert is_log_concave(make_builtin(name, **params)).holds
 
+    def test_fails_without_monotone_hazards(self):
+        # exp_power p < 1 has a falling hazard on both sides; the Huber
+        # table with a sine ripple has a bump in its density
+        assert not is_log_concave(make_builtin("exp_power", p=0.75)).holds
+        huber = make_from_table(
+            _XS_129, np.where(np.abs(_XS_129) <= 1.0, 0.5 * _XS_129 ** 2,
+                              np.abs(_XS_129) - 0.5) + 0.3 * np.sin(_XS_129))
+        assert not is_log_concave(huber).holds
+
     def test_cauchy_fails(self, cauchy):
         v = is_log_concave(cauchy)
         assert v.status == "fails"
-        assert "first_violation_x" in v.diagnostics
+        for side in ("plus", "minus"):
+            assert "first_violation_x" in v.diagnostics[side]
 
 
 class TestSampling:
