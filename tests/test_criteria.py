@@ -380,11 +380,11 @@ class TestMedianRule:
         assert K > 1.1 * at_median
 
     def test_hazard_drop_past_the_log_concavity_grid(self, alpha1):
-        # Laplace up to |x| = 30, slope 0.6 beyond: the hazard falls from 1
-        # to 0.6 past the 1 - 1e-10 quantile (22.3), where the scan-sup
-        # reaches anchors through its growth probes, and the rays from them
-        # gain on the median's; the shape test samples out to the same
-        # probes, so the law is not taken as log-concave
+        # Laplace up to |x| = 30, slope 0.6 beyond: the hazard falls toward
+        # 0.6, by more than the shape test's tolerance from |x| = 15 on; the
+        # scan-sup reaches anchors past the 1 - 1e-10 quantile (22.3)
+        # through its growth probes, and the rays from them gain on the
+        # median's
         kinked = measures.make_from_potential(
             lambda x: np.where(np.abs(x) < 30.0, np.abs(x),
                                30.0 + 0.6 * (np.abs(x) - 30.0)),
