@@ -34,8 +34,9 @@ from .measures import (Measure1D, is_log_concave, make_builtin,
                        make_from_table, quantile_discretize)
 from .transport import cost_lp, cost_matrix, cost_monotone
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, _jsonify
-from .verify import (concentration_mc, dual_check_strong, integrability_check,
-                     lsi_check, marton_bound_check, tensor_check)
+from .verify import (_integrability_at, _ray_anchors, concentration_mc,
+                     dual_check_strong, integrability_check, lsi_check,
+                     marton_bound_check, tensor_check)
 
 __all__ = [
     "AnalysisConfig", "AnalysisReport", "run_analyze", "emit_report",
@@ -281,52 +282,60 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _report_json(self.to_dict())
 
     def to_text(self) -> str:
-        d = self.to_dict()
-        lines = [f"tci-lab analysis report (schema {d['schema']})",
-                 f"measure: {self.config.measure}",
-                 f"cost:    {self.config.cost}", ""]
-        ms = d["measure_summary"]
-        if ms:
-            lines.append("measure summary")
-            for key in sorted(ms):
-                lines.append(f"  {key}: {_fmt(ms[key])}")
-            lines.append("")
-        if d["criteria"]:
-            lines.append("criteria")
-            for name in sorted(d["criteria"]):
-                v = d["criteria"][name]
-                status = v.get("status", "?") if isinstance(v, dict) else v
-                consts = v.get("constants", {}) if isinstance(v, dict) else {}
-                tail = "  " + " ".join(f"{k}={_fmt(c)}"
-                                       for k, c in sorted(consts.items()))
-                lines.append(f"  {name}: {status}{tail.rstrip()}")
-            lines.append("")
-        if d["verification"]:
-            lines.append("verification")
-            for name in sorted(d["verification"]):
-                v = d["verification"][name]
-                if isinstance(v, dict):
-                    status = v.get("status", v.get("verdict", "?"))
-                    extra = ""
-                    if "worst_product" in v:
-                        extra = f"  worst_product={_fmt(v['worst_product'])}"
-                    lines.append(f"  {name}: {status}{extra}")
-                else:
-                    lines.append(f"  {name}: {_fmt(v)}")
-            lines.append("")
-        lines.append("stages")
-        for s in self.stages:
-            detail = f"  ({s['detail']})" if s["detail"] else ""
-            lines.append(f"  {s['stage']}: {s['status']}{detail}")
+        return _report_text(self.to_dict())
+
+
+def _report_json(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def _report_text(d: dict) -> str:
+    """The text form of a report's :meth:`AnalysisReport.to_dict`."""
+    lines = [f"tci-lab analysis report (schema {d['schema']})",
+             f"measure: {d['config']['measure']}",
+             f"cost:    {d['config']['cost']}", ""]
+    ms = d["measure_summary"]
+    if ms:
+        lines.append("measure summary")
+        for key in sorted(ms):
+            lines.append(f"  {key}: {_fmt(ms[key])}")
         lines.append("")
-        lines.append(f"conclusion: {self.conclusion}")
-        prov = d["provenance"]
-        lines.append(f"provenance: version={prov['version']} "
-                     f"seed={prov['seed']} config={prov['config_hash'][:16]}")
-        return "\n".join(lines) + "\n"
+    if d["criteria"]:
+        lines.append("criteria")
+        for name in sorted(d["criteria"]):
+            v = d["criteria"][name]
+            status = v.get("status", "?") if isinstance(v, dict) else v
+            consts = v.get("constants", {}) if isinstance(v, dict) else {}
+            tail = "  " + " ".join(f"{k}={_fmt(c)}"
+                                   for k, c in sorted(consts.items()))
+            lines.append(f"  {name}: {status}{tail.rstrip()}")
+        lines.append("")
+    if d["verification"]:
+        lines.append("verification")
+        for name in sorted(d["verification"]):
+            v = d["verification"][name]
+            if isinstance(v, dict):
+                status = v.get("status", v.get("verdict", "?"))
+                extra = ""
+                if "worst_product" in v:
+                    extra = f"  worst_product={_fmt(v['worst_product'])}"
+                lines.append(f"  {name}: {status}{extra}")
+            else:
+                lines.append(f"  {name}: {_fmt(v)}")
+        lines.append("")
+    lines.append("stages")
+    for s in d["stages"]:
+        detail = f"  ({s['detail']})" if s["detail"] else ""
+        lines.append(f"  {s['stage']}: {s['status']}{detail}")
+    lines.append("")
+    lines.append(f"conclusion: {d['conclusion']}")
+    prov = d["provenance"]
+    lines.append(f"provenance: version={prov['version']} "
+                 f"seed={prov['seed']} config={prov['config_hash'][:16]}")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:
@@ -443,11 +452,12 @@ def _integrability(report, out):
         ver["integrability"] = v.to_dict()
         return v
     # nothing was assembled: scan a geometric ladder of scales and
-    # report which of them the ray products already refute
+    # report which of them the ray products already refute; the anchors
+    # and their masses do not depend on the scale
     scan = []
+    anchors = _ray_anchors(mu)
     for a in _REFUTE_SCALES:
-        v = integrability_check(mu, alpha, scale=a,
-                                prefactor=ver["prefactor"])
+        v = _integrability_at(mu, anchors, alpha, a, ver["prefactor"])
         scan.append({"scale": a, "status": v.status})
     ver["integrability_scan"] = scan
     all_refuted = all(row["status"] == FAILS for row in scan)
@@ -590,13 +600,15 @@ def emit_report(report: AnalysisReport, out_dir: Union[str, Path, None] = None,
         else Path(report.config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
+    if "json" in formats or "text" in formats:
+        d = report.to_dict()
     if "json" in formats:
         p = out / "report.json"
-        p.write_text(report.to_json())
+        p.write_text(_report_json(d))
         written.append(p)
     if "text" in formats:
         p = out / "report.txt"
-        p.write_text(report.to_text())
+        p.write_text(_report_text(d))
         written.append(p)
     if "csv-curves" in formats:
         for name, table in sorted(report.curves.items()):

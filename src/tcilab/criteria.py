@@ -127,27 +127,37 @@ def omega_bounds(rm: RearrangementMap, h_grid
     exponent ``-log(sf(x+h)/sf(x))``; ``omega_minus`` mirrors it left of the
     median; the combined bound is ``min(omega_plus(h/2), omega_minus(h/2))``.
     All three are nondecreasing in h, which must be finite and
-    nondecreasing.  Every h and h/2 of both sides is one column of a single
-    :func:`numerics.sup_on_grid` scan of ``-omega``.
+    nondecreasing.  Each distinct shift among the h and h/2 is one column
+    per side of a single :func:`numerics.sup_on_grid` scan of ``-omega``,
+    the right tail's columns first.
     """
     mu = rm.mu
     h = np.atleast_1d(np.asarray(h_grid, dtype=float))
     if not np.isfinite(h).all() or (np.diff(h) < 0).any():
         raise ValueError("h_grid must be finite and nondecreasing")
-    # columns: plus at h, minus at h, plus at h/2, minus at h/2
-    hh = np.concatenate((h, h, h / 2.0, h / 2.0))
-    plus = np.tile(np.repeat(_PLUS, len(h)), 2)
-    shift = np.where(plus, hh, -hh)
+    shift, back = np.unique(np.concatenate((h, h / 2.0)), return_inverse=True)
+    n = len(shift)
+    scan = _scan_grids(mu)
+    grid = np.repeat(scan, n, axis=1)
+
+    def tails(right, left):
+        return np.concatenate((mu.sf(right), mu.cdf(left)), axis=-1)
 
     def neg_omega(x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.log(_tail(mu, x + shift, plus) / _tail(mu, x, plus))
+            if x is grid:   # the grid pass: one denominator column per side
+                den = np.repeat(tails(scan[:, :1], scan[:, 1:]), n, axis=1)
+            else:
+                den = tails(x[:, :n], x[:, n:])
+            v = np.log(tails(x[:, :n] + shift, x[:, n:] - shift) / den)
         return np.where(np.isnan(v), -np.inf, v)
 
-    grid = _scan_grids(mu)[:, np.where(plus, 0, 1)]
     sup, _, _, _ = numerics.sup_on_grid(neg_omega, grid, tol=1e-10)
-    w = np.where(hh > 0, np.maximum(-sup, 0.0), 0.0).reshape(4, len(h))
-    w = np.maximum.accumulate(w, axis=1)
+    wp, wm = np.where(shift > 0, np.maximum(-sup, 0.0).reshape(2, n), 0.0)
+    # rows: plus at h, minus at h, plus at h/2, minus at h/2
+    at_h, at_half = back[:len(h)], back[len(h):]
+    w = np.maximum.accumulate(np.stack((wp[at_h], wm[at_h], wp[at_half],
+                                        wm[at_half])), axis=1)
     return w[0], w[1], np.minimum(w[2], w[3])
 
 

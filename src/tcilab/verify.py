@@ -267,9 +267,15 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
 
     Both bounds on ``Q phi`` are capped at ``max phi + c(0)``, so the
     banded minimum gives tier 2 and the exact pass the all-knot values.
-    ``screened`` counts the candidates a tier decided; the rest take the
-    exact pass.  The report is the unscreened one bit for bit and does not
-    depend on the BLAS thread count; non-finite products raise.
+    Candidates are visited best-first, in descending order of their tier-1
+    bound (a stable sort, so equal bounds keep the family order; a NaN
+    bound counts as ``+inf``).  The first one screened by its tier-1 bound
+    ends the loop: every later bound is no larger, so all of them are
+    screened unvisited.  The worst candidate is the largest product, the
+    lowest family index among equal ones: the first strict argmax of the
+    family order.  ``screened`` counts the candidates a tier decided; the
+    rest take the exact pass.  The report is the unscreened one bit for bit
+    and does not depend on the BLAS thread count; non-finite products raise.
 
     Random draws come from a counter-based generator keyed by ``seed``; the
     report repeats the seed and keeps the worst potential for replay.
@@ -294,12 +300,17 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
         return quadr.exp_integral(-phi_nodes, -left, -right)
 
     worst, worst_vals, worst_label = -math.inf, np.zeros(_PHI_KNOTS), ""
+    worst_at = len(candidates)
     screened = 0
-    for (label, vals), bound in zip(candidates, bounds):
+    # a NaN bound sorts as +inf so that it is visited, never screened
+    order = np.argsort(-np.where(np.isnan(bounds), math.inf, bounds),
+                       kind="stable")
+    for rank, i in enumerate(order):
         cut = worst * (1.0 - 1e-12)        # see the docstring
-        if bound <= cut:
-            screened += 1
-            continue
+        if bounds[i] <= cut:
+            screened += len(order) - rank
+            break
+        label, vals = candidates[i]
         factor = second(vals)
         upper = engine.knot_min(vals, engine.cap(vals))
         # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
@@ -309,8 +320,8 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
         p = first(engine.refine(vals, upper)) * factor
         if not math.isfinite(p):
             raise ValueError(f"non-finite dual product {p!r} of {label}")
-        if p > worst:
-            worst, worst_vals, worst_label = p, vals, label
+        if p > worst or (p == worst and i < worst_at):
+            worst, worst_vals, worst_label, worst_at = p, vals, label, i
     status = VIOLATION_FOUND if worst > 1.0 + DUAL_SLACK else NO_VIOLATION
     return DualTestReport(trials=len(candidates), worst_product=float(worst),
                           worst_phi=GridFunction(knots, worst_vals),
@@ -343,11 +354,28 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
     Every moment, ``int_0^inf e^{g(z)} rho(x0 + side z) dz`` along the ray
     ``(x0, side)``, comes from one :func:`_decaying_tail_integral` call.
     """
-    a, c = transport._ground(alpha, scale, prefactor)
+    return _integrability_at(mu, _ray_anchors(mu), alpha, scale, prefactor)
+
+
+def _ray_anchors(mu: Measure1D):
+    """What :func:`integrability_check` reads of ``mu`` whatever the cost:
+    the quantiles ``x_grid``, the median ``m``, and ``cdf`` and ``sf`` at
+    each of them then at ``m``, one scalar call per point."""
     x_grid = np.asarray(mu.quantile(np.linspace(0.05, 0.95, 10)), dtype=float)
+    m = mu.median
+    points = [*x_grid, m]
+    return (x_grid, m, [float(mu.cdf(x)) for x in points],
+            [float(mu.sf(x)) for x in points])
+
+
+def _integrability_at(mu: Measure1D, anchors, alpha: CostFunction,
+                      scale: Optional[float], prefactor: float) -> Verdict:
+    """:func:`integrability_check` from the ``anchors`` of
+    :func:`_ray_anchors`, which a scan over scales computes once."""
+    x_grid, m, cdfs, sfs = anchors
+    a, c = transport._ground(alpha, scale, prefactor)
     tol = 1e-9
 
-    m = mu.median
     n = len(x_grid)
     x0 = np.concatenate((x_grid, [m, m]))
     side = np.concatenate((np.ones(n), [1.0, -1.0]))
@@ -356,9 +384,7 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
         x0, [k / a for k in alpha.kinks], mu.kink_points, side)
     rows = []
     violations = []
-    for x, M in zip(x_grid, moments[:n]):
-        F = float(mu.cdf(x))
-        S = float(mu.sf(x))
+    for x, M, F, S in zip(x_grid, moments[:n], cdfs, sfs):
         M = float(M)
         ray = (F + M) * F
         cond = M / S if S > 0.0 else math.inf
@@ -371,7 +397,7 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
             violations.append(
                 f"residual moment {cond:.6g} > {bound:.6g} at x={x:.6g}")
 
-    Fm, Sm = float(mu.cdf(m)), float(mu.sf(m))
+    Fm, Sm = cdfs[n], sfs[n]
     M_sym = float(moments[n] + moments[n + 1])
     g_bound = 1.0 / (Fm * Sm) - 1.0 if Fm > 0.0 and Sm > 0.0 else math.inf
     if M_sym > g_bound + tol * (1.0 + abs(g_bound)):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcilab import cli, costs, criteria, measures, transport
+from tcilab import cli, costs, criteria, measures, transport, verify
 from tcilab.cli import (
     AnalysisConfig,
     emit_report,
@@ -224,6 +224,23 @@ class TestRunAnalyze:
             "cost profile outside the admissible class"
         assert calls == {"validate_admissible": 2, "lipschitz_check": 1,
                          "is_log_concave": 1}
+
+    def test_integrability_scan_reads_the_anchors_once(self, monkeypatch):
+        # with no assembled scale the stage checks seven scales; the ray
+        # anchors and their masses do not depend on the scale
+        seen = []
+        anchors = cli._ray_anchors
+        monkeypatch.setattr(cli, "_ray_anchors",
+                            lambda mu: seen.append(mu) or anchors(mu))
+        rep = run_analyze(AnalysisConfig(measure="cauchy", cost="alpha1",
+                                         dual_trials=10, mc_samples=1000))
+        assert len(seen) == 1
+        pf = rep.verification["prefactor"]
+        alpha = costs.builtin_cost("alpha1")
+        assert rep.verification["integrability_scan"] == [
+            {"scale": a, "status": verify.integrability_check(
+                seen[0], alpha, scale=a, prefactor=pf).status}
+            for a in cli._REFUTE_SCALES]
 
     @pytest.mark.parametrize("check,stage", [("lipschitz_check", "lipschitz"),
                                              ("is_log_concave", "shape")])

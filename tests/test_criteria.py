@@ -239,6 +239,50 @@ def test_tail_evaluates_each_side_on_its_own_points(law):
     assert seen == {"sf": 21 + x.size, "cdf": 21 + x.size}
 
 
+def _omega_by_every_column(mu, h):
+    """:func:`omega_bounds` with one column for each of plus and minus at
+    every h and every h/2, repeats included, and both tails evaluated at
+    every point of every column."""
+    hh = np.concatenate((h, h, h / 2.0, h / 2.0))
+    plus = np.tile(np.repeat(criteria._PLUS, len(h)), 2)
+    shift = np.where(plus, hh, -hh)
+
+    def neg_omega(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.log(criteria._tail(mu, x + shift, plus)
+                       / criteria._tail(mu, x, plus))
+        return np.where(np.isnan(v), -np.inf, v)
+
+    grid = criteria._scan_grids(mu)[:, np.where(plus, 0, 1)]
+    sup, _, _, _ = numerics.sup_on_grid(neg_omega, grid, tol=1e-10)
+    w = np.where(hh > 0, np.maximum(-sup, 0.0), 0.0).reshape(4, len(h))
+    w = np.maximum.accumulate(w, axis=1)
+    return w[0], w[1], np.minimum(w[2], w[3])
+
+
+_OMEGA_GRIDS = {
+    "linspace": np.linspace(0.25, 8.0, 32),
+    "geomspace": np.geomspace(0.01, 20.0, 64),
+    "repeated h": np.array([0.25, 0.5, 1.0, 1.0, 1.5, 3.0, 3.0, 6.0]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_OMEGA_GRIDS))
+@pytest.mark.parametrize("law", ["exponential", "cauchy", "gaussian 1e3",
+                                 "exp_power p=1.5", "quartic table"])
+def test_omega_bounds_match_every_column_scan(law, grid):
+    # one column per distinct shift and side gives the arrays of the scan
+    # that repeats every h/2 that is also an h
+    mu = (measures.make_builtin("gaussian", sigma=1e3)
+          if law == "gaussian 1e3" else _MUCKENHOUPT_LAWS[law]())
+    h = _OMEGA_GRIDS[grid]
+    if grid == "geomspace":
+        assert not np.isin(h / 2.0, h).any()
+    got = omega_bounds(rearrangement(mu), h)
+    for a, b in zip(got, _omega_by_every_column(mu, h)):
+        assert np.array_equal(a, b)
+
+
 class TestMomentConstant:
     def test_reference_law_half(self, mu1, alpha1):
         K = K_moment(mu1, alpha1, 0.5)

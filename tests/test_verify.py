@@ -319,6 +319,59 @@ def test_cell_screening_keeps_the_unscreened_report(make_cost, law, scale,
     assert rep.trials == count
 
 
+def test_best_first_screening_leaves_few_exact_passes(mu1, alpha1):
+    # the benchmark's refutation case: visited in family order, 33 of the
+    # 113 candidates took the exact pass; best first, the early stop leaves 4
+    rep = dual_check_strong(mu1, alpha1, scale=1.0, prefactor=10.0,
+                            trials=50, seed=7)
+    assert rep.trials == 113
+    assert rep.trials - rep.screened <= 8
+
+
+@pytest.mark.parametrize("forced", [math.nan, math.inf])
+def test_non_finite_cell_bound_is_still_visited(monkeypatch, mu1, alpha1,
+                                                forced):
+    # a NaN bound must sort like +inf: sorted last, the early stop would
+    # end the loop before it and lose the argmax it belongs to
+    kwargs = dict(scale=1.0, prefactor=10.0, trials=50, seed=7)
+    ref = dual_check_strong(mu1, alpha1, **kwargs)
+    _knots, candidates = verify._dual_family(mu1, 50, 7)
+    k = [label for label, _ in candidates].index(ref.worst_label)
+    cell_bounds = verify._cell_bounds
+
+    def forced_bounds(*args):
+        out = cell_bounds(*args)
+        out[k] = forced
+        return out
+
+    monkeypatch.setattr(verify, "_cell_bounds", forced_bounds)
+    rep = dual_check_strong(mu1, alpha1, **kwargs)
+    assert rep.worst_product == ref.worst_product
+    assert rep.worst_label == ref.worst_label
+
+
+def test_equal_products_keep_the_lowest_family_index(monkeypatch, mu1,
+                                                     alpha1):
+    # bounds rising with the index (and above the true ones) make the loop
+    # visit the family backwards; the constants' tie must still go to the
+    # first of them, as in family order
+    kwargs = dict(prefactor=1.0 / 36.0, trials=50, seed=0)
+    ref = dual_check_strong(mu1, alpha1, **kwargs)
+    assert ref.worst_label == "constant_-10"
+    cell_bounds = verify._cell_bounds
+
+    def rising(*args):
+        out = cell_bounds(*args)
+        return out.max() * (2.0 + np.arange(len(out)))
+
+    monkeypatch.setattr(verify, "_cell_bounds", rising)
+    rep = dual_check_strong(mu1, alpha1, **kwargs)
+    assert rep.worst_product == ref.worst_product
+    assert rep.worst_label == "constant_-10"
+    np.testing.assert_array_equal(rep.worst_phi.values,
+                                  ref.worst_phi.values)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"prefactor": math.nan}, {"scale": math.nan}, {"scale": math.inf},
     {"prefactor": math.inf}, {"scale": 0.0}, {"prefactor": -1.0},
