@@ -552,11 +552,12 @@ def _decide_logconcave(mu: Measure1D, alpha: CostFunction, kappa: float,
     # pointwise certificate on a geometric h-grid
     h_max = max(mu.quantile(1.0 - _GRID_LEVEL) - m, m - mu.quantile(_GRID_LEVEL))
     hs = numerics.geometric_offsets(h_max, 257)[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        g0 = 2.0 * np.maximum(mu.sf(m + hs), mu.cdf(m - hs))
+        lhs = _ALPHA1.fn(-np.log(np.maximum(g0, 0.0)))
 
     def certificate_margin(rate: float) -> Tuple[float, float]:
         with np.errstate(divide="ignore", over="ignore"):
-            g0 = 2.0 * np.maximum(mu.sf(m + hs), mu.cdf(m - hs))
-            lhs = _ALPHA1.fn(-np.log(np.maximum(g0, 0.0)))
             rhs = alpha.fn(rate * hs)
         gap = lhs - rhs
         gap = np.where(np.isnan(gap), np.inf, gap)  # inf - inf cannot occur

@@ -304,19 +304,20 @@ class ExactInfConvolution:
     sorted queries that put ``y`` in segment ``j``: exact for every cost
     whose ``c'`` is piecewise monotone, table costs included.
 
-    Knot costs are stored knot-major.  ``cell_max`` gives each knot's
-    largest cost on blocks of consecutive queries, so ``min_k vals_k +
-    M[k, j]`` bounds ``Q phi`` on all of block ``j``; ``knot_min`` bounds it
-    at every query, and ``refine`` lowers that bound in place to ``Q phi``.
+    Queries must be nondecreasing (``ValueError`` otherwise).  Knot costs
+    are stored knot-major.  ``cell_max`` gives each knot's largest cost on
+    blocks of consecutive queries, so ``min_k vals_k + M[k, j]`` bounds
+    ``Q phi`` on all of block ``j``; ``knot_min`` bounds it at every query,
+    and ``refine`` lowers that bound in place to ``Q phi``.
 
     ``refine`` always tries the offset 0, so ``Q phi <= max phi + c(0)``
-    and a knot term above :meth:`cap` can never be the minimum.  Given that
-    cap, ``knot_min`` visits each knot only on its band of the sorted
-    queries, where its term can still be below the cap.  The band is read
-    off ``c`` tabulated on a distance grid, which takes ``c`` nondecreasing
-    in ``|x - y|``; a cost that falls on the grid gets no bands.  ``refine``
-    then returns the all-knot result bit for bit, since a minimum does not
-    round.
+    and a knot term above :meth:`_cap`, just above that, is never the
+    minimum.  ``knot_min`` is capped there, and in its one pass each knot
+    visits only its band of the queries, where its term can still be below
+    the cap.  The band is read off ``c`` tabulated on a distance grid,
+    which takes ``c`` nondecreasing in ``|x - y|``; a cost that falls on the
+    grid gets no bands.  ``refine`` then returns the all-knot result bit for
+    bit, since a minimum does not round.
     """
 
     def __init__(self, query, knots, alpha: CostFunction,
@@ -324,19 +325,15 @@ class ExactInfConvolution:
         a, c = _ground(alpha, scale, prefactor)
         self._c = c
         self.query = np.asarray(query, dtype=float)
+        if np.any(np.diff(self.query) < 0.0):
+            raise ValueError("query points must be nondecreasing")
         self.knots = np.asarray(knots, dtype=float)
         # knot-major, built in blocks of about 2**16 entries per call of c
         rows, kn = max(1, 2 ** 16 // max(len(self.query), 1)), self.knots
         self.knot_cost = np.empty((len(kn), len(self.query)))
         for i in range(0, len(kn), rows):
             self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
-        self._order = np.argsort(self.query, kind="stable")
-        self._sorted = self.query[self._order]
         self._c0 = float(c(np.zeros(1))[0])
-        # the nondecreasing head of the queries carries the bands; the rest
-        # (the dual check's two window edges) takes every knot
-        drop = np.flatnonzero(np.diff(self.query) < 0.0)
-        self._head = drop[0] + 1 if len(drop) else len(self.query)
         # c on a geometric grid of distances (0.7 % apart) out to the
         # farthest query-knot pair; the band of a knot ends at the first
         # distance whose cost tops its room
@@ -370,47 +367,41 @@ class ExactInfConvolution:
         queries; the blocks are consecutive and begin at ``starts``."""
         return np.maximum.reduceat(self.knot_cost, starts, axis=1)
 
-    def cap(self, vals: np.ndarray) -> float:
+    def _cap(self, vals: np.ndarray) -> float:
         """Just above ``max phi + c(0)``, so above ``Q phi`` everywhere; the
         margin covers the rounding of ``np.interp`` and of ``c``."""
         top = float(vals.max()) + self._c0
         return top + 1e-9 * (1.0 + float(np.abs(vals).max()) + abs(self._c0))
 
     def _bands(self, vals: np.ndarray, cap: float):
-        """Per knot, the slice ``[lo, hi)`` of the sorted head of the queries
-        outside which its term ``vals_k + c(x - knot_k)`` tops ``cap``."""
-        head, K = self._head, len(self.knots)
+        """Per knot, the slice ``[lo, hi)`` of the queries outside which its
+        term ``vals_k + c(x - knot_k)`` tops ``cap``."""
+        K = len(self.knots)
         if self._reach is None or not cap < math.inf:
-            return [0] * K, [head] * K
+            return [0] * K, [len(self.query)] * K
         dist, cost = self._reach
         # first grid distance whose cost tops the room, widened past the
         # rounding of x - knot_k
         w = dist[np.searchsorted(cost, cap - vals, side="right")]
         w = w + 1e-12 * (w + np.abs(self.knots))
-        q = self.query[:head]
+        q = self.query
         return (np.searchsorted(q, self.knots - w, side="left").tolist(),
                 np.searchsorted(q, self.knots + w, side="right").tolist())
 
-    def knot_min(self, vals: np.ndarray, cap: float = math.inf) -> np.ndarray:
-        """``min(cap, min_k vals_k + c(x - knot_k))`` at every query point,
-        an upper bound on ``Q phi``, in one in-place pass over the knot rows.
-
-        Each knot visits only its band (:meth:`_bands`): outside it the
-        term is above ``cap``.  With the default ``cap = inf`` every band is
-        the whole axis and this is the exact all-knot minimum; with
-        :meth:`cap` the minimum differs only where it is above the cap,
-        which :meth:`refine` lowers to the same ``Q phi`` bit for bit.
+    def knot_min(self, vals: np.ndarray) -> np.ndarray:
+        """``min(cap, min_k vals_k + c(x - knot_k))`` at every query point
+        for the cap :meth:`_cap`, an upper bound on ``Q phi``, in one
+        in-place pass over the knot rows, each knot on its band
+        (:meth:`_bands`) only.  It differs from the all-knot minimum only
+        where that is above the cap, which :meth:`refine` lowers to the
+        same ``Q phi`` bit for bit.
         """
+        cap = self._cap(vals)
         best = np.full(len(self.query), cap)
         tmp = np.empty_like(best)
         for k, (i, j) in enumerate(zip(*self._bands(vals, cap))):
             np.add(self.knot_cost[k, i:j], vals[k], out=tmp[i:j])
             np.minimum(best[i:j], tmp[i:j], out=best[i:j])
-        head, rows = self._head, max(1, 2 ** 16 // max(len(self.knots), 1))
-        for i in range(head, len(best), rows):
-            tail = self.knot_cost[:, i:i + rows] + vals[:, None]
-            np.minimum(best[i:i + rows], tail.min(axis=0),
-                       out=best[i:i + rows])
         return best
 
     def refine(self, vals: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -430,27 +421,31 @@ class ExactInfConvolution:
                 x=np.interp(mag[seg], cp, d))
             shift = np.sign(slopes[seg]) * off
             # y = x - shift lies in segment j for x in [k_j, k_j+1] + shift
-            lo = np.searchsorted(self._sorted, self.knots[seg] + shift)
-            n = np.searchsorted(self._sorted, self.knots[seg + 1] + shift,
+            lo = np.searchsorted(self.query, self.knots[seg] + shift)
+            n = np.searchsorted(self.query, self.knots[seg + 1] + shift,
                                 side="right") - lo
             run = np.repeat(np.arange(len(seg)), n)
             pos = np.arange(len(run)) + np.repeat(lo - np.cumsum(n) + n, n)
-            cand = (np.interp(self._sorted[pos] - shift[run], self.knots, vals)
+            cand = (np.interp(self.query[pos] - shift[run], self.knots, vals)
                     + self._c(off)[run])
-            np.minimum.at(best, self._order[pos], cand)
+            np.minimum.at(best, pos, cand)
         return best
 
     def q(self, vals: np.ndarray) -> np.ndarray:
-        return self.refine(vals, self.knot_min(vals, self.cap(vals)))
+        return self.refine(vals, self.knot_min(vals))
 
 
 def inf_convolution_exact(phi: GridFunction, alpha: CostFunction, out_x,
                           scale: Optional[float] = None,
                           prefactor: float = 1.0) -> np.ndarray:
-    """Continuum inf-convolution of a piecewise-linear ``phi`` at ``out_x``;
-    see :class:`ExactInfConvolution`."""
-    return ExactInfConvolution(out_x, phi.grid, alpha, scale,
-                               prefactor).q(phi.values)
+    """Continuum inf-convolution of a piecewise-linear ``phi`` at the points
+    ``out_x``, in any order; see :class:`ExactInfConvolution`."""
+    x = np.asarray(out_x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    out = np.empty(len(x))
+    out[order] = ExactInfConvolution(x[order], phi.grid, alpha, scale,
+                                     prefactor).q(phi.values)
+    return out
 
 
 def dual_lower_bound(nu: DiscreteMeasure, mu: DiscreteMeasure,

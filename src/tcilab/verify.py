@@ -99,11 +99,11 @@ class _DualQuadrature:
     weights are normalized so the total mass (window plus analytic tails) is
     exactly one, which makes ``phi == 0`` give the product 1.0 exactly.
 
-    ``query`` is the nodes followed by the window edges ``lo`` and ``hi``,
-    where the constant tails are evaluated.  It splits into cells: the
-    nodes of each break cell, then each edge on its own.  A cell has mass
-    ``cell_mass`` and lies where ``phi`` is linear between the knots
-    ``cell_knots`` (one knot twice on a tail cell).
+    ``query`` is sorted: the window edge ``lo``, the nodes, the edge ``hi``,
+    where the constant tails are evaluated.  It splits into cells: each
+    edge on its own at either end, between them the nodes of each break
+    cell.  A cell has mass ``cell_mass`` and lies where ``phi`` is linear
+    between the knots ``cell_knots`` (one knot twice on a tail cell).
     """
 
     def __init__(self, mu: Measure1D, knots: np.ndarray):
@@ -120,9 +120,7 @@ class _DualQuadrature:
         # violation slack; measured worst relative error ~1e-8
         nodes, w = numerics.composite_gauss_nodes(breaks, order=4, panels=32)
         rho = np.asarray(mu.density(nodes), dtype=float)
-        self.nodes = nodes
-        self.lo, self.hi = lo, hi
-        self.query = np.concatenate([nodes, [lo, hi]])
+        self.query = np.concatenate([[lo], nodes, [hi]])
         self.rho_w = w * rho
         self.tail_lo = float(mu.cdf(lo))
         self.tail_hi = float(mu.sf(hi))
@@ -131,24 +129,27 @@ class _DualQuadrature:
         self.tail_lo /= total
         self.tail_hi /= total
         n = len(nodes)
-        self.cell_starts = np.append(np.arange(0, n, n // (len(breaks) - 1)),
-                                     [n, n + 1])
-        self.cell_mass = np.append(
-            np.add.reduceat(self.rho_w, self.cell_starts[:-2]),
-            [self.tail_lo, self.tail_hi])
+        body = np.arange(0, n, n // (len(breaks) - 1))
+        self.cell_starts = np.concatenate([[0], body + 1, [n + 1]])
+        self.cell_mass = np.concatenate([
+            [self.tail_lo], np.add.reduceat(self.rho_w, body), [self.tail_hi]])
+        # the edge cells take the end knots twice
         j = np.searchsorted(knots, 0.5 * (breaks[:-1] + breaks[1:]))
+        j = np.concatenate([[0], j, [len(knots)]])
         last = len(knots) - 1
-        self.cell_knots = (np.append(np.clip(j - 1, 0, last), [0, last]),
-                           np.append(np.clip(j, 0, last), [0, last]))
+        self.cell_knots = (np.clip(j - 1, 0, last), np.clip(j, 0, last))
 
-    def exp_integral(self, vals: np.ndarray, left: float, right: float) -> float:
-        """``int e^{v} dmu`` from node values plus constant-tail terms."""
-        body = float(np.sum(self.rho_w * np.exp(vals)))
-        return body + self.tail_lo * math.exp(left) + self.tail_hi * math.exp(right)
+    def exp_integral(self, v: np.ndarray) -> float:
+        """``int e^{v} dmu`` from the values ``v`` at ``query``: the nodes,
+        then the constant tails at the edges."""
+        body = float(np.sum(self.rho_w * np.exp(v[1:-1])))
+        return (body + self.tail_lo * math.exp(v[0])
+                + self.tail_hi * math.exp(v[-1]))
 
-    def mean(self, vals: np.ndarray, left: float, right: float) -> float:
-        return (float(np.sum(self.rho_w * vals))
-                + self.tail_lo * left + self.tail_hi * right)
+    def mean(self, v: np.ndarray) -> float:
+        """``int v dmu`` from the values ``v`` at ``query``."""
+        return (float(np.sum(self.rho_w * v[1:-1]))
+                + self.tail_lo * float(v[0]) + self.tail_hi * float(v[-1]))
 
 
 def _whole(name: str, value, least: Optional[int] = None) -> int:
@@ -172,10 +173,13 @@ def _dual_family(mu: Measure1D, trials: int, seed: int):
                         float(mu.isf(_PHI_MASS_GAP / 2.0)), _PHI_KNOTS)
     K = _PHI_KNOTS
     idx = np.arange(K, dtype=float)
+    index = {}                           # knot index per quantile level
 
     def at(level: float) -> int:
-        i = int(np.searchsorted(knots, float(mu.quantile(level))))
-        return min(max(i, 1), K - 2)
+        if level not in index:
+            i = int(np.searchsorted(knots, float(mu.quantile(level))))
+            index[level] = min(max(i, 1), K - 2)
+        return index[level]
 
     out = [(f"constant_{c:+g}", np.full(K, float(c)))
            for c in (-10.0, -1.0, 0.0, 1.0, 10.0)]
@@ -265,8 +269,9 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
        only on its band under the engine's cap, just above
        ``max phi + c(0)``.
 
-    Both bounds on ``Q phi`` are capped at ``max phi + c(0)``, so the
-    banded minimum gives tier 2 and the exact pass the all-knot values.
+    Both bounds on ``Q phi`` are capped (tier 1 at ``max phi + c(0)``,
+    tier 2 at the engine's cap), and the exact pass lowers the banded
+    minimum to the all-knot values.
     Candidates are visited best-first, in descending order of their tier-1
     bound (a stable sort, so equal bounds keep the family order; a NaN
     bound counts as ``+inf``).  The first one screened by its tier-1 bound
@@ -289,15 +294,12 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     bounds = _cell_bounds(quadr, engine.cell_max(quadr.cell_starts),
                           [vals for _, vals in candidates], c0)
 
-    def first(qv: np.ndarray) -> float:
-        return quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
-
     def second(vals: np.ndarray) -> float:
-        left, right = float(vals[0]), float(vals[-1])
-        phi_nodes = np.interp(quadr.nodes, knots, vals)
+        # the edges lie beyond the knots, where phi is vals[0] and vals[-1]
+        phi = np.interp(quadr.query, knots, vals)
         if plain:
-            return math.exp(-quadr.mean(phi_nodes, left, right))
-        return quadr.exp_integral(-phi_nodes, -left, -right)
+            return math.exp(-quadr.mean(phi))
+        return quadr.exp_integral(-phi)
 
     worst, worst_vals, worst_label = -math.inf, np.zeros(_PHI_KNOTS), ""
     worst_at = len(candidates)
@@ -312,12 +314,12 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
             break
         label, vals = candidates[i]
         factor = second(vals)
-        upper = engine.knot_min(vals, engine.cap(vals))
-        # Q phi(x) <= phi(x) + c(0) as well, which keeps exp finite
-        if first(np.minimum(upper, vals.max() + c0)) * factor <= cut:
+        # capped just above max phi + c(0), which keeps exp finite
+        upper = engine.knot_min(vals)
+        if quadr.exp_integral(upper) * factor <= cut:
             screened += 1
             continue
-        p = first(engine.refine(vals, upper)) * factor
+        p = quadr.exp_integral(engine.refine(vals, upper)) * factor
         if not math.isfinite(p):
             raise ValueError(f"non-finite dual product {p!r} of {label}")
         if p > worst or (p == worst and i < worst_at):

@@ -72,6 +72,16 @@ class TestFamilies:
         assert m.fn(6.0) == pytest.approx((2 / 9) * 4)  # linear branch
         assert not validate_admissible(m).holds  # not t^2 on [0, 1]
 
+    def test_maurey_inverse_roundtrip_across_the_splice(self):
+        # the closed-form inverse switches branch at the level 4/9 = fn(4)
+        m = builtin_cost("maurey")
+        edge = 4.0 / 9.0
+        s = np.concatenate([np.linspace(0.0, 2.0, 81), [
+            np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1e3]])
+        np.testing.assert_allclose(m.fn(m.inverse(s)), s, rtol=1e-15,
+                                   atol=0.0)
+        assert m.inverse(edge) == 4.0
+
     def test_gamma_profile(self):
         lam = 0.5
         g = builtin_cost("gamma", lam=lam)
@@ -171,6 +181,10 @@ _PIN_S = np.concatenate((np.geomspace(1e-6, 1e6, 49), _NEAR_ONE,
      ("e7a10d25d8012ab25fa11c0077f4a1a2f43336c82582d12251a5d6c66226e3e0",
       "6c4488e72ca23c7cb67b9eb7c94c39e0a27bc532492c7f33d0128f4b02cabce8",
       "11375af0f80fef500aeceab520ba5fb3e24f146771d5bb89ea0e3895c2bc7dd1")),
+    ("maurey", {}, "maurey_tilde", True, (),
+     ("adbd8723e26ecaff1d7689812c97fc8b922afe617ac26ca8dc6368fe96710d9b",
+      "f79a9398ca4c17ebc0f1406fa5d76ab25d352aabbd99ecb340916ea603cf8304",
+      "f0f67a7992f772542570e9b8c56e28c4cacc9a90aae5abf38d4e6bf6a3d792c7")),
 ])
 def test_builtin_profiles_pinned(name, params, label, convex, kinks, digests):
     # sha256 of the little-endian fn and deriv on _PIN_T and inverse on
@@ -496,6 +510,18 @@ class TestConjugate:
         assert np.all(capped == math.inf) and np.all(maurey == math.inf)
         assert scalar == math.inf
         assert finite.tolist() == [0.025, 0.15, 0.5, 1.25, 3.5, 20.0]
+
+    def test_numeric_deriv_without_a_maximizer(self, alpha1, theta2):
+        # a profile without a maximizer takes the central difference of the
+        # column-search values: y/2 for theta_p 2, and +inf from alpha1's
+        # slope cap 1 on, where the upper difference point is +inf
+        y = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
+        got = conjugate(dataclasses.replace(theta2, maximizer=None)).deriv(y)
+        np.testing.assert_allclose(got, y / 2.0, rtol=1e-8, atol=0.0)
+        capped = conjugate(dataclasses.replace(alpha1,
+                                               maximizer=None)).deriv(y)
+        assert capped[0] == pytest.approx(0.15, rel=1e-8)
+        assert np.all(capped[1:] == math.inf)
 
 
 @pytest.mark.parametrize("name, params", _CLOSED_FORMS)

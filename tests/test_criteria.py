@@ -638,6 +638,39 @@ class TestDecideLogConcave:
         assert lc.status == lip.status == "holds"
         assert lc.constants["a0"] == pytest.approx(lip.constants["a0"], rel=1e-9)
 
+    def test_moment_diverging_at_every_b_fails(self, gaussian):
+        # theta_p 3 grows like |x|^3, so e^{alpha(b|x|)} outgrows the
+        # gaussian tail for every b > 0
+        v = decide_strong_tci_logconcave(gaussian,
+                                         costs.builtin_cost("theta_p", p=3.0))
+        assert v.status == "fails"
+        assert v.diagnostics["reason"] == ("exponential moment diverges for "
+                                           "every b in the scan")
+
+    def test_certificate_halves_a_rate_set_too_high(self, monkeypatch,
+                                                    gaussian, theta2):
+        # 8 times the assembled 0.25 fails the median-tail certificate at
+        # 2 and 1 and passes at 0.5
+        rate = criteria.assemble_rate
+        monkeypatch.setattr(criteria, "assemble_rate",
+                            lambda *args: 8.0 * rate(*args))
+        v = decide_strong_tci_logconcave(gaussian, theta2)
+        assert v.status == "holds"
+        assert v.diagnostics["certificate_halvings"] == 2
+        assert v.constants["a"] == pytest.approx(0.5, abs=1e-12)
+        assert v.diagnostics["certificate_margin"] >= -1e-12
+
+    def test_certificate_failing_every_halving_is_inconclusive(
+            self, monkeypatch, gaussian, theta2):
+        # 1e30 halved 40 times is still about 9e17
+        monkeypatch.setattr(criteria, "assemble_rate", lambda *args: 1e30)
+        v = decide_strong_tci_logconcave(gaussian, theta2)
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == ("median-tail certificate failed "
+                                           "at every halved rate")
+        assert v.diagnostics["margin"] < -1e-12
+        assert set(v.constants) == {"b", "K"}
+
 
 @pytest.mark.parametrize("decide", [decide_strong_tci_lip,
                                     decide_strong_tci_logconcave],

@@ -60,7 +60,7 @@ class TestCompositeGauss:
         quadr = verify._DualQuadrature(mu, knots)
         assert seen["kw"] == {"order": 4, "panels": 32}
         ref_n, ref_w = _loop_gauss_nodes(seen["breaks"], 32, 4)
-        np.testing.assert_array_equal(quadr.nodes, ref_n)
+        np.testing.assert_array_equal(quadr.query[1:-1], ref_n)
         np.testing.assert_array_equal(seen["out"][1], ref_w)
 
     def test_integrates_piecewise_polynomial(self):

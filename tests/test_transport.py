@@ -343,6 +343,27 @@ class TestInfConvolution:
         q = inf_convolution_exact(phi, alpha1, grid)
         np.testing.assert_allclose(q, 0.0, atol=1e-14)
 
+    def test_engine_rejects_decreasing_queries(self, alpha1):
+        grid = np.linspace(-3, 3, 17)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ExactInfConvolution([0.0, 1.0, 0.5], grid, alpha1)
+        # repeated points are nondecreasing
+        ExactInfConvolution([0.0, 0.5, 0.5, 1.0], grid, alpha1)
+
+    @pytest.mark.parametrize("cost", ["alpha1", "theta2"])
+    def test_any_query_order_gives_the_sorted_values(self, request, cost):
+        # the public function sorts its points for the engine and scatters
+        # the values back, repeated points included
+        alpha = request.getfixturevalue(cost)
+        phi = self._random_phi(np.random.default_rng(8))
+        xs = np.concatenate([np.linspace(-6, 6, 61), [0.25, 0.25, -1.5]])
+        perm = np.random.default_rng(9).permutation(len(xs))
+        srt = np.sort(xs, kind="stable")
+        want = ExactInfConvolution(srt, phi.grid, alpha).q(phi.values)
+        got = inf_convolution_exact(phi, alpha, xs[perm])
+        np.testing.assert_array_equal(got, want[np.searchsorted(srt,
+                                                                xs[perm])])
+
 
 def _crossings(alpha, scale, pref, mag, reach):
     """Every offset ``d`` in ``[0, reach]`` with ``c'(d) = m`` for each ``m``
@@ -427,8 +448,7 @@ def dual_setup(mu1):
     every seventh adversarial potential and three random walks."""
     knots, cands = verify._dual_family(mu1, 3, 0)
     quadr = verify._DualQuadrature(mu1, knots)
-    query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
-    return knots, query, [v for _, v in cands[::7] + cands[-3:]]
+    return knots, quadr.query, [v for _, v in cands[::7] + cands[-3:]]
 
 
 class TestScreenedEngine:
@@ -442,7 +462,9 @@ class TestScreenedEngine:
             assert engine.knot_cost.flags.c_contiguous
             for vals in potentials:
                 broadcast = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
-                np.testing.assert_array_equal(engine.knot_min(vals), broadcast)
+                np.testing.assert_array_equal(
+                    engine.knot_min(vals),
+                    np.minimum(broadcast, engine._cap(vals)))
 
     @pytest.mark.parametrize("name,params", _ENGINE_COSTS)
     @pytest.mark.parametrize("scale,pref", _ENGINE_SETTINGS)
@@ -482,9 +504,8 @@ class TestScreenedEngine:
         quadr = verify._DualQuadrature(mu1, rep.worst_phi.grid)
         vals = rep.worst_phi.values
         qv = _exact_q(alpha, 1.0, 10.0, rep.worst_phi.grid, vals, quadr.query)
-        phi = np.interp(quadr.nodes, rep.worst_phi.grid, vals)
-        want = (quadr.exp_integral(qv[:-2], qv[-2], qv[-1])
-                * quadr.exp_integral(-phi, -vals[0], -vals[-1]))
+        phi = np.interp(quadr.query, rep.worst_phi.grid, vals)
+        want = quadr.exp_integral(qv) * quadr.exp_integral(-phi)
         assert rep.worst_product == pytest.approx(want, rel=1e-9)
         assert rep.worst_product == pytest.approx(2085138.25, rel=1e-6)
 
@@ -512,14 +533,15 @@ _BAND_SETTINGS = [(1.0, 10.0), (1.0, 1.0), (0.25, 1.0 / 72.0),
 
 @pytest.fixture(scope="module")
 def band_setups():
-    """Per law, the dual check's knots, every eighth quadrature node and the
-    two window edges (sorted but for the edges, as in the check), and every
-    fifth potential of a 20-walk family."""
+    """Per law, the dual check's knots, every eighth quadrature node between
+    the two window edges (sorted, as in the check), and every fifth
+    potential of a 20-walk family."""
     out = {}
     for law in ("exponential", "gaussian", "cauchy"):
         knots, cands = verify._dual_family(make_builtin(law), 20, 1)
         quadr = verify._DualQuadrature(make_builtin(law), knots)
-        query = np.concatenate([quadr.nodes[::8], [quadr.lo, quadr.hi]])
+        q = quadr.query
+        query = np.concatenate([q[:1], q[1:-1:8], q[-1:]])
         out[law] = knots, query, [v for _, v in cands[::5]]
     return out
 
@@ -543,9 +565,9 @@ class TestBandedKnotMin:
             top_c = float(transport._ground(alpha, scale, pref)[1](0.0))
             visited = 0
             for vals in potentials:
-                full = engine.knot_min(vals)
-                cap = engine.cap(vals)
-                banded = engine.knot_min(vals, cap)
+                full = np.min(vals[None, :] + engine.knot_cost.T, axis=1)
+                cap = engine._cap(vals)
+                banded = engine.knot_min(vals)
                 top = vals.max() + top_c
                 np.testing.assert_array_equal(np.minimum(banded, top),
                                               np.minimum(full, top))
@@ -557,8 +579,8 @@ class TestBandedKnotMin:
             if (scale, pref) == (1.0, 10.0):
                 # prefactor 10 leaves each knot a narrow band
                 assert visited < 0.5 * len(potentials) * len(knots) * len(query)
-            # unsorted queries through q: the sorted head is short and the
-            # rest takes every knot, still the same values
+            # unsorted queries through the public function: sorted, passed
+            # to the engine and scattered back, still the same values
             phi = GridFunction(knots, potentials[-1])
             np.testing.assert_array_equal(
                 inf_convolution_exact(phi, alpha, query[perm], scale, pref),
@@ -574,9 +596,9 @@ class TestBandedKnotMin:
                                      1.0, 10.0)
         vals = np.zeros(len(knots))
         vals[0] = -5.0
-        lo, hi = engine._bands(vals, engine.cap(vals))
+        lo, hi = engine._bands(vals, engine._cap(vals))
         assert np.all(np.abs(query[lo[1]:hi[1]] - knots[1]) <= 3e-5)
-        near = np.abs(query[:engine._head] - knots[0]) <= math.sqrt(0.5)
+        near = np.abs(query - knots[0]) <= math.sqrt(0.5)
         assert lo[0] <= np.flatnonzero(near)[0]
         assert hi[0] - 1 >= np.flatnonzero(near)[-1]
         assert np.all(np.abs(query[lo[0]:hi[0]] - knots[0])

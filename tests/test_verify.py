@@ -165,19 +165,17 @@ def _unscreened_dual(mu, alpha, scale, prefactor, trials, seed, plain):
     through ``engine.q``, then the first strict argmax."""
     knots, candidates = verify._dual_family(mu, trials, seed)
     quadr = verify._DualQuadrature(mu, knots)
-    query = np.concatenate([quadr.nodes, [quadr.lo, quadr.hi]])
-    engine = transport.ExactInfConvolution(query, knots, alpha, scale,
+    engine = transport.ExactInfConvolution(quadr.query, knots, alpha, scale,
                                            prefactor)
     worst, worst_vals, worst_label = -math.inf, None, ""
     for label, vals in candidates:
         qv = engine.q(vals)
-        first = quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
-        left, right = float(vals[0]), float(vals[-1])
-        phi_nodes = np.interp(quadr.nodes, knots, vals)
+        first = quadr.exp_integral(qv)
+        phi = np.interp(quadr.query, knots, vals)
         if plain:
-            second = math.exp(-quadr.mean(phi_nodes, left, right))
+            second = math.exp(-quadr.mean(phi))
         else:
-            second = quadr.exp_integral(-phi_nodes, -left, -right)
+            second = quadr.exp_integral(-phi)
         p = first * second
         if p > worst:
             worst, worst_vals, worst_label = p, vals, label
@@ -276,13 +274,12 @@ def test_cell_bound_covers_every_exact_product(law, make_cost, scale,
     assert bounds.shape == (len(candidates),)
     for (label, vals), bound in zip(candidates, bounds):
         qv = engine.q(vals)
-        first = quadr.exp_integral(qv[:-2], float(qv[-2]), float(qv[-1]))
-        phi_nodes = np.interp(quadr.nodes, knots, vals)
-        left, right = float(vals[0]), float(vals[-1])
+        first = quadr.exp_integral(qv)
+        phi = np.interp(quadr.query, knots, vals)
         if plain:
-            second = math.exp(-quadr.mean(phi_nodes, left, right))
+            second = math.exp(-quadr.mean(phi))
         else:
-            second = quadr.exp_integral(-phi_nodes, -left, -right)
+            second = quadr.exp_integral(-phi)
         assert first * second <= bound, label
 
 
@@ -317,6 +314,20 @@ def test_cell_screening_keeps_the_unscreened_report(make_cost, law, scale,
     assert rep.worst_label == label
     np.testing.assert_array_equal(rep.worst_phi.values, vals)
     assert rep.trials == count
+
+
+def test_dual_family_reads_each_level_once(monkeypatch, mu1):
+    # one quantile call for the knots and one per distinct level of the
+    # rays, wells and plateaus
+    levels = []
+    quantile = mu1.quantile
+    monkeypatch.setattr(mu1, "quantile",
+                        lambda t: levels.append(t) or quantile(t))
+    _knots, candidates = verify._dual_family(mu1, 0, 0)
+    assert len(candidates) == 63
+    assert len(levels) == 10
+    assert sorted(levels[1:]) == [0.1, 0.25, 0.4, 0.45, 0.5, 0.55, 0.6,
+                                  0.75, 0.9]
 
 
 def test_best_first_screening_leaves_few_exact_passes(mu1, alpha1):
