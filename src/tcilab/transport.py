@@ -304,11 +304,12 @@ class ExactInfConvolution:
     sorted queries that put ``y`` in segment ``j``: exact for every cost
     whose ``c'`` is piecewise monotone, table costs included.
 
-    Queries must be nondecreasing (``ValueError`` otherwise).  Knot costs
-    are stored knot-major.  ``cell_max`` gives each knot's largest cost on
-    blocks of consecutive queries, so ``min_k vals_k + M[k, j]`` bounds
-    ``Q phi`` on all of block ``j``; ``knot_min`` bounds it at every query,
-    and ``refine`` lowers that bound in place to ``Q phi``.
+    Queries must be finite and nondecreasing (``ValueError`` otherwise):
+    a ``nan`` or infinite one would spoil the bands and offsets of all.
+    Knot costs are stored knot-major.  ``cell_max`` gives each knot's
+    largest cost on blocks of consecutive queries, so ``min_k vals_k +
+    M[k, j]`` bounds ``Q phi`` on all of block ``j``; ``knot_min`` bounds it
+    at every query, and ``refine`` lowers that bound in place to ``Q phi``.
 
     ``refine`` always tries the offset 0, so ``Q phi <= max phi + c(0)``
     and a knot term above :meth:`_cap`, just above that, is never the
@@ -325,8 +326,9 @@ class ExactInfConvolution:
         a, c = _ground(alpha, scale, prefactor)
         self._c = c
         self.query = np.asarray(query, dtype=float)
-        if np.any(np.diff(self.query) < 0.0):
-            raise ValueError("query points must be nondecreasing")
+        if not np.all(np.isfinite(self.query)) or np.any(
+                np.diff(self.query) < 0.0):
+            raise ValueError("query points must be finite and nondecreasing")
         self.knots = np.asarray(knots, dtype=float)
         # knot-major, built in blocks of about 2**16 entries per call of c
         rows, kn = max(1, 2 ** 16 // max(len(self.query), 1)), self.knots
@@ -389,12 +391,11 @@ class ExactInfConvolution:
                 np.searchsorted(q, self.knots + w, side="right").tolist())
 
     def knot_min(self, vals: np.ndarray) -> np.ndarray:
-        """``min(cap, min_k vals_k + c(x - knot_k))`` at every query point
-        for the cap :meth:`_cap`, an upper bound on ``Q phi``, in one
-        in-place pass over the knot rows, each knot on its band
-        (:meth:`_bands`) only.  It differs from the all-knot minimum only
-        where that is above the cap, which :meth:`refine` lowers to the
-        same ``Q phi`` bit for bit.
+        """``min(cap, min_k vals_k + c(x - knot_k))`` at every query for
+        the cap :meth:`_cap`, an upper bound on ``Q phi``, in one in-place
+        pass in which each knot visits only its band (:meth:`_bands`).  It
+        is the all-knot minimum wherever that is below the cap, so
+        :meth:`refine` lowers it to the same ``Q phi`` bit for bit.
         """
         cap = self._cap(vals)
         best = np.full(len(self.query), cap)

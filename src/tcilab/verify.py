@@ -147,7 +147,6 @@ class _DualQuadrature:
                 + self.tail_hi * math.exp(v[-1]))
 
     def mean(self, v: np.ndarray) -> float:
-        """``int v dmu`` from the values ``v`` at ``query``."""
         return (float(np.sum(self.rho_w * v[1:-1]))
                 + self.tail_lo * float(v[0]) + self.tail_hi * float(v[-1]))
 

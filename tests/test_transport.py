@@ -343,12 +343,18 @@ class TestInfConvolution:
         q = inf_convolution_exact(phi, alpha1, grid)
         np.testing.assert_allclose(q, 0.0, atol=1e-14)
 
-    def test_engine_rejects_decreasing_queries(self, alpha1):
+    @pytest.mark.parametrize("query", [
+        [0.0, 1.0, 0.5], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+        [-math.inf, 0.0, 1.0]], ids=["decreasing", "nan", "inf", "-inf"])
+    def test_engine_rejects_bad_queries(self, theta2, query):
+        # a non-finite point made the engine drop the kinks and stationary
+        # offsets of every other point: with +inf beside linspace(-4, 4, 9),
+        # Q phi there moved by up to 0.01 for phi = 3 sin 2x under theta2
         grid = np.linspace(-3, 3, 17)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            ExactInfConvolution([0.0, 1.0, 0.5], grid, alpha1)
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            ExactInfConvolution(query, grid, theta2)
         # repeated points are nondecreasing
-        ExactInfConvolution([0.0, 0.5, 0.5, 1.0], grid, alpha1)
+        ExactInfConvolution([0.0, 0.5, 0.5, 1.0], grid, theta2)
 
     @pytest.mark.parametrize("cost", ["alpha1", "theta2"])
     def test_any_query_order_gives_the_sorted_values(self, request, cost):
