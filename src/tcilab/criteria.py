@@ -546,7 +546,7 @@ def _decide_logconcave(mu: Measure1D, alpha: CostFunction, kappa: float,
                                   "in the scan",
                         "b_scan": list(_B_SCAN)})
     m = mu.median
-    a0 = 2.0 * float(mu.density(m))
+    a0 = 2.0 * mu.density(m)
     a = assemble_rate(a0, b, Mb, alpha)
 
     # pointwise certificate on a geometric h-grid

@@ -53,7 +53,8 @@ class Measure1D:
         Interval carrying the mass; infinite endpoints allowed.
     cdf, sf, quantile_fn, isf_fn : callables, optional
         Closed forms of the cdf, the survival function, the quantile and the
-        upper-tail quantile (the inverse of ``sf``).  Give all four, or none:
+        upper-tail quantile (the inverse of ``sf``), each mapping a flat
+        float array to an array of its length.  Give all four, or none:
         then the measure must carry a cell table (built by
         :func:`make_from_potential` / :func:`make_from_table`).  At +-inf
         cdf and sf must give exactly 0 or 1: the verifiers take the mass of
@@ -69,6 +70,13 @@ class Measure1D:
     Numeric measures expose their cell table as ``grid`` (cell edges, which
     bound the mass window), ``F_grid`` (cdf at the edges, 0 to 1) and the
     matching survival values; outside the window cdf and sf are 0 or 1.
+
+    Every evaluator (``cdf``, ``sf``, ``quantile``, ``isf``, ``log_density``
+    and ``density``) has one path, :func:`_shaped`: the argument is
+    flattened, the array form (closed form or cell table, chosen at call
+    time) runs once, and the result takes the argument's shape.  A scalar
+    is a length-one array and comes back as a float, so it equals the
+    element of an array call bit for bit.
     """
 
     def __init__(self, potential, logZ, support=(-math.inf, math.inf),
@@ -99,41 +107,22 @@ class Measure1D:
             self.grid, self.F_grid, self._S_grid = self._table
         self.median = float(median) if median is not None else self.quantile(0.5)
 
-    # -- density ----------------------------------------------------------
+    # -- evaluators: one path each, through _shaped ------------------------
     def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        safe = np.where(inside, x, 0.5 * (max(lo, -1e300) + min(hi, 1e300)))
-        out = np.where(inside, -np.asarray(self.potential(safe), dtype=float)
-                       - self.logZ, -np.inf)
-        return out if out.ndim else float(out)
+        return _shaped(self._log_density, x)
 
     def density(self, x):
-        ld = self.log_density(x)
-        with np.errstate(over="ignore"):
-            out = np.exp(ld)
-        return out if np.ndim(out) else float(out)
+        return _shaped(self._density, x)
 
-    # -- distribution functions -------------------------------------------
     def cdf(self, x):
-        if self._cdf is not None:
-            out = self._cdf(np.asarray(x, dtype=float))
-            return out if np.ndim(x) else float(out)
-        return _shaped(self._table_cdf, x)
+        return _shaped(self._cdf or self._table_cdf, x)
 
     def sf(self, x):
         """Survival function, computed upper-tail-first for accuracy."""
-        if self._sf is not None:
-            out = self._sf(np.asarray(x, dtype=float))
-            return out if np.ndim(x) else float(out)
-        return _shaped(self._table_sf, x)
+        return _shaped(self._sf or self._table_sf, x)
 
     def quantile(self, t):
-        if self._quantile is not None:
-            out = self._quantile(np.asarray(t, dtype=float))
-            return out if np.ndim(t) else float(out)
-        return _shaped(self._table_quantile, t)
+        return _shaped(self._quantile or self._table_quantile, t)
 
     def isf(self, s):
         """Upper-tail quantile: the x with ``sf(x) = s``.
@@ -141,12 +130,21 @@ class Measure1D:
         Unlike ``quantile(1 - s)`` this stays accurate when ``s`` is many
         orders of magnitude below 1.
         """
-        if self._isf is not None:
-            out = self._isf(np.asarray(s, dtype=float))
-            return out if np.ndim(s) else float(out)
-        return _shaped(self._table_isf, s)
+        return _shaped(self._isf or self._table_isf, s)
 
-    # -- cell table (numeric measures; flat float arrays in and out) -------
+    # -- flat float arrays in and out ---------------------------------------
+    def _log_density(self, x):
+        lo, hi = self.support
+        inside = (x >= lo) & (x <= hi)
+        safe = np.where(inside, x, 0.5 * (max(lo, -1e300) + min(hi, 1e300)))
+        return np.where(inside, -np.asarray(self.potential(safe), dtype=float)
+                        - self.logZ, -np.inf)
+
+    def _density(self, x):
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_density(x))
+
+    # -- cell table (numeric measures) -------------------------------------
     def _table_cdf(self, x):
         """``F[k] + int_{g_k}^x rho`` on the cell ``g_k <= x < g_{k+1}``."""
         g = self.grid
@@ -193,10 +191,11 @@ class Measure1D:
 
 
 def _shaped(fn, x):
-    """Apply a flat-array table function to scalar or array ``x``.
-
-    A scalar goes through the same path as a length-one array, so scalar and
-    array calls agree bit for bit.
+    """``fn`` (flat float array in, array of the same length out) applied to
+    scalar or array ``x``: the argument is flattened, ``fn`` runs once, and
+    the result takes the argument's shape.  A scalar is a length-one array
+    and comes back as a Python float, so scalar and array calls agree bit
+    for bit.
     """
     xa = np.asarray(x, dtype=float)
     out = fn(xa.ravel())
@@ -254,14 +253,15 @@ class ResidualDistribution:
 
     def tail(self, h):
         """P(residual >= h); vectorized, equals 1 for h <= 0."""
-        h = np.asarray(h, dtype=float)
+        return _shaped(self._tail, h)
+
+    def _tail(self, h):
         hp = np.maximum(h, 0.0)
         if self.side == "plus":
             out = self.base.sf(self.anchor + hp) / self.conditioning_mass
         else:
             out = self.base.cdf(self.anchor - hp) / self.conditioning_mass
-        out = np.minimum(out, 1.0)
-        return out if np.ndim(h) else float(out)
+        return np.minimum(out, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +282,13 @@ def _exponential_symmetric():
         return np.where(x >= 0, 1.0 - half, half)
 
     def sf(x):
-        return cdf(-np.asarray(x, dtype=float))
+        return cdf(-x)
 
     def quantile(t):
-        t = np.asarray(t, dtype=float)
         log = np.log(2.0 * np.minimum(t, 1.0 - t))
         return log * np.copysign(1.0, -(t - 0.5))
 
     def isf(s):
-        s = np.asarray(s, dtype=float)
         log = np.log(2.0 * np.minimum(s, 1.0 - s))
         return log * np.copysign(1.0, -(0.5 - s))
 
@@ -318,17 +316,16 @@ def _gaussian(sigma=1.0, mean=0.0):
     return Measure1D(lambda x: (np.asarray(x, dtype=float) - m) ** 2 / (2.0 * s * s),
                      math.log(s * math.sqrt(2.0 * math.pi)),
                      name=label,
-                     cdf=lambda x: special.ndtr((np.asarray(x, dtype=float) - m) / s),
-                     sf=lambda x: special.ndtr(-(np.asarray(x, dtype=float) - m) / s),
+                     cdf=lambda x: special.ndtr((x - m) / s),
+                     sf=lambda x: special.ndtr(-(x - m) / s),
                      quantile_fn=lambda t: m + s * special.ndtri(t),
-                     isf_fn=lambda u: m - s * special.ndtri(np.asarray(u, dtype=float)),
+                     isf_fn=lambda u: m - s * special.ndtri(u),
                      potential_deriv=lambda x: (np.asarray(x, dtype=float) - m) / (s * s),
                      median=m)
 
 
 def _cauchy():
     def sf(x):
-        x = np.asarray(x, dtype=float)
         # stable at both ends: arctan(1/x)/pi for x>0, 1 - arctan(1/|x|)/pi for x<0
         with np.errstate(divide="ignore"):
             inv = np.where(x != 0.0, 1.0 / x, np.inf)
@@ -336,7 +333,6 @@ def _cauchy():
         return np.where(x > 0, pos, np.where(x < 0, 1.0 + pos, 0.5))
 
     def isf(s):
-        s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
             # cot(pi s); mirror through 1-s (exact for s >= 1/2) at the left
             right = 1.0 / np.tan(math.pi * np.minimum(s, 0.5))
@@ -345,9 +341,8 @@ def _cauchy():
 
     return Measure1D(lambda x: np.log1p(np.asarray(x, dtype=float) ** 2),
                      math.log(math.pi), name="cauchy",
-                     cdf=lambda x: sf(-np.asarray(x, dtype=float)),
-                     sf=sf,
-                     quantile_fn=lambda t: np.tan(math.pi * (np.asarray(t, dtype=float) - 0.5)),
+                     cdf=lambda x: sf(-x), sf=sf,
+                     quantile_fn=lambda t: np.tan(math.pi * (t - 0.5)),
                      isf_fn=isf,
                      potential_deriv=lambda x: 2.0 * x / (1.0 + x * x),
                      median=0.0)
@@ -365,22 +360,19 @@ def _exp_power(p):
     def cdf(x):
         # the lower tail is half the upper incomplete gamma: 0.5 - 0.5
         # gammainc cancels once gammainc is within an ulp of 1
-        x = np.asarray(x, dtype=float)
         u = np.abs(x) ** p
         return np.where(x >= 0, 0.5 + 0.5 * special.gammainc(inv_p, u),
                         0.5 * special.gammaincc(inv_p, u))
 
     def sf(x):
-        return cdf(-np.asarray(x, dtype=float))
+        return cdf(-x)
 
     def isf(s):
-        s = np.asarray(s, dtype=float)
         tail = np.where(s <= 0.5, s, 1.0 - s)
         body = special.gammainccinv(inv_p, 2.0 * tail) ** inv_p
         return np.where(s <= 0.5, body, -body)
 
     def quantile(t):
-        t = np.asarray(t, dtype=float)
         # the lower half mirrors isf: 1 - 2t would round away a small t
         body = special.gammaincinv(inv_p, np.abs(2.0 * t - 1.0)) ** inv_p
         return np.where(t >= 0.5, body, -isf(t))
@@ -399,12 +391,12 @@ def _one_sided_exp(rate=1.0):
     return Measure1D(lambda x: a * np.asarray(x, dtype=float),
                      -math.log(a), support=(0.0, math.inf),
                      name=f"one_sided_exp(rate={a:g})",
-                     cdf=lambda x: np.where(np.asarray(x) >= 0,
-                                            -np.expm1(-a * np.maximum(x, 0.0)), 0.0),
-                     sf=lambda x: np.where(np.asarray(x) >= 0,
-                                           np.exp(-a * np.maximum(x, 0.0)), 1.0),
-                     quantile_fn=lambda t: -np.log1p(-np.asarray(t, dtype=float)) / a,
-                     isf_fn=lambda u: -np.log(np.asarray(u, dtype=float)) / a,
+                     cdf=lambda x: np.where(x >= 0, -np.expm1(-a * np.maximum(x, 0.0)),
+                                            0.0),
+                     sf=lambda x: np.where(x >= 0, np.exp(-a * np.maximum(x, 0.0)),
+                                           1.0),
+                     quantile_fn=lambda t: -np.log1p(-t) / a,
+                     isf_fn=lambda u: -np.log(u) / a,
                      potential_deriv=lambda x: np.full_like(np.asarray(x, dtype=float), a),
                      kink_points=(0.0,), median=math.log(2.0) / a)
 
@@ -669,8 +661,8 @@ def _hazard_side(mu: Measure1D, plus: bool) -> Verdict:
     ahead = grid[0] + (1.0 if plus else -1.0) * np.linspace(span, reach, 257)
     xs = np.concatenate((grid, ahead[1:]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mass = np.asarray(mu.sf(xs) if plus else mu.cdf(xs), dtype=float)
-        hazard = np.asarray(mu.density(xs), dtype=float) / mass
+        mass = mu.sf(xs) if plus else mu.cdf(xs)
+        hazard = mu.density(xs) / mass
     keep = (mass > 1e-300) & np.isfinite(hazard)
     xs, hazard = xs[keep], hazard[keep]
     peak = np.maximum.accumulate(hazard)
@@ -712,7 +704,7 @@ def _draw_inverse(mu: Measure1D, u) -> np.ndarray:
     quantile otherwise."""
     if mu._quantile is None:
         return np.interp(u, mu.F_grid, mu.grid)
-    return np.asarray(mu.quantile(u), dtype=float)
+    return mu.quantile(u)
 
 
 def sample(mu: Measure1D, shape, seed: int) -> np.ndarray:
@@ -739,5 +731,5 @@ def quantile_discretize(mu: Measure1D, k: int) -> DiscreteMeasure:
     if k < 1:
         raise ValueError("need at least one atom")
     ts = (np.arange(k) + 0.5) / k
-    atoms = np.asarray(mu.quantile(ts), dtype=float)
+    atoms = mu.quantile(ts)
     return DiscreteMeasure(atoms, np.full(k, 1.0 / k))

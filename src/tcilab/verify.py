@@ -107,8 +107,8 @@ class _DualQuadrature:
     """
 
     def __init__(self, mu: Measure1D, knots: np.ndarray):
-        lo = min(float(mu.quantile(_WINDOW_MASS)), knots[0] - 1.0)
-        hi = max(float(mu.isf(_WINDOW_MASS)), knots[-1] + 1.0)
+        lo = min(mu.quantile(_WINDOW_MASS), knots[0] - 1.0)
+        hi = max(mu.isf(_WINDOW_MASS), knots[-1] + 1.0)
         breaks = np.unique(np.concatenate([
             knots,
             np.linspace(lo, knots[0], 9),
@@ -119,11 +119,11 @@ class _DualQuadrature:
         # (whose breakpoints fall inside knot cells) two orders below the
         # violation slack; measured worst relative error ~1e-8
         nodes, w = numerics.composite_gauss_nodes(breaks, order=4, panels=32)
-        rho = np.asarray(mu.density(nodes), dtype=float)
+        rho = mu.density(nodes)
         self.query = np.concatenate([[lo], nodes, [hi]])
         self.rho_w = w * rho
-        self.tail_lo = float(mu.cdf(lo))
-        self.tail_hi = float(mu.sf(hi))
+        self.tail_lo = mu.cdf(lo)
+        self.tail_hi = mu.sf(hi)
         total = float(self.rho_w.sum()) + self.tail_lo + self.tail_hi
         self.rho_w /= total
         self.tail_lo /= total
@@ -167,30 +167,30 @@ def _whole(name: str, value, least: Optional[int] = None) -> int:
 def _dual_family(mu: Measure1D, trials: int, seed: int):
     """The knots and candidates ``(label, values)``, adversarial first; ramp
     corners sit on knots (the spacing is the smoothing width), so slopes
-    stay within the family bound."""
-    knots = np.linspace(float(mu.quantile(_PHI_MASS_GAP / 2.0)),
-                        float(mu.isf(_PHI_MASS_GAP / 2.0)), _PHI_KNOTS)
+    stay within the family bound.
+
+    The knot ends are one ``quantile`` and one ``isf`` call; one array
+    ``quantile`` call over the distinct levels of the rays, wells and
+    plateaus gives the knot index each of them reads."""
+    knots = np.linspace(mu.quantile(_PHI_MASS_GAP / 2.0),
+                        mu.isf(_PHI_MASS_GAP / 2.0), _PHI_KNOTS)
     K = _PHI_KNOTS
     idx = np.arange(K, dtype=float)
-    index = {}                           # knot index per quantile level
-
-    def at(level: float) -> int:
-        if level not in index:
-            i = int(np.searchsorted(knots, float(mu.quantile(level))))
-            index[level] = min(max(i, 1), K - 2)
-        return index[level]
+    levels = (0.1, 0.25, 0.4, 0.45, 0.5, 0.55, 0.6, 0.75, 0.9)
+    at = dict(zip(levels, np.clip(np.searchsorted(knots, mu.quantile(levels)),
+                                  1, K - 2).tolist()))
 
     out = [(f"constant_{c:+g}", np.full(K, float(c)))
            for c in (-10.0, -1.0, 0.0, 1.0, 10.0)]
     for p in (1.0, 2.0, 5.0, 10.0):
         for lev in (0.1, 0.25, 0.5, 0.75, 0.9):
-            i = at(lev)
+            i = at[lev]
             up = p * np.clip(idx - i, 0.0, 1.0)
             out.append((f"ray_up_p{p:g}_q{lev:g}", up))
             out.append((f"ray_down_p{p:g}_q{lev:g}", p * np.clip(i - idx + 1.0, 0.0, 1.0)))
     for p in (1.0, 5.0, 10.0):
         for qa, qb in ((0.4, 0.6), (0.25, 0.75), (0.45, 0.55)):
-            ia, ib = at(qa), at(qb)
+            ia, ib = at[qa], at[qb]
             if ib <= ia:
                 ib = ia + 1
             shape = np.clip(np.minimum(idx - (ia - 1), (ib + 1) - idx), 0.0, 1.0)
@@ -360,13 +360,12 @@ def integrability_check(mu: Measure1D, alpha: CostFunction,
 
 def _ray_anchors(mu: Measure1D):
     """What :func:`integrability_check` reads of ``mu`` whatever the cost:
-    the quantiles ``x_grid``, the median ``m``, and ``cdf`` and ``sf`` at
-    each of them then at ``m``, one scalar call per point."""
-    x_grid = np.asarray(mu.quantile(np.linspace(0.05, 0.95, 10)), dtype=float)
+    the quantiles ``x_grid``, the median ``m``, and the lists of ``cdf``
+    and ``sf`` at each of them then at ``m``, one array call each."""
+    x_grid = mu.quantile(np.linspace(0.05, 0.95, 10))
     m = mu.median
-    points = [*x_grid, m]
-    return (x_grid, m, [float(mu.cdf(x)) for x in points],
-            [float(mu.sf(x)) for x in points])
+    points = np.append(x_grid, m)
+    return x_grid, m, mu.cdf(points).tolist(), mu.sf(points).tolist()
 
 
 def _integrability_at(mu: Measure1D, anchors, alpha: CostFunction,
@@ -442,12 +441,22 @@ def _as_intervals(spec) -> list:
     return merged
 
 
+def _interval_mass(mu: Measure1D, lo: float, hi: float) -> float:
+    """``mu([lo, hi])`` from the tail it lies in: ``cdf(hi) - cdf(lo)``
+    when ``hi`` is at most the median, ``sf(lo) - sf(hi)`` when ``lo`` is
+    at least the median, else ``1 - cdf(lo) - sf(hi)``.  No difference
+    then cancels across the median, and at +-inf cdf and sf are exactly 0
+    or 1."""
+    m = mu.median
+    if hi <= m:
+        return mu.cdf(hi) - mu.cdf(lo)
+    if lo >= m:
+        return mu.sf(lo) - mu.sf(hi)
+    return 1.0 - mu.cdf(lo) - mu.sf(hi)
+
+
 def _set_mass(mu: Measure1D, intervals) -> float:
-    # each difference is exact in its own tail; the other collapses to zero
-    # by cdf/sf absorption, so the max keeps far-tail masses positive.  At
-    # +-inf cdf and sf are exactly 0 or 1.
-    return sum(max(mu.cdf(hi) - mu.cdf(lo), mu.sf(lo) - mu.sf(hi))
-               for lo, hi in intervals)
+    return sum(_interval_mass(mu, lo, hi) for lo, hi in intervals)
 
 
 def _set_gap(A, B) -> float:
@@ -630,9 +639,7 @@ def _inside_levels(mu: Measure1D, lo: float, hi: float):
     0 at ``hi``) skips no coordinate.
     """
     def threshold(end: float, sign: float) -> float:
-        t = float(mu.cdf(end)) + sign * _BAND_STEPS
-        # an array, as the draws are: a closed form's scalar path may round
-        # differently
+        t = mu.cdf(end) + sign * _BAND_STEPS
         x = _draw_inverse(mu, np.clip(t, 1e-16, 1.0 - 1e-16))
         ok = np.isfinite(x) & (sign * (x - end) >= 1e-9 * np.abs(x))
         return float(t[np.argmax(ok)]) if ok.any() else sign * math.inf
@@ -671,7 +678,7 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     if r_grid.ndim != 1 or not r_grid.size or not np.isfinite(r_grid).all():
         raise ValueError(f"r_grid must be nonempty, 1-D and finite: {r_grid}")
 
-    mass1 = mu.cdf(hi) - mu.cdf(lo)
+    mass1 = _interval_mass(mu, lo, hi)
     mass_n = mass1 ** n
 
     t_lo, t_hi = _inside_levels(mu, lo, hi)
@@ -747,10 +754,9 @@ def _lsi_builtins(mu: Measure1D):
     smooth steps, and constants.  Each ``f`` and ``f'`` maps an array of
     points to an array of values."""
     m = mu.median
-    q25, q75 = float(mu.quantile(0.25)), float(mu.quantile(0.75))
+    q25, q75 = mu.quantile(0.25), mu.quantile(0.75)
     sig = max((q75 - q25) / 1.349, 1e-3)
-    L = max(abs(float(mu.quantile(1e-6)) - m),
-            abs(float(mu.isf(1e-6)) - m)) + sig
+    L = max(abs(mu.quantile(1e-6) - m), abs(mu.isf(1e-6) - m)) + sig
     w = sig
     s, ds = _soft_clamp(L, w)
     entries = []
@@ -844,7 +850,7 @@ def _lsi_integrals(mu: Measure1D, beta_fn, t: float, family):
             rows = fn_of == k
             if rows.any():
                 fx[rows], dfx[rows] = _on(f, x[rows]), _on(df, x[rows])
-        f2 = fx * fx * np.asarray(mu.density(x), dtype=float)
+        f2 = fx * fx * mu.density(x)
         out = np.where((integral == 1)[:, None], f2 * np.log(fx * fx), f2)
         third = integral == 2
         if third.any():
@@ -898,8 +904,8 @@ def lsi_check(mu: Measure1D, beta, C: float, t: float,
     if not family:
         raise ValueError("the test family is empty")
 
-    w_lo = float(mu.quantile(1e-12))
-    w_hi = float(mu.isf(1e-12))
+    w_lo = mu.quantile(1e-12)
+    w_hi = mu.isf(1e-12)
     windows = []
     for label, f, df, pts in family:
         a = min([w_lo] + [p - 1.0 for p in pts])

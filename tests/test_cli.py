@@ -20,6 +20,7 @@ from tcilab.cli import (
     parse_prefactor,
     run_analyze,
 )
+from tcilab.verdict import FAILS, INCONCLUSIVE, Verdict
 
 
 class TestGrammar:
@@ -268,6 +269,30 @@ class TestRunAnalyze:
         assert rep.verification["dual"]["status"] == "violation_found"
         assert rep.verification["integrability"]["status"] == "fails"
         assert rep.conclusion == "requested cost refuted"
+
+    def test_refuted_certificate_is_a_bug(self, monkeypatch):
+        # the verifiers tested the assembled certificate itself: a refutation
+        # means the certificate or the verifier is wrong
+        monkeypatch.setattr(cli, "integrability_check",
+                            lambda *a, **k: Verdict(FAILS, {}, {"forced": 1}))
+        rep = run_analyze(AnalysisConfig(dual_trials=10, mc_samples=1000))
+        assert rep.criteria["char_logconcave"]["status"] == "holds"
+        assert rep.verification["integrability"]["status"] == "fails"
+        assert rep.conclusion == ("verification refuted the assembled "
+                                  "certificate; treat as an implementation "
+                                  "bug")
+
+    def test_failed_decision_without_refutation_finds_no_certificate(
+            self, monkeypatch):
+        # cauchy's moments diverge; with the scan not refuting every scale
+        # the failed decision alone does not refute the inequality
+        monkeypatch.setattr(cli, "_integrability_at",
+                            lambda *a, **k: Verdict(INCONCLUSIVE, {}, {}))
+        rep = run_analyze(AnalysisConfig(measure="cauchy", cost="alpha1",
+                                         dual_trials=10, mc_samples=1000))
+        assert rep.criteria["char_lm"]["status"] == "fails"
+        assert rep.verification["integrability"]["status"] == "inconclusive"
+        assert rep.conclusion == "no certificate found"
 
     def test_requested_prefactor_alone_is_not_certified(self):
         # the verifiers test alpha(a x) / 1000 at the assembled scale a, a

@@ -28,6 +28,7 @@ from tcilab.criteria import (
     skewed_cost,
     suff_condition,
 )
+from tcilab.verdict import FAILS, Verdict
 
 
 class TestRearrangement:
@@ -560,6 +561,18 @@ class TestDecideLip:
         assert v.status == "fails"
         assert "b_scan" in v.diagnostics
 
+    def test_finite_moments_without_lipschitz_are_inconclusive(self, mu1,
+                                                              alpha1):
+        lip = Verdict(FAILS, {}, {"reason": "forced"})
+        v = criteria._decide_lip(mu1, alpha1, criteria.DEFAULT_KAPPA,
+                                 costs.validate_admissible(alpha1), lip)
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == ("rearrangement not Lipschitz; "
+                                           "finite moments alone do not "
+                                           "assemble a rate")
+        assert v.diagnostics["lipschitz"] == lip.to_dict()
+        assert v.constants["b"] == 0.5
+
 
 # sha256 of the sorted-key JSON of the "outside the admissible class"
 # verdict that all three decisions return on the reference law
@@ -699,6 +712,35 @@ class TestSuffCondition:
 
     def test_heavy_tail_fails(self, cauchy, theta2):
         assert suff_condition(cauchy, theta2).status == "fails"
+
+    def test_failed_class_check_is_inconclusive(self, monkeypatch, gaussian,
+                                                theta2):
+        check = criteria._regular_class_check
+        monkeypatch.setattr(criteria, "_regular_class_check",
+                            lambda *a, **k: {**check(*a, **k), "ok": False})
+        v = suff_condition(gaussian, theta2)
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == "tail-regularity class check failed"
+
+    def test_bounded_ratio_without_lipschitz_is_inconclusive(self, gaussian,
+                                                             theta2):
+        v = criteria._suff_condition(gaussian, theta2,
+                                     costs.validate_admissible(theta2),
+                                     Verdict(FAILS, {}, {}))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == "rearrangement not Lipschitz"
+
+    def test_oscillating_ratio_is_inconclusive(self):
+        # V' = 1 + 0.9 cos|x| makes every lambda's ratio under theta_p 3
+        # dip and then jump: neither bounded nor cleanly growing
+        mu = measures.make_from_potential(
+            lambda x: np.abs(x) + 0.9 * np.sin(np.abs(x)),
+            potential_deriv=lambda x: np.sign(x) * (1.0 + 0.9 * np.cos(x)),
+            kink_points=(0.0,))
+        v = suff_condition(mu, costs.builtin_cost("theta_p", p=3))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["reason"] == ("no lambda bounded; trends not "
+                                           "uniformly growing")
 
     @pytest.mark.parametrize("law,cost", [
         (("gaussian", {}), ("theta_p", {"p": 2})),

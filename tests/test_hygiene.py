@@ -1,15 +1,18 @@
 """Every module-level import of the package is referenced in its module,
-every name a module exports through ``__all__`` exists, and every built-in
-cost has a closed-form conjugate."""
+every name a module exports through ``__all__`` exists, every built-in
+cost has a closed-form conjugate, and no measure forms a reference cycle."""
 
 import ast
+import gc
 import importlib
 import inspect
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tcilab import costs
+from tcilab import costs, measures
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tcilab"
 
@@ -56,3 +59,30 @@ def test_every_builtin_cost_has_a_maximizer(name):
         params = {k: v for k, v in {"p": p, "lam": p / 4.0}.items()
                   if k in wanted}
         assert factory(**params).maximizer is not None
+
+
+def _evaluated_measure_ref(build):
+    """A weak reference to a measure that was built, evaluated and dropped."""
+    mu = build()
+    for name in ("cdf", "sf", "log_density", "density"):
+        getattr(mu, name)(0.3)
+        getattr(mu, name)(np.array([-1.0, 0.3, 2.0]))
+    mu.quantile(np.array([0.1, 0.7]))
+    mu.isf(0.2)
+    return weakref.ref(mu)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: measures.make_builtin("exp_power", p=1.5),
+    lambda: measures.make_from_table(np.linspace(-4.0, 4.0, 33),
+                                     np.linspace(-4.0, 4.0, 33) ** 4 / 4.0),
+    lambda: measures.make_from_potential(lambda x: 0.5 * np.asarray(x) ** 2),
+], ids=["builtin", "table", "potential"])
+def test_no_measure_forms_a_reference_cycle(build):
+    # a measure that kept bound methods of itself would live until the
+    # cyclic collector ran, and every pass's tables would pile up
+    gc.disable()
+    try:
+        assert _evaluated_measure_ref(build)() is None
+    finally:
+        gc.enable()

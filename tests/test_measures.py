@@ -391,6 +391,44 @@ class TestNumericMeasures:
         assert mu.kink_points == tuple(_TABLE_XS[::2])
 
 
+_EVALUATED = {
+    "exponential": lambda: make_builtin("exponential"),
+    "gaussian": lambda: make_builtin("gaussian", sigma=1.7, mean=-0.4),
+    "cauchy": lambda: make_builtin("cauchy"),
+    "exp_power p=1.25": lambda: make_builtin("exp_power", p=1.25),
+    "exp_power p=1.5": lambda: make_builtin("exp_power", p=1.5),
+    "exp_power p=3": lambda: make_builtin("exp_power", p=3.0),
+    "one_sided_exp": lambda: make_builtin("one_sided_exp", rate=2.0),
+    "quartic table": _NUMERIC["quartic"][0],
+}
+
+
+@pytest.mark.parametrize("law", sorted(_EVALUATED))
+def test_scalar_calls_are_array_elements(law):
+    # one evaluation rule: a scalar is a length-one array, comes back as a
+    # float with the bits of its array element, and an array keeps its shape
+    mu = _EVALUATED[law]()
+    rng = np.random.default_rng(31)
+    n = 32 if law.endswith("table") else 400
+    levels = np.concatenate((rng.uniform(size=n // 2),
+                             10.0 ** -rng.uniform(1.0, 14.0, n // 2)))
+    points = np.concatenate((mu.quantile(levels[: n // 2]),
+                             rng.normal(0.0, 4.0, n // 2)))
+    for fn, args in ((mu.cdf, points), (mu.sf, points),
+                     (mu.log_density, points), (mu.density, points),
+                     (mu.quantile, levels), (mu.isf, levels)):
+        arr = fn(args)
+        scalars = [fn(float(a)) for a in args]
+        assert {type(v) for v in scalars} == {float}, fn.__name__
+        np.testing.assert_array_equal(
+            np.array(scalars).view(np.int64), arr.view(np.int64),
+            err_msg=fn.__name__)
+        square = fn(args.reshape(2, -1))
+        assert square.shape == (2, n // 2), fn.__name__
+        np.testing.assert_array_equal(square.ravel().view(np.int64),
+                                      arr.view(np.int64), err_msg=fn.__name__)
+
+
 class TestDiscrete:
     def test_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):

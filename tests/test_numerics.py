@@ -179,6 +179,20 @@ class TestGuardedLimit:
         val, ok = numerics.guarded_limit(lambda T: 1.0 + math.log(T), 1.0)
         assert val == math.inf and not ok
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_partial_diverges(self, bad):
+        # at the first partial, and at a later one after two finite ones
+        # that have not settled
+        assert numerics.guarded_limit(lambda T: bad, 1.0) == (math.inf, True)
+        calls = []
+
+        def late(T):
+            calls.append(T)
+            return {1.0: 1.0, 2.0: 1.5}.get(T, bad)
+
+        assert numerics.guarded_limit(late, 1.0) == (math.inf, True)
+        assert calls == [1.0, 2.0, 4.0]
+
 
 class TestGrowingWindow:
     def test_each_call_adds_what_the_last_one_left_out(self):
