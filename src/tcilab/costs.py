@@ -29,9 +29,9 @@ __all__ = [
 class CostFunction:
     """Even scalar cost profile with its analytic companions.
 
-    ``fn`` is the profile itself (vectorized, even); ``deriv`` its
-    right-derivative on the positive axis, taken at ``|t|`` (so even);
-    ``inverse`` the inverse of the restriction to the positive axis.
+    ``fn`` is the profile itself; ``deriv`` its right-derivative on the
+    positive axis, taken at ``|t|`` (so even); ``inverse`` the inverse of
+    the restriction to the positive axis.
     ``convex`` says whether ``fn`` is convex, and ``kinks`` lists the
     positive abscissae where the derivative jumps.  ``maximizer``, set by
     the built-in constructors, maps slopes ``s >= 0`` to the least
@@ -41,6 +41,12 @@ class CostFunction:
     and ``nan`` at ``nan``; :func:`conjugate` evaluates through it.
     Membership in the admissible class is decided by
     :func:`validate_admissible`.
+
+    The four callables are given as forms on flat float arrays and stored
+    wrapped by the package's one evaluation rule,
+    :func:`numerics.elementwise` (a wrapped form is kept as it is); the
+    rule hands ``fn`` and ``deriv`` the argument itself, so evenness is
+    their own job.
     """
 
     name: str
@@ -50,6 +56,12 @@ class CostFunction:
     convex: bool
     kinks: tuple = ()
     maximizer: Optional[Callable] = None
+
+    def __post_init__(self):
+        for field in ("fn", "deriv", "inverse", "maximizer"):
+            form = getattr(self, field)
+            if form is not None:
+                object.__setattr__(self, field, numerics.elementwise(form))
 
     def __call__(self, t):
         return self.fn(t)
@@ -62,7 +74,7 @@ def _numeric_deriv(fn):
     # 1.9e-8 off, relative to the exact y/2; this central difference (step
     # 1e-6) is 1.8e-11 to 2.5e-9 off.
     def d(t):
-        tp = np.abs(np.asarray(t, dtype=float))
+        tp = np.abs(t)
         lo = fn(np.maximum(tp - 1e-6, 0.0))
         # past a slope cap both points are +inf, and so is the derivative
         return (fn(tp + 1e-6) - np.where(lo < math.inf, lo, 0.0)) / (
@@ -77,12 +89,10 @@ def _numeric_inverse(fn):
     is below the level, all levels at once; a level still above ``fn`` after
     200 doublings, or infinite, gives ``inf``.  The brackets go to
     :func:`numerics.monotone_root` (bisection to a collapsed bracket).  A
-    level ``<= 0`` gives 0 and ``nan`` gives ``nan``; a scalar takes the
-    path of a length-one array and gives a float.
+    level ``<= 0`` gives 0 and ``nan`` gives ``nan``.  The result takes a
+    scalar or an array by :func:`numerics.shaped`.
     """
-    def inv(s):
-        s = np.asarray(s, dtype=float)
-        lev = s.ravel()
+    def inv(lev):
         out = np.where(lev > 0.0, math.inf, np.where(np.isnan(lev), lev, 0.0))
         idx = np.flatnonzero((lev > 0.0) & (lev < math.inf))
         lev, hi = lev[idx], np.ones(len(idx))
@@ -94,8 +104,8 @@ def _numeric_inverse(fn):
             short[short] = fn(hi[short]) < lev[short]
         idx, lev, hi = idx[~short], lev[~short], hi[~short]
         out[idx] = numerics.monotone_root(fn, lev, np.zeros(len(idx)), hi)
-        return out.reshape(s.shape) if s.ndim else float(out[0])
-    return inv
+        return out
+    return numerics.elementwise(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +117,8 @@ def _power_argmax(k, q):
     axis; a constant slope ``k`` (``q = 1``) gives 0 up to ``k`` and
     ``+inf`` beyond."""
     if q == 1.0:
-        return lambda s: np.where(np.asarray(s) > k, math.inf,
-                                  np.minimum(s, 0.0))
-    return lambda s: (np.asarray(s, dtype=float) / k) ** (1.0 / (q - 1.0))
+        return lambda s: np.where(s > k, math.inf, np.minimum(s, 0.0))
+    return lambda s: (s / k) ** (1.0 / (q - 1.0))
 
 
 def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks,
@@ -127,20 +136,18 @@ def _spliced(name, outer, outer_deriv, outer_inverse, convex, kinks,
     its convex envelope.  Without ``outer_argmax`` there is no maximizer.
     """
     def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         return np.where(t <= 1.0, t * t, outer(t))
 
     def deriv(t):
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         return np.where(t < 1.0, 2.0 * t, outer_deriv(t))
 
     def inverse(s):
-        s = np.asarray(s, dtype=float)
         return np.where(s <= 1.0, np.sqrt(np.maximum(s, 0.0)),
                         outer_inverse(np.maximum(s, 1.0)))
 
     def maximizer(s):
-        s = np.asarray(s, dtype=float)
         inner = np.minimum(s / 2.0, 1.0)
         far = np.maximum(outer_argmax(s), 1.0)
         # inf - inf (past a cap, or an overflow) compares False: far wins
@@ -163,7 +170,7 @@ def _alpha1():
         # min(t**2, |t|) is the splice bit for bit (t**2 rounds to at most
         # |t| below 1 and to at least |t| above), without the select, which
         # on random arguments costs more than the arithmetic
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         sq = np.multiply(t, t, out=np.empty_like(t))
         return np.minimum(sq, t, out=sq)
 
@@ -190,16 +197,9 @@ def _alpha_p(p):
                         lambda s: s ** (1.0 / p), convex=False, kinks=(1.0,),
                         outer_argmax=_power_argmax(p, p))
 
-    def fn(t):
-        return np.abs(np.asarray(t, dtype=float)) ** p
-
-    def deriv(t):
-        return p * np.abs(np.asarray(t, dtype=float)) ** (p - 1.0)
-
-    def inverse(s):
-        return np.maximum(np.asarray(s, dtype=float), 0.0) ** (1.0 / p)
-
-    return CostFunction(f"alpha_p(p={p:g})", fn, deriv, inverse, convex=True,
+    return CostFunction(f"alpha_p(p={p:g})", lambda t: np.abs(t) ** p,
+                        lambda t: p * np.abs(t) ** (p - 1.0),
+                        lambda s: np.maximum(s, 0.0) ** (1.0 / p), convex=True,
                         maximizer=_power_argmax(p, p))
 
 
@@ -215,20 +215,18 @@ def _theta_p(p):
 def _maurey_tilde():
     # quadratic-to-linear profile with the 1/36 constant; continuous at 4
     def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         return np.where(t <= 4.0, t * t / 36.0, (2.0 / 9.0) * (t - 2.0))
 
     def deriv(t):
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         return np.where(t <= 4.0, t / 18.0, 2.0 / 9.0)
 
     def inverse(s):
-        s = np.asarray(s, dtype=float)
         return np.where(s <= 4.0 / 9.0, 6.0 * np.sqrt(np.maximum(s, 0.0)),
                         2.0 + 4.5 * s)
 
     def maximizer(s):
-        s = np.asarray(s, dtype=float)
         return np.where(s > 2.0 / 9.0, math.inf, np.minimum(18.0 * s, 4.0))
 
     return CostFunction("maurey_tilde", fn, deriv, inverse, convex=True,
@@ -245,7 +243,7 @@ def _talagrand_gamma(lam):
         # exp(-x) - 1 + x cancels at small x: below x = 0.1 its series to
         # x**11 (4e-19 relative truncation), from 0.1 up expm1(-x) + x
         # (within 2.2e-16 / x relative, which would be 2e-13 at x = 1e-3)
-        x = lam * np.abs(np.asarray(t, dtype=float))
+        x = lam * np.abs(t)
         s = np.minimum(x, 0.1)
         series = 0.0
         for k in range(11, 1, -1):
@@ -253,14 +251,12 @@ def _talagrand_gamma(lam):
         return c * np.where(x < 0.1, s * s * series, np.expm1(-x) + x)
 
     def deriv(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        return (1.0 - lam) * (1.0 - np.exp(-lam * t))
+        return (1.0 - lam) * (1.0 - np.exp(-lam * np.abs(t)))
 
     def maximizer(s):
         # deriv only tends to its cap 1 - lam; at the cap itself x = 40/lam,
         # where e^{-lam x} is below the rounding of 1, so x s - fn(x) is the
         # supremum 1/lam - 1
-        s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = -np.log1p(-s / (1.0 - lam)) / lam
         return np.where(s > 1.0 - lam, math.inf, np.minimum(x, 40.0 / lam))
@@ -317,16 +313,16 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
     if np.any(np.diff(vals) < 0):
         raise ValueError("cost values must be nondecreasing")
     interp, dinterp = numerics.pchip(ts, vals)
-    slope = float(dinterp(ts[-1]))
+    slope = dinterp(ts[-1])
 
     def fn(t):
-        t = np.abs(np.asarray(t, dtype=float))
+        t = np.abs(t)
         inner = interp(np.minimum(t, ts[-1]))
         return np.where(t <= ts[-1], inner, vals[-1] + slope * (t - ts[-1]))
 
     def deriv(t):
         # dinterp(ts[-1]) is the edge slope, so clamping continues it
-        return dinterp(np.minimum(np.abs(np.asarray(t, dtype=float)), ts[-1]))
+        return dinterp(np.minimum(np.abs(t), ts[-1]))
 
     return CostFunction(name, fn, deriv, _numeric_inverse(fn),
                         convex=_is_convex_numeric(fn))
@@ -339,7 +335,7 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
 def _is_convex_numeric(fn):
     """Second differences of ``fn`` on 4097 points of [-64, 64] are at least
     ``-1e-9 (1 + |fn|)``."""
-    v = np.asarray(fn(np.linspace(-64.0, 64.0, 4097)), dtype=float)
+    v = fn(np.linspace(-64.0, 64.0, 4097))
     second = v[2:] - 2.0 * v[1:-1] + v[:-2]
     return bool(np.all(second >= -1e-9 * (1.0 + np.abs(v[1:-1]))))
 
@@ -362,7 +358,7 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     about superadditivity.
     """
     t = np.linspace(0.0, 64.0, 4096)
-    v = np.asarray(cost.fn(t), dtype=float)
+    v = cost.fn(t)
     diag = {"grid": {"lo": 0.0, "hi": 64.0, "n": 4096}}
     ok = np.isfinite(v)
     end = len(t) if ok.all() else int(np.argmin(ok))
@@ -370,13 +366,12 @@ def validate_admissible(cost: CostFunction) -> Verdict:
         diag["overflow_from"] = float(t[end])
 
     head = v[:end]
-    sym_gap = float(np.max(np.abs(np.asarray(cost.fn(-t[1:end])) - head[1:]),
-                           initial=0.0))
+    sym_gap = float(np.max(np.abs(cost.fn(-t[1:end]) - head[1:]), initial=0.0))
     if sym_gap > 1e-12 * (1.0 + float(np.max(np.abs(head), initial=0.0))):
         diag["violated"] = "evenness"
         diag["gap"] = sym_gap
         return Verdict(FAILS, {}, diag)
-    if abs(float(cost.fn(0.0))) > 1e-12:
+    if abs(cost.fn(0.0)) > 1e-12:
         diag["violated"] = "vanishing_at_zero"
         return Verdict(FAILS, {}, diag)
     drops = np.diff(head)
@@ -388,7 +383,7 @@ def validate_admissible(cost: CostFunction) -> Verdict:
                              else end + int(np.argmax(back))])
         return Verdict(FAILS, {}, diag)
     core = t[t <= 1.0]
-    quad_gap = float(np.max(np.abs(np.asarray(cost.fn(core)) - core * core)))
+    quad_gap = float(np.max(np.abs(cost.fn(core) - core * core)))
     if quad_gap > 1e-12:
         diag["violated"] = "quadratic_near_zero"
         diag["gap"] = quad_gap
@@ -396,7 +391,7 @@ def validate_admissible(cost: CostFunction) -> Verdict:
     # superadditivity on a coarser triangle of pairs: row j (y = s[j]) of
     # fxy is a view of fs from j on, nan-padded past x + y = 64
     s = np.linspace(0.0, 64.0, 257)
-    fs = np.asarray(cost.fn(s))
+    fs = cost.fn(s)
     fxy = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((fs, np.full(256, math.nan))), 257)
     with np.errstate(invalid="ignore"):  # nan where both sides overflow
@@ -428,13 +423,12 @@ def conjugate(cost: CostFunction) -> CostFunction:
     profile is not convex a 2049-point scan of each bracket (in blocks of
     about 2**16 entries) picks the bracket of the search first, so the
     result is the conjugate of the convex envelope; ``deriv`` is then a
-    central difference of the values.  ``nan`` gives ``nan``; a scalar
-    gives a float.
+    central difference of the values.  ``nan`` gives ``nan``.
     """
     base = cost.fn
 
     def g(x, y):
-        return x * y - np.asarray(base(x), dtype=float)
+        return x * y - base(x)
 
     def value(y):
         y = np.abs(y)
@@ -488,21 +482,20 @@ def conjugate(cost: CostFunction) -> CostFunction:
             out = g(x, y)
         return np.where(np.isnan(out) & ~np.isnan(x), math.inf, out)
 
-    evaluate = value if top is None else closed
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        out = evaluate(t.ravel())
-        return out.reshape(t.shape) if t.ndim else float(out[0])
-
-    def deriv(t):
-        y = np.abs(np.asarray(t, dtype=float))
+    def deriv(y):
+        y = np.abs(y)
         return np.where(top(np.nextafter(y, math.inf)) == math.inf, math.inf,
                         top(y))
 
+    fn = value if top is None else closed
     return CostFunction(f"conjugate({cost.name})", fn,
                         _numeric_deriv(fn) if top is None else deriv,
                         _numeric_inverse(fn), convex=True)
+
+
+#: largest ``ceil(b1)`` :func:`scaling_equivalence_constant` accepts; each
+#: integer up to it costs one grid re-check (tens of microseconds)
+MAX_SCALING_FACTOR = 4096
 
 
 def scaling_equivalence_constant(cost: CostFunction, b1: float, b2: float,
@@ -512,16 +505,26 @@ def scaling_equivalence_constant(cost: CostFunction, b1: float, b2: float,
 
     Valid whenever ``alpha(k x) >= k alpha(x)`` for the integer
     ``k = ceil(b1)``, which the admissible class guarantees; the inequality
-    is re-checked on a grid for ``k`` up to ``max(8, ceil(b1))``.
+    is re-checked on a grid for ``k`` up to ``max(8, ceil(b1))``.  The
+    constants must be finite and positive, and ``ceil(b1)`` at most
+    :data:`MAX_SCALING_FACTOR`; anything else is rejected before any check.
     """
+    for label, value in (("b1", b1), ("b2", b2), ("a", a)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
     if b1 <= 0 or b2 <= 0 or a <= 0:
         raise ValueError("all constants must be positive")
     k = int(math.ceil(b1))
+    if k > MAX_SCALING_FACTOR:
+        raise ValueError(
+            f"ceil(b1) = {k} exceeds MAX_SCALING_FACTOR = "
+            f"{MAX_SCALING_FACTOR}, the largest factor re-checked on the grid")
     t = np.linspace(0.0, 64.0, 2049)
     for kk in range(2, max(8, k) + 1):
         x = t / kk
-        gap = np.asarray(cost.fn(kk * x)) - kk * np.asarray(cost.fn(x))
-        if np.any(gap < -1e-9 * (1.0 + np.abs(np.asarray(cost.fn(kk * x))))):
+        big = cost.fn(kk * x)
+        gap = big - kk * cost.fn(x)
+        if np.any(gap < -1e-9 * (1.0 + np.abs(big))):
             raise ValueError(
                 f"profile does not satisfy alpha({kk} x) >= {kk} alpha(x); "
                 "rescaling identity not applicable")

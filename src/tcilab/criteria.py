@@ -90,33 +90,32 @@ class RearrangementMap:
 
 
 def rearrangement(mu: Measure1D) -> RearrangementMap:
-    """Build the monotone rearrangement map for ``mu``."""
+    """Build the monotone rearrangement map for ``mu``; both directions
+    take a scalar or an array by :func:`numerics.shaped`."""
     m = mu.median
 
     def forward(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xa)
-        hi = xa >= 0.0
+        out = np.empty_like(x)
+        hi = x >= 0.0
         # route each half through the tail representation that keeps full
         # relative precision (sf is exp(-x)/2 on the right, cdf exp(x)/2 on
         # the left) so the reference law maps to itself at machine accuracy
         if hi.any():
-            s = np.clip(_REF.sf(xa[hi]), _TINY_LEVEL, 1.0 - _TINY_LEVEL)
+            s = np.clip(_REF.sf(x[hi]), _TINY_LEVEL, 1.0 - _TINY_LEVEL)
             out[hi] = mu.isf(s)
         if (~hi).any():
-            t = np.clip(_REF.cdf(xa[~hi]), _TINY_LEVEL, 1.0 - _TINY_LEVEL)
+            t = np.clip(_REF.cdf(x[~hi]), _TINY_LEVEL, 1.0 - _TINY_LEVEL)
             out[~hi] = mu.quantile(t)
-        return out if np.ndim(x) else float(out[0])
+        return out
 
     def inverse(y):
-        y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
             right = -np.log(2.0 * np.maximum(mu.sf(y), 0.0))
             left = np.log(2.0 * np.maximum(mu.cdf(y), 0.0))
-        out = np.where(y >= m, right, left)
-        return out if np.ndim(y) else float(out)
+        return np.where(y >= m, right, left)
 
-    return RearrangementMap(mu, forward, inverse)
+    return RearrangementMap(mu, numerics.elementwise(forward),
+                            numerics.elementwise(inverse))
 
 
 def omega_bounds(rm: RearrangementMap, h_grid
@@ -411,7 +410,7 @@ def assemble_rate(a0: float, b: float, K: float, alpha: CostFunction) -> float:
     terms = [a0, b / 2.0]
     logK = math.log(K) if K > 1.0 else 0.0
     if logK > 0.0:
-        inv = float(alpha.inverse(logK))
+        inv = alpha.inverse(logK)
         if inv > 0.0:
             terms.append(1.0 / ((2.0 / b) * inv))
     return min(terms)
@@ -602,7 +601,7 @@ def _regular_class_check(f1: Callable, x_end: float,
     sgn = np.asarray(sides, dtype=float)[:, None]
     x = sgn * np.geomspace(x_end / 10.0, x_end, 8)
     h = 1e-5 * np.maximum(1.0, np.abs(x))
-    d1, up, down = np.asarray(f1(np.stack((x, x + h, x - h))), dtype=float)
+    d1, up, down = f1(np.stack((x, x + h, x - h)))
     d2 = (up - down) / (2.0 * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(d1 != 0, np.abs(d2) / d1 ** 2, math.inf)
@@ -671,10 +670,8 @@ def _suff_condition(mu: Measure1D, alpha: CostFunction, adm: Verdict,
 
     # r[lambda, side, probe], sides (+, -)
     lam_col = np.asarray(lams, dtype=float)[:, None, None]
-    num = np.asarray(alpha.deriv(lam_col * _SIDES * _RATIO_PROBES),
-                     dtype=float)
-    den = np.asarray(mu.potential_deriv(m + _SIDES * _RATIO_PROBES),
-                     dtype=float)
+    num = alpha.deriv(lam_col * _SIDES * _RATIO_PROBES)
+    den = mu.potential_deriv(m + _SIDES * _RATIO_PROBES)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den != 0, np.abs(num / den), math.inf)
     finite = np.isfinite(r).all(axis=-1)
@@ -764,18 +761,17 @@ def lsi_tilde_potential(mu: Measure1D
             INCONCLUSIVE, {},
             {"reason": "slope equation t V'(t) = 2 not bracketed on "
                        "[1e-6, 1e6]"})
-    v_a0 = float(V(a0))
+    v_a0 = V(a0)
     profile = _spliced(
         f"spliced({mu.name})",
-        lambda t: np.asarray(V(a0 * t), dtype=float) + 1.0 - v_a0,
-        lambda t: a0 * np.asarray(dV(a0 * t), dtype=float), None,
+        lambda t: V(a0 * t) + 1.0 - v_a0, lambda t: a0 * dV(a0 * t), None,
         convex=False, kinks=())
     # not _is_convex_numeric: its [-64, 64] grid overflows V = e^{x^2}
     ts = np.linspace(-8.0, 8.0, 401)
     convex_ok = bool(np.all(np.diff(profile.fn(ts), 2) >= -1e-9))
     profile = replace(profile, convex=convex_ok)
     adm = validate_admissible(profile)
-    sym = float(np.max(np.abs(np.asarray(V(ts)) - np.asarray(V(-ts)))))
+    sym = float(np.max(np.abs(V(ts) - V(-ts))))
     status = HOLDS if (adm.holds and convex_ok and sym < 1e-8) else INCONCLUSIVE
     verdict = Verdict(status, {"a0": a0} if status == HOLDS else {},
                       {"admissible": adm.status, "convex": convex_ok,
@@ -791,14 +787,12 @@ def skewed_cost(rm: RearrangementMap, base_cost: CostFunction,
     The returned ``cost(y1, y2)`` equals ``prefactor *
     base_cost(scale * (T^{-1}y1 - T^{-1}y2))``; on the diagonal it vanishes,
     and for the reference law it coincides with the base cost itself.
-    ``scale`` defaults to 1.
+    ``scale`` defaults to 1.  ``y1`` and ``y2`` broadcast; two scalars give
+    a float.
     """
     a = 1.0 if scale is None else float(scale)
 
     def cost(y1, y2):
-        u = rm.inverse(np.asarray(y1, dtype=float))
-        v = rm.inverse(np.asarray(y2, dtype=float))
-        out = prefactor * base_cost.fn(a * (np.asarray(u) - np.asarray(v)))
-        return out if np.ndim(out) else float(out)
+        return prefactor * base_cost.fn(a * (rm.inverse(y1) - rm.inverse(y2)))
 
     return cost

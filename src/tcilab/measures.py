@@ -45,7 +45,7 @@ class Measure1D:
     Parameters
     ----------
     potential : callable
-        Vectorized potential ``V``; the *normalized* density is
+        Potential ``V`` of a flat float array; the *normalized* density is
         ``exp(-V(x) - logZ)``.
     logZ : float
         Log normalizer so that the density integrates to one.
@@ -60,7 +60,8 @@ class Measure1D:
         cdf and sf must give exactly 0 or 1: the verifiers take the mass of
         an interval with an infinite end straight from them.
     potential_deriv : callable, optional
-        ``V'`` where available; numeric central differences otherwise.
+        ``V'`` of a flat float array where available; numeric central
+        differences otherwise.
     kink_points : tuple
         Locations where the density is not smooth; quadrature grids place
         segment boundaries there.
@@ -72,18 +73,16 @@ class Measure1D:
     matching survival values; outside the window cdf and sf are 0 or 1.
 
     Every evaluator (``cdf``, ``sf``, ``quantile``, ``isf``, ``log_density``
-    and ``density``) has one path, :func:`_shaped`: the argument is
-    flattened, the array form (closed form or cell table, chosen at call
-    time) runs once, and the result takes the argument's shape.  A scalar
-    is a length-one array and comes back as a float, so it equals the
-    element of an array call bit for bit.
+    and ``density``) and ``potential`` and ``potential_deriv`` take a
+    scalar or an array by the package's one rule, :func:`numerics.shaped`;
+    an evaluator's form (closed form or cell table) is chosen at call time.
     """
 
     def __init__(self, potential, logZ, support=(-math.inf, math.inf),
                  name="measure", cdf=None, sf=None, quantile_fn=None,
                  isf_fn=None, potential_deriv=None, kink_points=(),
                  median=None, _table=None):
-        self.potential = potential
+        self.potential = numerics.elementwise(potential)
         self.logZ = float(logZ)
         self.support = (float(support[0]), float(support[1]))
         self.name = name
@@ -91,7 +90,8 @@ class Measure1D:
         self._sf = sf
         self._quantile = quantile_fn
         self._isf = isf_fn
-        self.potential_deriv = potential_deriv
+        self.potential_deriv = (None if potential_deriv is None else
+                                numerics.elementwise(potential_deriv))
         self.kink_points = tuple(kink_points)
         self._table = _table  # (grid, F_grid, S_grid) for numeric measures
         forms = (("cdf", cdf), ("sf", sf), ("quantile_fn", quantile_fn),
@@ -107,22 +107,22 @@ class Measure1D:
             self.grid, self.F_grid, self._S_grid = self._table
         self.median = float(median) if median is not None else self.quantile(0.5)
 
-    # -- evaluators: one path each, through _shaped ------------------------
+    # -- evaluators: one path each, through numerics.shaped -----------------
     def log_density(self, x):
-        return _shaped(self._log_density, x)
+        return numerics.shaped(self._log_density, x)
 
     def density(self, x):
-        return _shaped(self._density, x)
+        return numerics.shaped(self._density, x)
 
     def cdf(self, x):
-        return _shaped(self._cdf or self._table_cdf, x)
+        return numerics.shaped(self._cdf or self._table_cdf, x)
 
     def sf(self, x):
         """Survival function, computed upper-tail-first for accuracy."""
-        return _shaped(self._sf or self._table_sf, x)
+        return numerics.shaped(self._sf or self._table_sf, x)
 
     def quantile(self, t):
-        return _shaped(self._quantile or self._table_quantile, t)
+        return numerics.shaped(self._quantile or self._table_quantile, t)
 
     def isf(self, s):
         """Upper-tail quantile: the x with ``sf(x) = s``.
@@ -130,15 +130,14 @@ class Measure1D:
         Unlike ``quantile(1 - s)`` this stays accurate when ``s`` is many
         orders of magnitude below 1.
         """
-        return _shaped(self._isf or self._table_isf, s)
+        return numerics.shaped(self._isf or self._table_isf, s)
 
     # -- flat float arrays in and out ---------------------------------------
     def _log_density(self, x):
         lo, hi = self.support
         inside = (x >= lo) & (x <= hi)
         safe = np.where(inside, x, 0.5 * (max(lo, -1e300) + min(hi, 1e300)))
-        return np.where(inside, -np.asarray(self.potential(safe), dtype=float)
-                        - self.logZ, -np.inf)
+        return np.where(inside, -self.potential(safe) - self.logZ, -np.inf)
 
     def _density(self, x):
         with np.errstate(over="ignore"):
@@ -188,18 +187,6 @@ class Measure1D:
 
     def __repr__(self):
         return f"Measure1D({self.name})"
-
-
-def _shaped(fn, x):
-    """``fn`` (flat float array in, array of the same length out) applied to
-    scalar or array ``x``: the argument is flattened, ``fn`` runs once, and
-    the result takes the argument's shape.  A scalar is a length-one array
-    and comes back as a Python float, so scalar and array calls agree bit
-    for bit.
-    """
-    xa = np.asarray(x, dtype=float)
-    out = fn(xa.ravel())
-    return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -253,7 +240,7 @@ class ResidualDistribution:
 
     def tail(self, h):
         """P(residual >= h); vectorized, equals 1 for h <= 0."""
-        return _shaped(self._tail, h)
+        return numerics.shaped(self._tail, h)
 
     def _tail(self, h):
         hp = np.maximum(h, 0.0)
@@ -292,7 +279,7 @@ def _exponential_symmetric():
         log = np.log(2.0 * np.minimum(s, 1.0 - s))
         return log * np.copysign(1.0, -(0.5 - s))
 
-    return Measure1D(lambda x: np.abs(x), log2, name="exponential_symmetric",
+    return Measure1D(np.abs, log2, name="exponential_symmetric",
                      cdf=cdf, sf=sf, quantile_fn=quantile, isf_fn=isf,
                      potential_deriv=np.sign, kink_points=(0.0,), median=0.0)
 
@@ -313,14 +300,14 @@ def _gaussian(sigma=1.0, mean=0.0):
 
     label = f"gaussian(sigma={s:g})" if m == 0.0 else \
         f"gaussian(sigma={s:g},mean={m:g})"
-    return Measure1D(lambda x: (np.asarray(x, dtype=float) - m) ** 2 / (2.0 * s * s),
+    return Measure1D(lambda x: (x - m) ** 2 / (2.0 * s * s),
                      math.log(s * math.sqrt(2.0 * math.pi)),
                      name=label,
                      cdf=lambda x: special.ndtr((x - m) / s),
                      sf=lambda x: special.ndtr(-(x - m) / s),
                      quantile_fn=lambda t: m + s * special.ndtri(t),
                      isf_fn=lambda u: m - s * special.ndtri(u),
-                     potential_deriv=lambda x: (np.asarray(x, dtype=float) - m) / (s * s),
+                     potential_deriv=lambda x: (x - m) / (s * s),
                      median=m)
 
 
@@ -339,7 +326,7 @@ def _cauchy():
             left = -1.0 / np.tan(math.pi * (1.0 - np.maximum(s, 0.5)))
         return np.where(s <= 0.5, right, left)
 
-    return Measure1D(lambda x: np.log1p(np.asarray(x, dtype=float) ** 2),
+    return Measure1D(lambda x: np.log1p(x ** 2),
                      math.log(math.pi), name="cauchy",
                      cdf=lambda x: sf(-x), sf=sf,
                      quantile_fn=lambda t: np.tan(math.pi * (t - 0.5)),
@@ -373,9 +360,13 @@ def _exp_power(p):
         return np.where(s <= 0.5, body, -body)
 
     def quantile(t):
-        # the lower half mirrors isf: 1 - 2t would round away a small t
-        body = special.gammaincinv(inv_p, np.abs(2.0 * t - 1.0)) ** inv_p
-        return np.where(t >= 0.5, body, -isf(t))
+        # the lower half mirrors isf: 1 - 2t would round away a small t;
+        # each inverse runs on its own half only
+        up = t >= 0.5
+        out = np.empty_like(t)
+        out[up] = special.gammaincinv(inv_p, 2.0 * t[up] - 1.0) ** inv_p
+        out[~up] = -isf(t[~up])
+        return out
 
     kinks = (0.0,) if p < 2.0 else ()
     return Measure1D(lambda x: np.abs(x) ** p, logZ, name=f"exp_power(p={p:g})",
@@ -388,7 +379,7 @@ def _one_sided_exp(rate=1.0):
     a = _finite("rate", rate)
     if a <= 0:
         raise ValueError("rate must be positive")
-    return Measure1D(lambda x: a * np.asarray(x, dtype=float),
+    return Measure1D(lambda x: a * x,
                      -math.log(a), support=(0.0, math.inf),
                      name=f"one_sided_exp(rate={a:g})",
                      cdf=lambda x: np.where(x >= 0, -np.expm1(-a * np.maximum(x, 0.0)),
@@ -397,7 +388,7 @@ def _one_sided_exp(rate=1.0):
                                            1.0),
                      quantile_fn=lambda t: -np.log1p(-t) / a,
                      isf_fn=lambda u: -np.log(u) / a,
-                     potential_deriv=lambda x: np.full_like(np.asarray(x, dtype=float), a),
+                     potential_deriv=lambda x: np.full_like(x, a),
                      kink_points=(0.0,), median=math.log(2.0) / a)
 
 
@@ -456,9 +447,7 @@ def _numeric_measure(potential, support, potential_deriv, name, kink_points,
     (points where the density may be less smooth than the 15-point rule
     needs)."""
     lo_s, hi_s = float(support[0]), float(support[1])
-
-    def V(x):
-        return np.asarray(potential(np.asarray(x, dtype=float)), dtype=float)
+    V = numerics.elementwise(potential)
 
     # rough location/value of the density peak
     probes = np.concatenate((-np.geomspace(1e-3, 1e9, 160)[::-1], [0.0],
@@ -546,7 +535,7 @@ def _numeric_measure(potential, support, potential_deriv, name, kink_points,
                 0.0, 1.0)
     S[0] = 1.0
 
-    return Measure1D(potential, logZ, support=(lo_s, hi_s), name=name,
+    return Measure1D(V, logZ, support=(lo_s, hi_s), name=name,
                      potential_deriv=potential_deriv, kink_points=kink_points,
                      _table=(edges, F, S))
 
@@ -570,21 +559,19 @@ def make_from_table(xs: Sequence[float], vs: Sequence[float],
     if np.any(np.diff(xs) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
     interp, dinterp = numerics.pchip(xs, vs)
-    slope_r = float(dinterp(xs[-1]))
-    slope_l = float(dinterp(xs[0]))
+    slope_r = dinterp(xs[-1])
+    slope_l = dinterp(xs[0])
     if slope_r <= 0 or slope_l >= 0:
         raise ValueError("edge slopes must point upward on both sides "
                          "(left slope < 0 < right slope); table rejected")
 
     def V(x):
-        x = np.asarray(x, dtype=float)
         inner = interp(np.clip(x, xs[0], xs[-1]))
         left = vs[0] + slope_l * (x - xs[0])
         right = vs[-1] + slope_r * (x - xs[-1])
         return np.where(x < xs[0], left, np.where(x > xs[-1], right, inner))
 
     def dV(x):
-        x = np.asarray(x, dtype=float)
         inner = dinterp(np.clip(x, xs[0], xs[-1]))
         return np.where(x < xs[0], slope_l, np.where(x > xs[-1], slope_r, inner))
 

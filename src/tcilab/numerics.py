@@ -1,9 +1,10 @@
-"""Shared numeric helpers: the truncated-limit rule, sup searches, the root
-solver, the PCHIP interpolant, quadrature.
+"""Shared numeric helpers: the evaluation rule, the truncated-limit rule, sup
+searches, the root solver, the PCHIP interpolant, quadrature.
 
-Everything in here is deterministic and keeps no module state; callers
-pass explicit grids, tolerances and truncation schedules.  Integrals run on
-whole arrays through the Gauss-Kronrod cell engine
+Every callable the package hands out takes a scalar or an array through
+:func:`shaped`.  Everything in here is deterministic and keeps no module
+state; callers pass explicit grids, tolerances and truncation schedules.
+Integrals run on whole arrays through the Gauss-Kronrod cell engine
 (:func:`gauss_kronrod_cells`); infinite-range ones are truncated limits
 decided by :func:`guarded_limit`.  Every monotone equation is solved by
 :func:`monotone_root`, all elements at once.  The scalar adaptive
@@ -12,6 +13,7 @@ decided by :func:`guarded_limit`.  Every monotone equation is solved by
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -25,6 +27,24 @@ TRUNCATION_RATIO = 1e-16
 DIVERGENCE_GROWTH = 0.10
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def shaped(fn: Callable[[np.ndarray], np.ndarray], x):
+    """The package's one evaluation rule: ``fn`` (flat float array in, array
+    of its length out) runs once on the flattened ``x`` and the result takes
+    the shape of ``x``.  A scalar is a length-one array and comes back as a
+    float, bit for bit the element of an array call."""
+    xa = np.asarray(x, dtype=float)
+    out = fn(xa.ravel())
+    return out.reshape(xa.shape) if xa.ndim else float(out[0])
+
+
+def elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """``fn`` as a callable of a scalar or an array, by :func:`shaped`; a
+    callable this returned comes back as it is."""
+    if isinstance(fn, functools.partial) and fn.func is shaped:
+        return fn
+    return functools.partial(shaped, fn)
 
 
 def quad(f: Callable[[float], float], a: float, b: float,
@@ -174,10 +194,11 @@ def _pchip_end_slope(h0, h1, m0, m1):
 def pchip(x, y):
     """Monotone cubic Hermite interpolant (Fritsch & Carlson 1980) of a table.
 
-    Returns the callables ``(value, derivative)``; both are ``nan`` outside
-    ``[x[0], x[-1]]``.  ``x`` is strictly increasing with at least 3 points.
-    The arithmetic is scipy's ``PchipInterpolator(x, y, extrapolate=False)``
-    step for step, so results agree with it bit for bit: harmonic-mean
+    Returns the callables ``(value, derivative)``, which take a scalar or an
+    array by :func:`shaped`; both are ``nan`` outside ``[x[0], x[-1]]``.
+    ``x`` is strictly increasing with at least 3 points.  The arithmetic is
+    scipy's ``PchipInterpolator(x, y, extrapolate=False)`` step for step,
+    so results agree with it bit for bit: harmonic-mean
     interior slopes (0 where the secants change sign or one is 0), the
     three-point end rule, power-basis coefficients per cell evaluated as an
     ascending power sum, and ``x[-1]`` in the last cell.
@@ -210,14 +231,11 @@ def pchip(x, y):
             return np.where(q == qc, res, np.nan)
 
         def f(q):
-            q = np.asarray(q, dtype=float)
             if q.size <= _PCHIP_BLOCK:
                 return block(q)
-            flat = q.ravel()
-            return np.concatenate([block(flat[j:j + _PCHIP_BLOCK]) for j in
-                                   range(0, flat.size, _PCHIP_BLOCK)]
-                                  ).reshape(q.shape)
-        return f
+            return np.concatenate([block(q[j:j + _PCHIP_BLOCK]) for j in
+                                   range(0, q.size, _PCHIP_BLOCK)])
+        return elementwise(f)
 
     deriv = coef[:-1] * np.array([[3.0], [2.0], [1.0]])
     return evaluator(coef), evaluator(deriv)

@@ -32,7 +32,8 @@ class GridFunction:
     """Piecewise-linear function given by values on a sorted grid.
 
     Evaluation interpolates linearly inside the grid and continues with the
-    boundary values outside (so the function is always bounded).
+    boundary values outside (so the function is always bounded); it takes
+    a scalar or an array by :func:`numerics.shaped`.
     """
 
     grid: np.ndarray
@@ -51,8 +52,10 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
 
     def __call__(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
-        return out if np.ndim(x) else float(out)
+        return numerics.shaped(self._interp, x)
+
+    def _interp(self, x):
+        return np.interp(x, self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,7 @@ def _ground(alpha: CostFunction, scale: Optional[float], prefactor: float):
     if not (0.0 < a < math.inf and 0.0 < prefactor < math.inf):
         raise ValueError("scale and prefactor must be finite and positive")
 
-    def c(d):
-        return prefactor * np.asarray(alpha.fn(a * np.asarray(d, dtype=float)),
-                                      dtype=float)
-    return a, c
+    return a, lambda d: prefactor * alpha.fn(a * d)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ class ExactInfConvolution:
         self.knot_cost = np.empty((len(kn), len(self.query)))
         for i in range(0, len(kn), rows):
             self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
-        self._c0 = float(c(np.zeros(1))[0])
+        self._c0 = c(0.0)
         # c on a geometric grid of distances (0.7 % apart) out to the
         # farthest query-knot pair; the band of a knot ends at the first
         # distance whose cost tops its room
@@ -348,8 +348,7 @@ class ExactInfConvolution:
         span = np.ptp(self.knots) + np.ptp(self.query) + 1.0
         kinks = [k for k in alpha.kinks if 0.0 < k / a < span]
         self._fixed = np.array([0.0, *(k / a for k in kinks)])
-        self._cprime = lambda d: prefactor * a * np.asarray(
-            alpha.deriv(a * d), dtype=float)
+        self._cprime = lambda d: prefactor * a * alpha.deriv(a * d)
         # rising runs of c' between kinks, sampled with the left limit at
         # each kink (deriv is the right derivative)
         self._runs = []
@@ -357,7 +356,7 @@ class ExactInfConvolution:
         for lo, hi, end in zip(self._fixed, [*self._fixed[1:], span], ends):
             d = np.linspace(lo, hi, 513)
             cp = self._cprime(d)
-            cp[-1] = prefactor * a * float(alpha.deriv(end))
+            cp[-1] = prefactor * a * alpha.deriv(end)
             up = np.diff(cp) >= 0.0
             cuts = [0, *(np.flatnonzero(up[1:] != up[:-1]) + 1), len(up)]
             self._runs += [(cp[i:j + 1], d[i:j + 1])

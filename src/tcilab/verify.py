@@ -954,17 +954,9 @@ def tci_to_strong_cost(theta: CostFunction) -> CostFunction:
     if not theta.convex:
         raise ValueError("requires a convex cost profile")
 
-    def fn(x, base=theta.fn):
-        return 2.0 * np.asarray(base(np.asarray(x, dtype=float) / 2.0),
-                                dtype=float)
-
-    def deriv(x, base=theta.deriv):
-        return np.asarray(base(np.asarray(x, dtype=float) / 2.0), dtype=float)
-
-    def inv(sv, base=theta.inverse):
-        return 2.0 * np.asarray(base(np.asarray(sv, dtype=float) / 2.0),
-                                dtype=float)
-
-    return CostFunction(name=f"doubled_{theta.name}", fn=fn, deriv=deriv,
-                        inverse=inv, convex=True,
+    return CostFunction(name=f"doubled_{theta.name}",
+                        fn=lambda x: 2.0 * theta.fn(x / 2.0),
+                        deriv=lambda x: theta.deriv(x / 2.0),
+                        inverse=lambda s: 2.0 * theta.inverse(s / 2.0),
+                        convex=True,
                         kinks=tuple(2.0 * k for k in theta.kinks))

@@ -684,6 +684,31 @@ class TestRescaling:
         with pytest.raises(ValueError):
             scaling_equivalence_constant(theta2, -1.0, 1.0)
 
+    @pytest.mark.parametrize("label,bad", [
+        ("b1", math.inf), ("b1", math.nan), ("b1", -math.inf),
+        ("b2", math.inf), ("b2", math.nan), ("a", math.inf), ("a", math.nan)])
+    def test_non_finite_constants_are_named(self, theta2, label, bad):
+        args = {"b1": 2.0, "b2": 4.0, "a": 1.0, label: bad}
+        with pytest.raises(ValueError, match=f"^{label} must be finite"):
+            scaling_equivalence_constant(theta2, **args)
+
+    def test_factor_cap(self, theta2):
+        from tcilab.costs import MAX_SCALING_FACTOR
+        calls = []
+
+        def fn(t):
+            calls.append(1)
+            return theta2.fn(t)
+        spy = dataclasses.replace(theta2, fn=fn)
+        for b1 in (MAX_SCALING_FACTOR + 0.5, 1e300):
+            with pytest.raises(ValueError, match="MAX_SCALING_FACTOR"):
+                scaling_equivalence_constant(spy, b1, 1.0)
+        assert calls == []  # refused before any grid re-check
+        # the largest accepted factor still runs every re-check
+        assert scaling_equivalence_constant(
+            spy, float(MAX_SCALING_FACTOR), 2.0) == 0.5 / MAX_SCALING_FACTOR
+        assert len(calls) == 2 * (MAX_SCALING_FACTOR - 1)
+
 
 def _numeric_inverse_costs():
     ts = np.linspace(0.0, 6.0, 200)
@@ -726,3 +751,88 @@ class TestNumericInverses:
         out = cost.inverse(levels)
         assert out.shape == (2, 3)
         np.testing.assert_array_equal(out.ravel(), cost.inverse(levels.ravel()))
+
+
+def _rule_cases():
+    """Every kind of callable the package hands out, as ``(label, callable,
+    argument arrays)``; a callable of two arguments gets two arrays."""
+    rng = np.random.default_rng(32)
+
+    def pts(lo, hi, n, *fixed):
+        return np.concatenate((fixed, rng.uniform(lo, hi, n - len(fixed))))
+
+    def cost_calls(cost, n=16, slopes=None):
+        calls = [("fn", cost.fn, (pts(-10.0, 10.0, n, 0.0, 1.0, -1.0),)),
+                 ("deriv", cost.deriv, (pts(-10.0, 10.0, n, 0.0, 1.0),)),
+                 ("inverse", cost.inverse, (pts(0.0, 20.0, n, 0.0, 1.0),))]
+        if cost.maximizer is not None:
+            calls.append(("maximizer", cost.maximizer,
+                          (pts(0.0, 3.0, n, 0.0, 0.5),)))
+        return calls
+
+    builtins = {f"{n} p={p:g}": (n, {"p": p})
+                for n in ("alpha_p", "theta_p") for p in (1.5, 2.0, 3.0)}
+    builtins.update(alpha1=("alpha1", {}), maurey=("maurey", {}),
+                    gamma=("gamma", {"lam": 0.5}))
+    cases = {k: (lambda n=n, p=p: cost_calls(builtin_cost(n, **p)))
+             for k, (n, p) in builtins.items()}
+    cases["table"] = lambda: cost_calls(_table_cost())
+    cases["conjugate closed form"] = lambda: cost_calls(
+        conjugate(builtin_cost("theta_p", p=3.0)))
+    cases["conjugate column search"] = lambda: cost_calls(
+        conjugate(_table_cost()), n=6)
+    cases["tci_to_strong_cost"] = lambda: cost_calls(
+        verify.tci_to_strong_cost(builtin_cost("theta_p", p=2.0)))
+
+    def transport_calls():
+        from tcilab.transport import GridFunction
+        grid = np.linspace(0.0, 10.0, 11)
+        g = GridFunction(grid, rng.normal(size=11))
+        return [("GridFunction", g, (pts(-2.0, 12.0, 16, 0.0, 10.0),))]
+
+    def rearrangement_calls():
+        rm = criteria.rearrangement(
+            measures.make_builtin("exp_power", p=1.5))
+        skew = criteria.skewed_cost(rm, builtin_cost("alpha1"), scale=0.7,
+                                    prefactor=2.0)
+        return [("forward", rm.forward, (pts(-15.0, 15.0, 16, 0.0),)),
+                ("inverse", rm.inverse, (pts(-5.0, 5.0, 16, 0.0),)),
+                ("skewed_cost", skew, (pts(-5.0, 5.0, 16, 0.0),
+                                       pts(-5.0, 5.0, 16, 1.0)))]
+
+    cases["GridFunction"] = transport_calls
+    cases["rearrangement"] = rearrangement_calls
+    return cases
+
+
+_RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_RULE_CASES))
+def test_scalar_calls_are_array_elements(case):
+    # one evaluation rule: a scalar or a 0-d argument is a length-one array
+    # and comes back as a float with the bits of its array element, and a
+    # 2-D argument keeps its shape
+    for label, fn, args in _RULE_CASES[case]():
+        arr = fn(*args)
+        n = len(arr)
+        for wrap in (float, np.array):
+            scalars = [fn(*(wrap(a[i]) for a in args)) for i in range(n)]
+            assert {type(v) for v in scalars} == {float}, (label, wrap)
+            np.testing.assert_array_equal(
+                np.array(scalars).view(np.int64), arr.view(np.int64),
+                err_msg=f"{label} {wrap.__name__}")
+        square = fn(*(a.reshape(2, -1) for a in args))
+        assert square.shape == (2, n // 2), label
+        np.testing.assert_array_equal(square.ravel().view(np.int64),
+                                      arr.view(np.int64), err_msg=label)
+
+
+def test_rewrapping_adds_no_layer():
+    # a rebuilt profile (dataclasses.replace, lsi_tilde_potential's
+    # convexity flag) keeps the callables it was given
+    cost = builtin_cost("alpha1")
+    again = dataclasses.replace(cost, convex=True)
+    for field in ("fn", "deriv", "inverse", "maximizer"):
+        assert getattr(again, field) is getattr(cost, field)
+    assert numerics.elementwise(cost.fn) is cost.fn

@@ -1,6 +1,8 @@
 """Every module-level import of the package is referenced in its module,
-every name a module exports through ``__all__`` exists, every built-in
-cost has a closed-form conjugate, and no measure forms a reference cycle."""
+every name a module exports through ``__all__`` exists, only the shared
+evaluation rule picks a return type by the argument's dimension, every
+built-in cost has a closed-form conjugate, and no measure forms a reference
+cycle."""
 
 import ast
 import gc
@@ -48,6 +50,31 @@ def test_every_export_resolves(path):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _picks_float_by_ndim(node):
+    """An ``if``/``x if c else y`` whose test reads ``ndim`` and one of whose
+    branches returns or is ``float(...)``."""
+    if not isinstance(node, (ast.If, ast.IfExp)):
+        return False
+    reads_ndim = any(getattr(n, "attr", getattr(n, "id", None)) == "ndim"
+                     for n in ast.walk(node.test))
+    branches = ([node.body, node.orelse] if isinstance(node, ast.IfExp)
+                else [*node.body, *node.orelse])
+    return reads_ndim and any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "float"
+        for b in branches for n in ast.walk(b))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_shared_rule_picks_float_by_ndim(path):
+    # scalar-or-array evaluation goes through numerics.shaped; a second
+    # branch would give a second rounding or another return type
+    tree = ast.parse(path.read_text())
+    found = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             and any(_picks_float_by_ndim(n) for n in ast.walk(fn))}
+    assert found == ({"shaped"} if path.name == "numerics.py" else set())
 
 
 @pytest.mark.parametrize("name", sorted(costs._COST_BUILTINS))

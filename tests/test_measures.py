@@ -82,6 +82,23 @@ class TestBuiltins:
                 assert ep.cdf(ep.quantile(t)) == pytest.approx(t, rel=1e-10)
             assert ep.quantile(0.5) == 0.0
 
+    @pytest.mark.parametrize("p", [0.5, 1.25, 2.0, 3.0])
+    def test_exp_power_quantile_runs_each_inverse_on_its_half(self, p):
+        # pinned bit for bit against the form that ran both inverses on
+        # every level and selected afterwards
+        from scipy import special
+
+        inv_p = 1.0 / p
+        t = np.concatenate(([0.5, 1e-16, 1.0 - 1e-16, 1e-300, 0.25, 0.75],
+                            np.random.default_rng(5).uniform(size=2000)))
+        tail = np.where(t <= 0.5, t, 1.0 - t)
+        low = special.gammainccinv(inv_p, 2.0 * tail) ** inv_p
+        low = np.where(t <= 0.5, low, -low)
+        high = special.gammaincinv(inv_p, np.abs(2.0 * t - 1.0)) ** inv_p
+        want = np.where(t >= 0.5, high, -low)
+        got = make_builtin("exp_power", p=p).quantile(t)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_one_sided_exp(self):
         m = make_builtin("one_sided_exp", rate=2.0)
         assert m.support[0] == 0.0
