@@ -330,11 +330,14 @@ class ExactInfConvolution:
                 np.diff(self.query) < 0.0):
             raise ValueError("query points must be finite and nondecreasing")
         self.knots = np.asarray(knots, dtype=float)
-        # knot-major, built in blocks of about 2**16 entries per call of c
+        # knot-major, in blocks of about 2**16 entries per call of c; a block
+        # holds its distances first, so c runs with no other block alive
         rows, kn = max(1, 2 ** 16 // max(len(self.query), 1)), self.knots
         self.knot_cost = np.empty((len(kn), len(self.query)))
         for i in range(0, len(kn), rows):
-            self.knot_cost[i:i + rows] = c(self.query - kn[i:i + rows, None])
+            block = self.knot_cost[i:i + rows]
+            block[...] = c(np.subtract(self.query, kn[i:i + rows, None],
+                                       out=block))
         self._c0 = c(0.0)
         # c on a geometric grid of distances (0.7 % apart) out to the
         # farthest query-knot pair; the band of a knot ends at the first

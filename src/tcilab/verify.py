@@ -285,7 +285,7 @@ def dual_check_strong(mu: Measure1D, alpha: CostFunction,
     report repeats the seed and keeps the worst potential for replay.
     """
     trials = _whole("trials", trials, 0)
-    c0 = float(transport._ground(alpha, scale, prefactor)[1](0.0))
+    c0 = transport._ground(alpha, scale, prefactor)[1](0.0)
     knots, candidates = _dual_family(mu, trials, seed)
     quadr = _DualQuadrature(mu, knots)
     engine = transport.ExactInfConvolution(quadr.query, knots, alpha, scale,
@@ -482,7 +482,7 @@ def marton_bound_check(mu: Measure1D, cost: CostFunction, set_pairs,
         if mA <= 0.0 or mB <= 0.0:
             raise ValueError("set pair includes a zero-mass set")
         gap = _set_gap(A, B)
-        lhs = float(c(gap))
+        lhs = c(gap)
         rhs = -math.log(mA) - math.log(mB)
         rows.append({"gap": gap, "cost": lhs, "bound": rhs,
                      "mass_a": mA, "mass_b": mB})
@@ -682,7 +682,7 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     mass_n = mass1 ** n
 
     t_lo, t_hi = _inside_levels(mu, lo, hi)
-    inside_cost = float(c(np.zeros(1))[0])
+    inside_cost = c(0.0)
     counts = np.zeros(r_grid.size, dtype=np.int64)
     for u in _draw_blocks(mu, samples, n, seed):
         # flat indices: a boolean gather and scatter cost twice as much
