@@ -312,17 +312,13 @@ def cost_from_table(ts, vals, name="cost_table") -> CostFunction:
         raise ValueError("abscissae must be strictly increasing")
     if np.any(np.diff(vals) < 0):
         raise ValueError("cost values must be nondecreasing")
-    interp, dinterp = numerics.pchip(ts, vals)
-    slope = dinterp(ts[-1])
+    value, slope = numerics.pchip_linear_tails(ts, vals)
 
     def fn(t):
-        t = np.abs(t)
-        inner = interp(np.minimum(t, ts[-1]))
-        return np.where(t <= ts[-1], inner, vals[-1] + slope * (t - ts[-1]))
+        return value(np.abs(t))
 
     def deriv(t):
-        # dinterp(ts[-1]) is the edge slope, so clamping continues it
-        return dinterp(np.minimum(np.abs(t), ts[-1]))
+        return slope(np.abs(t))
 
     return CostFunction(name, fn, deriv, _numeric_inverse(fn),
                         convex=_is_convex_numeric(fn))

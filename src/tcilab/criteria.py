@@ -21,8 +21,8 @@ import numpy as np
 from . import numerics
 from .costs import (CostFunction, _numeric_inverse, _spliced, builtin_cost,
                     validate_admissible)
-from .measures import (_GRID_LEVEL, Measure1D, _hazard_side, _scan_grids,
-                       is_log_concave, make_builtin)
+from .measures import (Measure1D, _hazard_side, _scan_grids, is_log_concave,
+                       make_builtin)
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 __all__ = [
@@ -549,7 +549,7 @@ def _decide_logconcave(mu: Measure1D, alpha: CostFunction, kappa: float,
     a = assemble_rate(a0, b, Mb, alpha)
 
     # pointwise certificate on a geometric h-grid
-    h_max = max(mu.quantile(1.0 - _GRID_LEVEL) - m, m - mu.quantile(_GRID_LEVEL))
+    h_max = max(mu.scan_end(True) - m, m - mu.scan_end(False))
     hs = numerics.geometric_offsets(h_max, 257)[1:]
     with np.errstate(divide="ignore", over="ignore"):
         g0 = 2.0 * np.maximum(mu.sf(m + hs), mu.cdf(m - hs))

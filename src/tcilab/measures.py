@@ -37,6 +37,7 @@ __all__ = [
 _QUANTILE_TOL = 1e-13          # |F(x) - t| target for numeric quantiles
 _ISF_RTOL = 1e-12              # |S(x) - s| / s target for numeric isf
 _DRAW_BLOCK = 1 << 14          # values per block of a streamed draw
+_GRID_LEVEL = 1e-10            # quantile level of the far ends of _scan_grids
 
 
 class Measure1D:
@@ -105,6 +106,7 @@ class Measure1D:
                 "make_from_table)")
         if self._table is not None:
             self.grid, self.F_grid, self._S_grid = self._table
+        self._ends = {}  # scan_end by side, each found on its first use
         self.median = float(median) if median is not None else self.quantile(0.5)
 
     # -- evaluators: one path each, through numerics.shaped -----------------
@@ -132,10 +134,21 @@ class Measure1D:
         """
         return numerics.shaped(self._isf or self._table_isf, s)
 
+    def scan_end(self, right: bool) -> float:
+        """The far end of a scan grid, ``quantile(1 - _GRID_LEVEL)`` if
+        ``right`` else ``quantile(_GRID_LEVEL)``, found once and kept."""
+        end = self._ends.get(right)
+        if end is None:
+            end = self._ends[right] = self.quantile(
+                1.0 - _GRID_LEVEL if right else _GRID_LEVEL)
+        return end
+
     # -- flat float arrays in and out ---------------------------------------
     def _log_density(self, x):
         lo, hi = self.support
         inside = (x >= lo) & (x <= hi)
+        if inside.all():
+            return -self.potential(x) - self.logZ
         safe = np.where(inside, x, 0.5 * (max(lo, -1e300) + min(hi, 1e300)))
         return np.where(inside, -self.potential(safe) - self.logZ, -np.inf)
 
@@ -149,7 +162,7 @@ class Measure1D:
         g = self.grid
         xc = np.clip(x, g[0], g[-1])
         k = np.clip(np.searchsorted(g, xc, side="right") - 1, 0, len(g) - 2)
-        part, _ = numerics.gauss_kronrod(self.density, g[k], xc)
+        part = numerics.kronrod_value(self.density, g[k], xc)
         out = self.F_grid[k] + part
         out = np.where(x >= g[-1], 1.0, out)
         return np.clip(out, 0.0, 1.0)
@@ -159,7 +172,7 @@ class Measure1D:
         g = self.grid
         xc = np.clip(x, g[0], g[-1])
         k1 = np.clip(np.searchsorted(g, xc, side="left"), 1, len(g) - 1)
-        part, _ = numerics.gauss_kronrod(self.density, xc, g[k1])
+        part = numerics.kronrod_value(self.density, xc, g[k1])
         out = self._S_grid[k1] + part
         out = np.where(x <= g[0], 1.0, out)
         return np.clip(out, 0.0, 1.0)
@@ -558,23 +571,10 @@ def make_from_table(xs: Sequence[float], vs: Sequence[float],
             raise ValueError(f"table {col} must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
-    interp, dinterp = numerics.pchip(xs, vs)
-    slope_r = dinterp(xs[-1])
-    slope_l = dinterp(xs[0])
-    if slope_r <= 0 or slope_l >= 0:
+    V, dV = numerics.pchip_linear_tails(xs, vs)
+    if dV(xs[-1]) <= 0 or dV(xs[0]) >= 0:
         raise ValueError("edge slopes must point upward on both sides "
                          "(left slope < 0 < right slope); table rejected")
-
-    def V(x):
-        inner = interp(np.clip(x, xs[0], xs[-1]))
-        left = vs[0] + slope_l * (x - xs[0])
-        right = vs[-1] + slope_r * (x - xs[-1])
-        return np.where(x < xs[0], left, np.where(x > xs[-1], right, inner))
-
-    def dV(x):
-        inner = dinterp(np.clip(x, xs[0], xs[-1]))
-        return np.where(x < xs[0], slope_l, np.where(x > xs[-1], slope_r, inner))
-
     # the interpolant is only C1 at every abscissa, so every abscissa is a
     # cell edge; the declared kinks stay a thinned subset, which is what the
     # moment, ray and dual grids were sized for
@@ -616,7 +616,6 @@ def stochastically_dominated(nu1_tail, nu2_tail, h_grid) -> Verdict:
     return Verdict(FAILS, {}, diag)
 
 
-_GRID_LEVEL = 1e-10   # quantile level of the far ends of _scan_grids
 _HAZARD_TOL = 1e-7    # hazard drop that is_log_concave tolerates, per 1 + peak
 
 
@@ -625,9 +624,8 @@ def _scan_grids(mu: Measure1D, plus=(True, False)) -> np.ndarray:
     of a tail, the right one for each true flag of ``plus`` and the left
     one for each false flag, as the columns of one array."""
     m = mu.median
-    cols = [numerics.geometric_offsets(mu.quantile(1.0 - _GRID_LEVEL) - m, 511)
-            if right else
-            -numerics.geometric_offsets(m - mu.quantile(_GRID_LEVEL), 511)
+    cols = [numerics.geometric_offsets(mu.scan_end(True) - m, 511) if right
+            else -numerics.geometric_offsets(m - mu.scan_end(False), 511)
             for right in plus]
     return m + np.stack(cols, axis=1)
 

@@ -191,18 +191,10 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def pchip(x, y):
-    """Monotone cubic Hermite interpolant (Fritsch & Carlson 1980) of a table.
-
-    Returns the callables ``(value, derivative)``, which take a scalar or an
-    array by :func:`shaped`; both are ``nan`` outside ``[x[0], x[-1]]``.
-    ``x`` is strictly increasing with at least 3 points.  The arithmetic is
-    scipy's ``PchipInterpolator(x, y, extrapolate=False)`` step for step,
-    so results agree with it bit for bit: harmonic-mean
-    interior slopes (0 where the secants change sign or one is 0), the
-    three-point end rule, power-basis coefficients per cell evaluated as an
-    ascending power sum, and ``x[-1]`` in the last cell.
-    """
+def _pchip_rows(x, y):
+    """The table as float arrays and the power-basis rows of its PCHIP value
+    and derivative: one row per cell, the coefficient of ``s**j`` in column
+    j, ``s`` being the offset from the cell's left knot."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or len(x) < 3:
         raise ValueError("pchip needs matching 1-D tables of >= 3 points")
@@ -216,29 +208,70 @@ def pchip(x, y):
                         np.where(flat, 0.0, inner),
                         [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
     t = (d[:-1] + d[1:] - 2.0 * m) / h
-    coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    coef = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h), axis=1)
+    return x, y, coef, coef[:, 1:] * np.array([1.0, 2.0, 3.0])
 
-    def evaluator(c):
-        def block(q):
-            qc = np.clip(q, x[0], x[-1])
-            i = np.minimum(np.searchsorted(x, qc, "right"), len(h)) - 1
-            s = qc - x[i]
-            # scipy's sum starts at 0.0, which turns a -0.0 into 0.0
-            res, z = c[-1][i] + 0.0, 1.0
-            for ck in c[-2::-1]:
-                z = z * s
-                res += ck[i] * z
-            return np.where(q == qc, res, np.nan)
 
-        def f(q):
-            if q.size <= _PCHIP_BLOCK:
-                return block(q)
-            return np.concatenate([block(q[j:j + _PCHIP_BLOCK]) for j in
-                                   range(0, q.size, _PCHIP_BLOCK)])
-        return elementwise(f)
+def _pchip_sum(x, rows, q):
+    """The power sums of ``rows`` at points ``q`` of ``[x[0], x[-1]]`` (or
+    ``nan``), ``x[-1]`` in the last cell, block by block so that the
+    temporaries stay in cache: scipy's ascending sum, which starts at 0.0
+    and so turns a -0.0 into 0.0."""
+    if q.size > _PCHIP_BLOCK:
+        return np.concatenate([_pchip_sum(x, rows, q[j:j + _PCHIP_BLOCK])
+                               for j in range(0, q.size, _PCHIP_BLOCK)])
+    i = np.minimum(np.searchsorted(x, q, "right"), len(rows)) - 1
+    s = q - x[i]
+    c = rows.take(i, axis=0)
+    res, z = c[:, 0] + 0.0, s
+    for k in range(1, rows.shape[1]):
+        if k > 1:
+            z = z * s
+        res += c[:, k] * z
+    return res
 
-    deriv = coef[:-1] * np.array([[3.0], [2.0], [1.0]])
-    return evaluator(coef), evaluator(deriv)
+
+def _pchip_form(x, rows, line):
+    """The callable, by :func:`shaped`, that takes the power sums of
+    ``rows`` inside ``[x[0], x[-1]]`` and ``line(q, k)`` outside, ``k`` 0
+    below and -1 above; ``nan`` counts as inside."""
+    def f(q):
+        below, above = q < x[0], q > x[-1]
+        inside = ~(below | above)
+        if inside.all():
+            return _pchip_sum(x, rows, q)
+        out = np.empty_like(q)
+        out[inside] = _pchip_sum(x, rows, q[inside])
+        out[below], out[above] = line(q[below], 0), line(q[above], -1)
+        return out
+    return elementwise(f)
+
+
+def pchip(x, y):
+    """Monotone cubic Hermite interpolant (Fritsch & Carlson 1980) of a table.
+
+    Returns the callables ``(value, derivative)``, which take a scalar or an
+    array by :func:`shaped`; both are ``nan`` outside ``[x[0], x[-1]]``.
+    ``x`` is strictly increasing with at least 3 points.  The arithmetic is
+    scipy's ``PchipInterpolator(x, y, extrapolate=False)`` step for step,
+    so results agree with it bit for bit: harmonic-mean
+    interior slopes (0 where the secants change sign or one is 0), the
+    three-point end rule, power-basis coefficients per cell evaluated as an
+    ascending power sum, and ``x[-1]`` in the last cell.
+    """
+    x, _, *rows = _pchip_rows(x, y)
+    return tuple(_pchip_form(x, r, lambda q, k: np.nan) for r in rows)
+
+
+def pchip_linear_tails(x, y):
+    """:func:`pchip` of a table inside ``[x[0], x[-1]]``, continued linearly
+    beyond with its end slopes, the derivative at ``x[0]`` and ``x[-1]``:
+    the callables ``(value, derivative)``.  PCHIP runs on the points inside
+    the table only."""
+    x, y, value, deriv = _pchip_rows(x, y)
+    slope = _pchip_sum(x, deriv, x[[0, -1]])
+    return (_pchip_form(x, value, lambda q, k: y[k] + slope[k] * (q - x[k])),
+            _pchip_form(x, deriv, lambda q, k: slope[k]))
 
 
 def geometric_offsets(span: float, n: int) -> np.ndarray:
@@ -388,6 +421,21 @@ _GK_ROUNDS = 30
 _GK_OWNER_CELLS = 200
 
 
+def _kronrod_sums(f, a, b):
+    """``f`` at the 15 Kronrod nodes of every ``[a_i, b_i]`` (float arrays)
+    as an ``(n, 15)`` array, and the Kronrod sum of each row."""
+    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XK
+    fx = np.asarray(f(nodes), dtype=float)
+    return fx, (fx * _WK).sum(axis=1)
+
+
+def kronrod_value(f: Callable[[np.ndarray], np.ndarray], a, b):
+    """The value of :func:`gauss_kronrod` alone, bit for bit, without the
+    arithmetic of the error estimate."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _kronrod_sums(f, a, b)[1] * 0.5 * (b - a)
+
+
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Vectorized G7/K15 rule on the intervals ``[a_i, b_i]``.
 
@@ -397,10 +445,8 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XK
-    fx = np.asarray(f(nodes), dtype=float)
+    fx, resk = _kronrod_sums(f, a, b)
     half = np.abs(0.5 * (b - a))
-    resk = (fx * _WK).sum(axis=1)
     resg = (fx[:, 1::2] * _GAUSS7_WEIGHTS).sum(axis=1)
     resabs = (np.abs(fx) * _WK).sum(axis=1) * half
     resasc = (np.abs(fx - 0.5 * resk[:, None]) * _WK).sum(axis=1) * half

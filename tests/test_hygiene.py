@@ -1,8 +1,8 @@
 """Every module-level import of the package is referenced in its module,
 every name a module exports through ``__all__`` exists, only the shared
-evaluation rule picks a return type by the argument's dimension, every
-built-in cost has a closed-form conjugate, and no measure forms a reference
-cycle."""
+evaluation rule picks a return type by the argument's dimension, only
+``measures`` finds the scan ends, every built-in cost has a closed-form
+conjugate, and no measure forms a reference cycle."""
 
 import ast
 import gc
@@ -75,6 +75,18 @@ def test_only_the_shared_rule_picks_float_by_ndim(path):
              if isinstance(fn, ast.FunctionDef)
              and any(_picks_float_by_ndim(n) for n in ast.walk(fn))}
     assert found == ({"shaped"} if path.name == "numerics.py" else set())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_measures_finds_the_scan_ends(path):
+    # a law finds quantile(_GRID_LEVEL) and its mirror once, in scan_end;
+    # a direct call elsewhere would redo that root-find on every use
+    tree = ast.parse(path.read_text())
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "quantile"
+             and any(getattr(c, "id", None) == "_GRID_LEVEL"
+                     for a in n.args for c in ast.walk(a))]
+    assert found == [] or path.name == "measures.py"
 
 
 @pytest.mark.parametrize("name", sorted(costs._COST_BUILTINS))

@@ -110,6 +110,24 @@ class TestGaussKronrod:
                                           np.array([2.0]))
         assert val[0] == 0.0 and err[0] == 0.0
 
+    @pytest.mark.parametrize("case", ["random", "reversed", "zero_width",
+                                      "inf_nan"])
+    def test_value_only_rule_is_the_full_rule_value(self, case):
+        rng = np.random.default_rng(21)
+        a, b = rng.uniform(-50.0, 50.0, (2, 300))
+        f = lambda x: np.exp(-x * x / 50.0) * np.cos(x)
+        if case == "reversed":
+            a, b = np.maximum(a, b), np.minimum(a, b)
+        elif case == "zero_width":
+            b = a.copy()
+        elif case == "inf_nan":
+            f = lambda x: np.where(x > 20.0, np.inf,
+                                   np.where(x < -20.0, np.nan, x))
+        with np.errstate(invalid="ignore"):
+            full, _ = numerics.gauss_kronrod(f, a, b)
+            value = numerics.kronrod_value(f, a, b)
+        assert np.array_equal(value.view(np.int64), full.view(np.int64))
+
     def test_cells_refine_an_undeclared_kink(self):
         f = lambda x: np.sqrt(np.abs(x - 0.3))
         edges, vals = numerics.gauss_kronrod_cells(f, np.array([0.0, 1.0]),
