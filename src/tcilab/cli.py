@@ -34,9 +34,9 @@ from .measures import (Measure1D, is_log_concave, make_builtin,
                        make_from_table, quantile_discretize)
 from .transport import cost_lp, cost_matrix, cost_monotone
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, _jsonify
-from .verify import (_integrability_at, _ray_anchors, concentration_mc,
-                     dual_check_strong, integrability_check, lsi_check,
-                     marton_bound_check, tensor_check)
+from .verify import (_integrability_at, _ray_anchors, concentration_bracket,
+                     concentration_mc, dual_check_strong, integrability_check,
+                     lsi_check, marton_bound_check, tensor_check)
 
 __all__ = [
     "AnalysisConfig", "AnalysisReport", "run_analyze", "emit_report",
@@ -164,8 +164,8 @@ class AnalysisConfig:
       ``alpha(a(x-y)) / (2 kappa)`` used by the verification stages;
       ``prefactor`` accepts a ratio string such as ``"1/36"``.
     - ``kappa``: contraction constant handed to the decision procedures.
-    - ``seed``: base seed; stage s with counter offset k uses ``seed + k``.
-    - ``dual_trials`` / ``mc_samples``: verification effort.
+    - ``seed`` / ``dual_trials``: seed and trial count of the dual check,
+      the one randomized stage.
     - ``out_dir``: where :func:`emit_report` writes files (None = stdout only).
 
     :meth:`validate` checks every field; :func:`run_analyze` calls it before
@@ -179,7 +179,6 @@ class AnalysisConfig:
     kappa: float = DEFAULT_KAPPA
     seed: int = 0
     dual_trials: int = 1000
-    mc_samples: int = 100000
     out_dir: Optional[str] = None
 
     def validate(self) -> float:
@@ -207,8 +206,6 @@ class AnalysisConfig:
                 raise bad(name, "a grammar string")
         if integer("dual_trials") < 0:
             raise bad("dual_trials", ">= 0")
-        if integer("mc_samples") < 1:
-            raise bad("mc_samples", ">= 1")
         if not 0 <= integer("seed") < 2 ** 128:
             raise bad("seed", "in [0, 2**128)")
         if not positive(self.kappa):
@@ -470,16 +467,15 @@ def _integrability(report, out):
 
 
 def _concentration(report, out):
-    ver, config = report.verification, report.config
+    ver = report.verification
     tables = []
     for n in _ANALYZE_DIMS:
-        rep = concentration_mc(out["measure"], out["cost"],
-                               scale=ver["scale"], prefactor=ver["prefactor"],
-                               n=n, samples=config.mc_samples,
-                               seed=config.seed + n)
-        tables.append({"n": n, "status": rep.verdict.status,
-                       "mass_a": rep.mass_a, "samples": rep.samples})
-        report.curves[f"concentration_n{n}"] = {"rows": rep.rows()}
+        v = concentration_bracket(out["measure"], out["cost"],
+                                  scale=ver["scale"],
+                                  prefactor=ver["prefactor"], n=n)
+        rows = v.diagnostics.pop("rows")
+        tables.append({"n": n, "status": v.status, **v.diagnostics})
+        report.curves[f"concentration_n{n}"] = {"rows": rows}
     ver["concentration"] = tables
     return tables
 
@@ -549,8 +545,9 @@ def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
     """The conclusion from the stage record and the outputs of ``ok`` stages."""
     primary, dual = out.get("decide"), out.get("dual")
     integ = report.verification.get("integrability", {})
+    concentration = [t["status"] for t in out.get("concentration", ())]
     refuted = (dual is not None and dual.violated) \
-        or integ.get("status") == FAILS
+        or integ.get("status") == FAILS or FAILS in concentration
     config = report.config
     requested = config.scale is not None or config.prefactor is not None
     if primary is not None and primary.holds:
@@ -563,6 +560,8 @@ def _conclude(report: AnalysisReport, out: Dict[str, Any]) -> str:
                     "treat as an implementation bug")
         missing = [f"{s['stage']} {s['status']}" for s in report.stages
                    if s["stage"] in _VERIFIER_STAGES and s["status"] != "ok"]
+        if INCONCLUSIVE in concentration:
+            missing.append("concentration inconclusive")
         if missing:
             return ("certificate assembled but not verified "
                     f"({', '.join(missing)})")
@@ -590,7 +589,7 @@ def emit_report(report: AnalysisReport, out_dir: Union[str, Path, None] = None,
 
     ``json`` -> report.json, ``text`` -> report.txt, ``csv-curves`` -> one
     CSV per curve table (concentration curves have the header
-    ``r,empirical,lower_ci,bound``; the modulus table has
+    ``r,lower,upper,bound``; the modulus table has
     ``h,omega_plus,omega_minus,lower``).
     """
     for f in formats:
@@ -613,19 +612,19 @@ def emit_report(report: AnalysisReport, out_dir: Union[str, Path, None] = None,
     if "csv-curves" in formats:
         for name, table in sorted(report.curves.items()):
             p = out / f"{name}.csv"
-            _write_curve_csv(p, name, table)
+            _write_curve_csv(p, table)
             written.append(p)
     return written
 
 
-def _write_curve_csv(path: Path, name: str, table: Dict[str, Any]) -> None:
+def _write_curve_csv(path: Path, table: Dict[str, Any],
+                     columns=("r", "lower", "upper", "bound")) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if "rows" in table:  # concentration tables
-            w.writerow(["r", "empirical", "lower_ci", "bound"])
+        if "rows" in table:  # concentration tables: these keys of each row
+            w.writerow(columns)
             for row in table["rows"]:
-                w.writerow([_csv_num(row["r"]), _csv_num(row["empirical"]),
-                            _csv_num(row["lower_ci"]), _csv_num(row["bound"])])
+                w.writerow([_csv_num(row[c]) for c in columns])
         else:  # modulus table: parallel arrays keyed by column name
             cols = list(table)
             w.writerow(cols)
@@ -653,8 +652,7 @@ def _cmd_analyze(args) -> int:
     overrides = {
         "measure": args.mu, "cost": args.cost, "scale": args.scale,
         "prefactor": args.scale_prefactor, "kappa": args.kappa,
-        "seed": args.seed, "dual_trials": args.trials,
-        "mc_samples": args.samples, "out_dir": args.out,
+        "seed": args.seed, "dual_trials": args.trials, "out_dir": args.out,
     }
     for key, val in overrides.items():
         if val is not None:
@@ -770,8 +768,8 @@ def _cmd_verify(args) -> int:
                     "mass_a": rep.mass_a, "samples": rep.samples,
                     "seed": rep.seed, "rows": rep.rows()})
         if args.csv:
-            _write_curve_csv(Path(args.csv), "concentration",
-                             {"rows": rep.rows()})
+            _write_curve_csv(Path(args.csv), {"rows": rep.rows()},
+                             ("r", "empirical", "lower_ci", "bound"))
     else:  # lsi
         C, t = args.const_c, args.const_t
         if C is None or t is None:
@@ -827,8 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None,
                    help="dual-check trial count")
-    p.add_argument("--samples", type=int, default=None,
-                   help="concentration sample count")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", action="append", choices=_FORMATS,
                    help="repeatable; default: all formats")

@@ -679,8 +679,9 @@ def _draw_blocks(mu: Measure1D, rows: int, n: int, seed: int):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     step = max(1, _DRAW_BLOCK // n)
     for start in range(0, rows, step):
-        yield np.clip(rng.random((min(step, rows - start), n)), 1e-16,
-                      1.0 - 1e-16)
+        # random() is at most 1 - 2**-53 == 1 - 1e-16: no upper clip needed
+        u = rng.random((min(step, rows - start), n))
+        yield np.maximum(u, 1e-16, out=u)
 
 
 def _draw_inverse(mu: Measure1D, u) -> np.ndarray:

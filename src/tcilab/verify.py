@@ -25,7 +25,8 @@ from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 __all__ = [
     "DualTestReport", "ConcentrationReport", "dual_check_strong",
     "integrability_check", "marton_bound_check", "tensor_check",
-    "concentration_mc", "lsi_check", "tci_to_strong_cost",
+    "concentration_mc", "concentration_bracket", "lsi_check",
+    "tci_to_strong_cost",
     "NO_VIOLATION", "VIOLATION_FOUND", "DUAL_SLACK",
 ]
 
@@ -53,6 +54,8 @@ _LSI_SLACK = 1e-8
 #: inward steps of a threshold of A's level band; the first that works wins
 _BAND_STEPS = np.array([0.0, 2.0 ** -40, 2.0 ** -34, 2.0 ** -28, 2.0 ** -22,
                         2.0 ** -16, 2.0 ** -10])
+#: lattice cells below ``max(r)`` in :func:`concentration_bracket`
+_CELLS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +444,19 @@ def _as_intervals(spec) -> list:
     return merged
 
 
-def _interval_mass(mu: Measure1D, lo: float, hi: float) -> float:
-    """``mu([lo, hi])`` from the tail it lies in: ``cdf(hi) - cdf(lo)``
-    when ``hi`` is at most the median, ``sf(lo) - sf(hi)`` when ``lo`` is
-    at least the median, else ``1 - cdf(lo) - sf(hi)``.  No difference
-    then cancels across the median, and at +-inf cdf and sf are exactly 0
-    or 1."""
-    m = mu.median
-    if hi <= m:
-        return mu.cdf(hi) - mu.cdf(lo)
-    if lo >= m:
-        return mu.sf(lo) - mu.sf(hi)
-    return 1.0 - mu.cdf(lo) - mu.sf(hi)
+def _interval_mass(mu: Measure1D, lo: float, hi: float, t=0.0):
+    """``mu([lo - t, hi + t])``, elementwise in ``t`` by
+    :func:`numerics.shaped`, from the tail the interval lies in:
+    ``cdf(hi) - cdf(lo)`` when ``hi`` is at most the median, ``sf(lo) -
+    sf(hi)`` when ``lo`` is at least the median, else ``1 - cdf(lo) -
+    sf(hi)``.  No difference then cancels across the median, and at +-inf
+    cdf and sf are exactly 0 or 1.  One cdf and one sf call on the ends."""
+    def form(t):
+        ends, k = np.concatenate((lo - t, hi + t)), t.size
+        F, S, m = mu.cdf(ends), mu.sf(ends), mu.median
+        return np.where(ends[k:] <= m, F[k:] - F[:k], np.where(
+            ends[:k] >= m, S[:k] - S[k:], 1.0 - F[:k] - S[k:]))
+    return numerics.shaped(form, t)
 
 
 def _set_mass(mu: Measure1D, intervals) -> float:
@@ -647,6 +651,27 @@ def _inside_levels(mu: Measure1D, lo: float, hi: float):
     return threshold(lo, 1.0), threshold(hi, -1.0)
 
 
+def _concentration_inputs(mu: Measure1D, alpha: CostFunction, scale,
+                          prefactor: float, A, n, r_grid):
+    """The checked inputs ``(n, a, c, lo, hi, r_grid)`` of the two
+    concentration checks, with ``mu^n(A)`` and the bound ``1 - e^{-r} /
+    mu^n(A)`` (``-inf`` when ``mu^n(A)`` is 0); bad inputs raise first."""
+    n = _whole("n", n, 1)
+    a, c = transport._ground(alpha, scale, prefactor)
+    lo, hi = float(A[0]), float(A[1])
+    if not lo < hi:
+        raise ValueError("A must be a nonempty interval")
+    if r_grid is None:
+        r_grid = np.arange(0.5, 6.001, 0.5)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or not r_grid.size or not np.isfinite(r_grid).all():
+        raise ValueError(f"r_grid must be nonempty, 1-D and finite: {r_grid}")
+    mass_n = _interval_mass(mu, lo, hi) ** n
+    bound = 1.0 - np.exp(-r_grid) / mass_n if mass_n > 0.0 \
+        else np.full_like(r_grid, -math.inf)
+    return n, a, c, lo, hi, r_grid, mass_n, bound
+
+
 def concentration_mc(mu: Measure1D, alpha: CostFunction,
                      scale: Optional[float] = None,
                      A=(0.0, math.inf), n: int = 1, r_grid=None,
@@ -666,20 +691,9 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     its cost is ``c(0)``, and only the other levels go through the inverse
     cdf, the distance and the cost.
     """
-    n = _whole("n", n, 1)
     samples = _whole("samples", samples, 1)
-    a, c = transport._ground(alpha, scale, prefactor)
-    lo, hi = float(A[0]), float(A[1])
-    if not lo < hi:
-        raise ValueError("A must be a nonempty interval")
-    if r_grid is None:
-        r_grid = np.arange(0.5, 6.001, 0.5)
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or not r_grid.size or not np.isfinite(r_grid).all():
-        raise ValueError(f"r_grid must be nonempty, 1-D and finite: {r_grid}")
-
-    mass1 = _interval_mass(mu, lo, hi)
-    mass_n = mass1 ** n
+    n, _, c, lo, hi, r_grid, mass_n, bound = _concentration_inputs(
+        mu, alpha, scale, prefactor, A, n, r_grid)
 
     t_lo, t_hi = _inside_levels(mu, lo, hi)
     inside_cost = c(0.0)
@@ -695,9 +709,6 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
     emp = counts / float(samples)
 
     lower, upper = numerics.wilson_interval(emp, samples)
-    bound = 1.0 - np.exp(-r_grid) / mass_n if mass_n > 0.0 \
-        else np.full_like(r_grid, -math.inf)
-
     if mass_n < 10.0 / samples:
         verdict = Verdict(INCONCLUSIVE, diagnostics={
             "reason": f"mu^n(A) = {mass_n:.3e} too small to estimate "
@@ -719,6 +730,83 @@ def concentration_mc(mu: Measure1D, alpha: CostFunction,
                                upper_ci=upper, bound=bound, mass_a=mass_n,
                                n=n, samples=samples, seed=int(seed),
                                verdict=verdict)
+
+
+def concentration_bracket(mu: Measure1D, alpha: CostFunction,
+                          scale: Optional[float] = None,
+                          A=(0.0, math.inf), n: int = 1, r_grid=None,
+                          prefactor: float = 1.0) -> Verdict:
+    """Certified bracket of ``mu^n(A_c^r)`` against ``1 - e^{-r}/mu^n(A)``.
+
+    ``Y = c(dist(X, A))`` has the cdf ``F(y) = mu([lo - d, hi + d])``, ``d =
+    c^{-1}(y)``, the bracket at ``n = 1``.  For ``n > 1``, ``Y`` rounded up
+    and down onto the lattice ``k h``, ``h`` about ``max(r) / _CELLS``, has
+    the cdf ``F(k h)`` and ``P(Y < (k + 1) h)``; cut past ``max(r)`` (exact
+    there: summands are >= 0), their ``n``-fold convolutions, widened by a
+    rounding slack, bracket ``mu^n(A_c^r)``.  Holds iff ``lower >= bound``
+    at every ``r``, fails (a certified violation) iff ``upper < bound`` at
+    some ``r``, else inconclusive; diagnostics hold the ``rows``,
+    ``mass_a`` (``mu^n(A)``), ``cells`` (0 at ``n = 1``) and the largest
+    ``width``.  Bad inputs raise as in :func:`concentration_mc`.
+    """
+    n, a, c, lo, hi, r_grid, mass_n, bound = _concentration_inputs(
+        mu, alpha, scale, prefactor, A, n, r_grid)
+
+    def cdf_bound(y, sign):
+        # mu([lo - d, hi + d]) with each radius d = c^{-1}(y) stepped ulp by
+        # ulp until sign (c(d) - y) >= 0: a lower bound on P(Y <= y) at sign
+        # -1, an upper bound on P(Y < y) at sign 1, so an inexact inverse only
+        # widens the bracket; a radius still short after 64 steps gives 0 or 1
+        d = alpha.inverse(np.maximum(y, 0.0) / prefactor) / a
+        bad = np.arange(d.size)
+        for _ in range(65):
+            bad = bad[~(sign * (c(d[bad]) - y[bad]) >= 0.0)]   # nan misses
+            if not bad.size:
+                break
+            d[bad] = np.nextafter(d[bad], sign * math.inf)
+        mass = _interval_mass(mu, lo, hi, d)
+        mass[bad] = (1.0 + sign) / 2.0
+        return mass
+
+    def sum_cdf(cdf, shift):   # P(S <= r) of the lattice law with this cdf
+        p = s = np.diff(cdf, prepend=0.0)
+        for bit in bin(n)[3:]:  # binary powering, products cut to p's length
+            s = np.convolve(s, s)[:p.size]
+            s = np.convolve(s, p)[:p.size] if bit == "1" else s
+        return np.clip(np.concatenate(([0.0], np.cumsum(s)))[k] + shift, 0, 1)
+
+    cells = 0 if n == 1 else _CELLS
+    if n == 1:
+        lower = cdf_bound(r_grid, -1.0)
+        upper = cdf_bound(np.nextafter(r_grid, math.inf), 1.0)
+    else:
+        # h keeps 40 significant bits, so every k h up to 2**12 h is exact
+        h = max(float(r_grid.max()), 0.0) / cells or 1.0 / cells
+        e = math.frexp(h)[1] - 40
+        y = math.ldexp(math.ceil(math.ldexp(h, -e)), e) * np.arange(cells + 2)
+        k = np.searchsorted(y[:-1], r_grid, side="right")
+        # only the lattice sums round, on values <= 1: u = 2**-53 for a pmf
+        # difference, gamma = (cells + 1) u / (1 - (cells + 1) u) for each of
+        # the n - 1 products and the cumulative sum, below n (cells + 3) u
+        # in all, 4.6e-13 at n = 4; a running max (min) keeps a lower
+        # (upper) cdf bound nondecreasing
+        slack = n * (cells + 3) * 2.0 ** -53
+        lower = sum_cdf(np.maximum.accumulate(cdf_bound(y[:-1], -1.0)), -slack)
+        upper = sum_cdf(np.minimum.accumulate(cdf_bound(y[1:], 1.0)[::-1])
+                        [::-1], slack)
+
+    diagnostics = {"rows": [
+        {"r": r, "lower": lw, "upper": up, "bound": b} for r, lw, up, b in
+        zip(*(v.tolist() for v in (r_grid, lower, upper, bound)))],
+        "mass_a": mass_n, "cells": cells, "width": float(np.max(upper - lower))}
+    bad = np.flatnonzero(upper < bound)
+    if bad.size:
+        diagnostics["violations"] = [
+            f"upper {upper[i]:.6g} < bound {bound[i]:.6g} at r={r_grid[i]:g}"
+            for i in bad]
+        return Verdict(FAILS, diagnostics=diagnostics)
+    return Verdict(HOLDS if np.all(lower >= bound) else INCONCLUSIVE,
+                   diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

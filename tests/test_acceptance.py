@@ -238,7 +238,7 @@ def test_criterion_11():
     report byte for byte."""
     t0 = time.monotonic()
     cfg = AnalysisConfig(measure="exponential", cost="alpha1",
-                         dual_trials=200, mc_samples=20000, seed=17)
+                         dual_trials=200, seed=17)
     first = run_analyze(cfg).to_json()
     second = run_analyze(cfg).to_json()
     assert first == second

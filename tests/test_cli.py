@@ -88,14 +88,15 @@ class TestGrammar:
 class TestConfig:
     def test_round_trip(self):
         cfg = AnalysisConfig(measure="gaussian sigma=1", cost="theta_p p=2",
-                             seed=5, dual_trials=50, mc_samples=1000)
+                             seed=5, dual_trials=50)
         again = AnalysisConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
     def test_unknown_key_rejected(self):
-        # quad_epsabs was a config field once; old files carrying it fail too
-        for key in ("bogus", "quad_epsabs"):
+        # quad_epsabs and mc_samples were config fields once; old files
+        # carrying them fail too
+        for key in ("bogus", "quad_epsabs", "mc_samples"):
             with pytest.raises(ValueError, match="unknown"):
                 AnalysisConfig.from_dict({"measure": "exponential", key: 1})
 
@@ -106,7 +107,7 @@ class TestConfig:
         assert len(a.config_hash()) == 64
 
     @pytest.mark.parametrize("field,value", [
-        ("dual_trials", -3), ("mc_samples", 0), ("seed", -1),
+        ("dual_trials", -3), ("seed", -1),
         ("seed", 2 ** 128), ("seed", 1.5), ("kappa", 0.0),
         ("measure", 5), ("cost", None), ("scale", float("nan")),
         ("scale", -1.0), ("scale", True), ("prefactor", "abc"),
@@ -125,14 +126,14 @@ class TestConfig:
             run_analyze(cfg)
 
     def test_edge_values_accepted(self):
-        AnalysisConfig(dual_trials=0, mc_samples=1, seed=2 ** 128 - 1,
+        AnalysisConfig(dual_trials=0, seed=2 ** 128 - 1,
                        kappa=1).validate()
 
 
 @pytest.fixture(scope="module")
 def small_run():
     cfg = AnalysisConfig(measure="exponential", cost="alpha1",
-                         dual_trials=30, mc_samples=4000, seed=0)
+                         dual_trials=30, seed=0)
     return run_analyze(cfg)
 
 
@@ -162,7 +163,7 @@ class TestRunAnalyze:
     def test_one_sided_law_certified(self, rate):
         rep = run_analyze(AnalysisConfig(
             measure=f"one_sided_exp rate={rate}", cost="alpha1",
-            dual_trials=30, mc_samples=4000, seed=0))
+            dual_trials=30, seed=0))
         assert rep.conclusion == "strong TCI certified at the assembled scale"
         assert rep.criteria["char_lm"]["status"] == "holds"
         assert rep.verification["dual"]["status"] == "no_violation"
@@ -170,7 +171,7 @@ class TestRunAnalyze:
 
     def test_heavy_tail_not_certified(self):
         cfg = AnalysisConfig(measure="cauchy", cost="alpha1",
-                             dual_trials=20, mc_samples=2000)
+                             dual_trials=20)
         rep = run_analyze(cfg)
         assert rep.conclusion == "no strong TCI found"
         assert not rep.errored
@@ -180,7 +181,7 @@ class TestRunAnalyze:
     @pytest.mark.parametrize("verifier,stage", [
         ("dual_check_strong", "dual"),
         ("integrability_check", "integrability"),
-        ("concentration_mc", "concentration"),
+        ("concentration_bracket", "concentration"),
     ])
     def test_failed_verifier_blocks_certificate(self, verifier, stage,
                                                 monkeypatch):
@@ -189,7 +190,7 @@ class TestRunAnalyze:
 
         monkeypatch.setattr(cli, verifier, broken)
         rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         stages = {s["stage"]: s["status"] for s in rep.stages}
         assert stages["decide"] == "ok" and stages[stage] == "error"
         assert "certified" not in rep.conclusion
@@ -213,7 +214,7 @@ class TestRunAnalyze:
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
         rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         assert rep.conclusion == "strong TCI certified at the assembled scale"
         assert calls == dict.fromkeys(calls, 1)
         # a direct call validates for itself, and an inadmissible profile
@@ -234,7 +235,7 @@ class TestRunAnalyze:
         monkeypatch.setattr(cli, "_ray_anchors",
                             lambda mu: seen.append(mu) or anchors(mu))
         rep = run_analyze(AnalysisConfig(measure="cauchy", cost="alpha1",
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         assert len(seen) == 1
         pf = rep.verification["prefactor"]
         alpha = costs.builtin_cost("alpha1")
@@ -252,7 +253,7 @@ class TestRunAnalyze:
 
         monkeypatch.setattr(cli, check, broken)
         rep = run_analyze(AnalysisConfig(measure="exponential", cost="alpha1",
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         stages = {s["stage"]: s for s in rep.stages}
         assert stages[stage]["status"] == "error"
         for name in ("decide", "suff_cond"):
@@ -264,18 +265,42 @@ class TestRunAnalyze:
     def test_refuted_requested_cost_is_not_a_bug(self):
         # scale 1 is four times the assembled 0.25: the verifiers refute the
         # cost the config asked for, not the assembled certificate
-        rep = run_analyze(AnalysisConfig(scale=1.0, dual_trials=20,
-                                         mc_samples=1000))
+        rep = run_analyze(AnalysisConfig(scale=1.0, dual_trials=20))
         assert rep.verification["dual"]["status"] == "violation_found"
         assert rep.verification["integrability"]["status"] == "fails"
         assert rep.conclusion == "requested cost refuted"
+
+    @pytest.mark.parametrize("status,requested,conclusion", [
+        (FAILS, False, "verification refuted the assembled certificate; "
+                       "treat as an implementation bug"),
+        (FAILS, True, "requested cost refuted"),
+        (INCONCLUSIVE, False, "certificate assembled but not verified "
+                              "(concentration inconclusive)"),
+        (INCONCLUSIVE, True, "certificate assembled but not verified "
+                             "(concentration inconclusive)"),
+    ])
+    def test_concentration_verdict_gates_the_conclusion(
+            self, status, requested, conclusion, monkeypatch):
+        # the stage runs ok; its tables alone refute or leave it unverified
+        def bracket(mu, alpha, n, **kwargs):
+            v = verify.concentration_bracket(mu, alpha, n=n, **kwargs)
+            return Verdict(status if n == 4 else v.status, {}, v.diagnostics)
+
+        monkeypatch.setattr(cli, "concentration_bracket", bracket)
+        extra = {"prefactor": "1/72"} if requested else {}
+        rep = run_analyze(AnalysisConfig(dual_trials=10, **extra))
+        stages = {s["stage"]: s["status"] for s in rep.stages}
+        assert stages == dict.fromkeys(stages, "ok")
+        assert [t["status"] for t in rep.verification["concentration"]] \
+            == ["holds", status]
+        assert rep.conclusion == conclusion
 
     def test_refuted_certificate_is_a_bug(self, monkeypatch):
         # the verifiers tested the assembled certificate itself: a refutation
         # means the certificate or the verifier is wrong
         monkeypatch.setattr(cli, "integrability_check",
                             lambda *a, **k: Verdict(FAILS, {}, {"forced": 1}))
-        rep = run_analyze(AnalysisConfig(dual_trials=10, mc_samples=1000))
+        rep = run_analyze(AnalysisConfig(dual_trials=10))
         assert rep.criteria["char_logconcave"]["status"] == "holds"
         assert rep.verification["integrability"]["status"] == "fails"
         assert rep.conclusion == ("verification refuted the assembled "
@@ -289,7 +314,7 @@ class TestRunAnalyze:
         monkeypatch.setattr(cli, "_integrability_at",
                             lambda *a, **k: Verdict(INCONCLUSIVE, {}, {}))
         rep = run_analyze(AnalysisConfig(measure="cauchy", cost="alpha1",
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         assert rep.criteria["char_lm"]["status"] == "fails"
         assert rep.verification["integrability"]["status"] == "inconclusive"
         assert rep.conclusion == "no certificate found"
@@ -297,8 +322,7 @@ class TestRunAnalyze:
     def test_requested_prefactor_alone_is_not_certified(self):
         # the verifiers test alpha(a x) / 1000 at the assembled scale a, a
         # weaker inequality than the certificate's alpha(a x) / 72
-        rep = run_analyze(AnalysisConfig(prefactor="1/1000", dual_trials=20,
-                                         mc_samples=1000))
+        rep = run_analyze(AnalysisConfig(prefactor="1/1000", dual_trials=20))
         assert rep.verification["scale"] == 0.25
         assert rep.verification["prefactor"] == 1e-3
         assert [s["status"] for s in rep.stages] == ["ok"] * len(rep.stages)
@@ -310,7 +334,7 @@ class TestRunAnalyze:
     ])
     def test_non_finite_parameter_errors_its_stage(self, measure, cost, stage):
         rep = run_analyze(AnalysisConfig(measure=measure, cost=cost,
-                                         dual_trials=10, mc_samples=1000))
+                                         dual_trials=10))
         stages = {s["stage"]: s for s in rep.stages}
         assert stages[stage]["status"] == "error"
         assert "must be finite" in stages[stage]["detail"]
@@ -318,7 +342,7 @@ class TestRunAnalyze:
 
     def test_byte_identical_reports(self):
         cfg = AnalysisConfig(measure="exponential", cost="alpha1",
-                             dual_trials=10, mc_samples=1000, seed=9)
+                             dual_trials=10, seed=9)
         a = run_analyze(cfg).to_json()
         b = run_analyze(cfg).to_json()
         assert a == b
@@ -341,26 +365,26 @@ _PANEL = {
 #: sha256 of (to_json(), to_text()) per panel config
 _PANEL_DIGESTS = {
     "cauchy": (
-        "b84643a6538557bdc2ebf3a7525f508a151af567aa4240104278a6b47ab7b7d6",
-        "3c492afa931354126032ebbfdc464273180dddfdaffabe30d4228e44f649a819"),
+        "f8818b404f98df2ba86aa3ad3b363f2cf8063a02facd0a9e10f2db7f4d56c501",
+        "119e0424080186c34a75e6c2dde42301a5486f86ab9f00f459084a54da837cba"),
     "exp_power-alpha_p": (
-        "93776f24fded2ae8a59593b9205479ada95958da631e38d9d0471c00f06c0eb4",
-        "66ba42b230646b7a3f278508f2f77da817aeb19f1a33a498e8f96b555e370316"),
+        "c87763ee70b1041b2e4951b13e2a720308b24700f3faa9124e05cd3a3905fd05",
+        "c0c038ceba0c7b35747e83ff50c63aff43a12cf89a2d67940676b31539630e4e"),
     "exponential": (
-        "82412851e41a1a25c14ae929ad8096766c1c33575787f09c0f5e943453424038",
-        "dfa228f85951302ecfb148184eb4f51b337bc8545631e3b998564fa6d7344f73"),
+        "825acf19da70ad2e6347e593a9bec8a30cf7d895fd55a42010b3828fc14689b2",
+        "cfa49f5b897af3e0464cbd215cb62a19e56fde69728f15cf2d9379f707f2e906"),
     "gaussian-theta2": (
-        "78e78336b97658ecc9e801da93719e95983be661541f4822214f9145508f5551",
-        "395abb104c6f77d8fac8611305ee22b1d18ef0c5963470209630acda94959386"),
+        "656513e45fc334b0c9e3678aa05233eef7b89f47dc5cec5211b7eb31776dbb60",
+        "f255e316a07e778a81f65af81324939466be6982e8361c89cd83e41ae949287d"),
     "lognormal": (
-        "913f2a5a4c27520a83b42ac151d6c19c16210dd0f4792aa36dd5f19ef141bbae",
-        "418be7356a96ed84fabb5e31b7d45b7287e7e8f12e7f9536b344dbde6416bb30"),
+        "2b3df042a3ed8b1203733ec425ed963b41a052ec8018e062215621892c777965",
+        "ef535e64033471fa0b5e04831b130fdbff390a9a3458c01fde5bd7181131eff7"),
     "quartic-table": (
-        "b5b3fa5828baf29aced37e93fb171486d28ca073debd08eaaecea9820d6aa3e3",
-        "3b2926adc02640af4dd1321a4a58987d2b2ad7970f14f1f0c983e1bcf6ec3d63"),
+        "8abe8b7730f4ad6c5122113760d0404fb2703c0933dc5a1dbd973614b6b55eb9",
+        "4e49c59eadc728a6990bf4a387d224101831778e9b8c07bea468965b4d020af9"),
     "requested-cost": (
-        "69e541ff105423ceebd2ff362cf362c8a84aacbb71af38be0f63054abfa35c05",
-        "ea91880d77ded63dd454c90e586f0f9e3676df5eb3ce111be71fb972f993cab9"),
+        "a40463d35954be79b09c1e03f0ebd7ed2eb096600d7dcb79eedb4772e68020f6",
+        "5d7786f1e9b1aba5dd11451893373c8cd0d70bdd75dd5d87dcdca29875159d3e"),
 }
 
 
@@ -374,7 +398,7 @@ def test_report_bytes_pinned(name, tmp_path, monkeypatch):
     xs = np.linspace(-4.0, 4.0, 129).tolist()
     Path("quartic.csv").write_text(
         "".join(f"{x!r},{x ** 4 / 4.0!r}\n" for x in xs))
-    rep = run_analyze(AnalysisConfig(dual_trials=50, mc_samples=2000, seed=3,
+    rep = run_analyze(AnalysisConfig(dual_trials=50, seed=3,
                                      **_PANEL[name]))
     got = tuple(hashlib.sha256(text.encode()).hexdigest()
                 for text in (rep.to_json(), rep.to_text()))
@@ -391,7 +415,9 @@ _DUAL_PRODUCT = (
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the dual integrals reduce with np.sum, whose order is fixed; np.dot's
-    # OpenBLAS order follows the thread count
+    # OpenBLAS order follows the thread count.  np.convolve reduces through
+    # the dtype's dot: the concentration rows of the default pair and of
+    # scale 1 (where the n = 4 bracket is about 3e-3 wide) keep their bits
     src = str(Path(cli.__file__).resolve().parents[1])
     seen = set()
     for threads in ("1", "2"):
@@ -400,17 +426,26 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         product = subprocess.run([sys.executable, "-c", _DUAL_PRODUCT],
                                  env=env, capture_output=True, text=True,
                                  check=True).stdout
-        subprocess.run([sys.executable, "-m", "tcilab.cli", "analyze",
-                        "--out", "out", "--format", "json"], cwd=tmp_path,
-                       env=env, capture_output=True, check=True)
-        seen.add((product, (tmp_path / "out" / "report.json").read_bytes()))
+        reports = []
+        for flags in ([], ["--scale", "1", "--trials", "10"]):
+            subprocess.run([sys.executable, "-m", "tcilab.cli", "analyze",
+                            "--out", "out", "--format", "json", *flags],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           check=True)
+            reports.append((tmp_path / "out" / "report.json").read_bytes())
+            doc = json.loads(reports[-1])
+            tables = doc["verification"]["concentration"]
+            assert [t["cells"] for t in tables] == [0, verify._CELLS]
+            assert len(doc["curves"]["concentration_n4"]["rows"]) == 12
+        assert tables[1]["width"] > 1e-3
+        seen.add((product, *reports))
     assert len(seen) == 1
 
 
 class TestEmission:
     def test_files_and_headers(self, tmp_path):
         cfg = AnalysisConfig(measure="exponential", cost="alpha1",
-                             dual_trials=10, mc_samples=1000)
+                             dual_trials=10)
         rep = run_analyze(cfg)
         emit_report(rep, tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
@@ -419,7 +454,7 @@ class TestEmission:
         assert "concentration_n1.csv" in names
         assert "modulus.csv" in names
         conc = (tmp_path / "concentration_n1.csv").read_text().splitlines()
-        assert conc[0] == "r,empirical,lower_ci,bound"
+        assert conc[0] == "r,lower,upper,bound"
         mod = (tmp_path / "modulus.csv").read_text().splitlines()
         assert mod[0] == "h,omega_plus,omega_minus,lower"
         parsed = json.loads((tmp_path / "report.json").read_text())
@@ -427,7 +462,7 @@ class TestEmission:
 
     def test_json_text_round_trip_stable(self, tmp_path):
         cfg = AnalysisConfig(measure="exponential", cost="alpha1",
-                             dual_trials=10, mc_samples=1000)
+                             dual_trials=10)
         rep = run_analyze(cfg)
         text = rep.to_text()
         assert "conclusion" in text
@@ -437,7 +472,7 @@ class TestEmission:
 class TestMainAnalyze:
     def test_stdout_json(self, capsys):
         rc = cli.main(["analyze", "--mu", "exponential", "--cost", "alpha1",
-                       "--trials", "10", "--samples", "1000"])
+                       "--trials", "10"])
         assert rc == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
@@ -448,7 +483,6 @@ class TestMainAnalyze:
         cfg_path.write_text(json.dumps({"measure": "exponential",
                                         "cost": "alpha1",
                                         "dual_trials": 10,
-                                        "mc_samples": 1000,
                                         "seed": 1}))
         rc = cli.main(["analyze", "--config", str(cfg_path), "--mu", "cauchy"])
         assert rc == 0

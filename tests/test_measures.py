@@ -9,10 +9,11 @@ import pytest
 from scipy import integrate, interpolate, stats
 
 from tcilab import costs, verify
-from tcilab.measures import (DiscreteMeasure, Measure1D, is_log_concave,
-                             make_builtin, make_from_potential,
-                             make_from_table, quantile_discretize, residual,
-                             sample, stochastically_dominated)
+from tcilab.measures import (_DRAW_BLOCK, DiscreteMeasure, Measure1D,
+                             _draw_blocks, is_log_concave, make_builtin,
+                             make_from_potential, make_from_table,
+                             quantile_discretize, residual, sample,
+                             stochastically_dominated)
 
 
 class TestBuiltins:
@@ -556,6 +557,17 @@ class TestSampling:
         np.testing.assert_array_equal(sample(mu1, (7, 3), seed=9), expect)
         with pytest.raises(ValueError, match="no draws"):
             sample(mu1, (7, 0), seed=9)
+
+    def test_draw_levels_need_no_upper_clip(self, mu1):
+        # random() returns k 2**-53 with k < 2**53, so its largest level is
+        # 1 - 2**-53, the float of 1 - 1e-16: only the lower clamp acts
+        assert 1.0 - 1e-16 == 1.0 - 2.0 ** -53 == np.nextafter(1.0, 0.0)
+        for seed in (0, 9):
+            u = np.random.Generator(np.random.Philox(key=seed)).random(
+                (3 * _DRAW_BLOCK, 2))
+            got = np.concatenate(list(_draw_blocks(mu1, len(u), 2, seed)))
+            np.testing.assert_array_equal(got,
+                                          np.clip(u, 1e-16, 1.0 - 1e-16))
 
     @pytest.mark.parametrize("law,shape,seed,digest", [
         ("exponential", (100_003, 3), 9,

@@ -380,6 +380,9 @@ def test_import_does_not_load_scipy_integrate():
 def test_cli_import_loads_no_scipy():
     # the command line imports the whole package, tcilab included
     assert _fresh_python(f"import sys, tcilab.cli\n{_SCIPY_LOADED}") == ["|"]
+    # nor numpy.fft: the concentration bracket convolves directly
+    assert _fresh_python("import sys, tcilab.cli\n"
+                         "print('numpy.fft' in sys.modules)") == ["False"]
 
 
 def test_default_analyze_runs_without_scipy(tmp_path):
@@ -389,14 +392,14 @@ def test_default_analyze_runs_without_scipy(tmp_path):
         "import sys\n"
         "from tcilab import cli\n"
         "rc = cli.main(['analyze', '--mu', 'exponential', '--cost', 'alpha1', "
-        "'--trials', '10', '--samples', '1000', '--format', 'json', "
+        "'--trials', '10', '--format', 'json', "
         f"'--out', {str(tmp_path)!r}])\n"
         "cli.run_analyze(cli.AnalysisConfig(measure='cauchy', "
-        "dual_trials=10, mc_samples=1000))\n"
+        "dual_trials=10))\n"
         f"print(rc)\n{_SCIPY_LOADED}")
     assert out == [str(tmp_path / "report.json"), "0", "|"]
     cfg = cli.AnalysisConfig(measure="exponential", cost="alpha1",
-                             dual_trials=10, mc_samples=1000,
+                             dual_trials=10,
                              out_dir=str(tmp_path))
     assert (tmp_path / "report.json").read_text() \
         == cli.run_analyze(cfg).to_json()

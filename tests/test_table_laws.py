@@ -115,5 +115,5 @@ def test_analyze_on_a_table_law_makes_few_root_finds(quantile_levels,
                                       zip(xs.tolist(),
                                           tables["quartic"].tolist())))
     cli.run_analyze(cli.AnalysisConfig(measure=f"table file={path}",
-                                       dual_trials=50, mc_samples=2000))
+                                       dual_trials=50))
     assert len(quantile_levels) <= 9

@@ -1,9 +1,10 @@
 """Tests for the refutation harness: dual products, ray integrability,
-two-set bounds, tensorized transport, Monte Carlo concentration, and the
-entropy inequality checker."""
+two-set bounds, tensorized transport, Monte Carlo concentration and its
+deterministic bracket, and the entropy inequality checker."""
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from tcilab.verify import (
     NO_VIOLATION,
     VIOLATION_FOUND,
     DualTestReport,
+    concentration_bracket,
     concentration_mc,
     dual_check_strong,
     integrability_check,
@@ -638,6 +640,113 @@ def test_tensor_screening_poses_one_lp_at_benchmark_size(mu1, alpha1,
     assert v.status == "holds"
     assert v.constants == {"trials": 4.0}
     assert len(calls) == 1          # the mu^n pair, posed at worst = -inf
+
+
+def _bracket(v):
+    rows = v.diagnostics["rows"]
+    return tuple(np.array([row[key] for row in rows])
+                 for key in ("lower", "upper", "bound"))
+
+
+class TestConcentrationBracket:
+    def test_dimension_one_is_the_closed_form(self, mu1, alpha1):
+        # criterion 7's curve: A = [0, inf) enlarges to [-inv(36 r), inf)
+        r = np.arange(0.25, 8.001, 0.25)
+        v = concentration_bracket(mu1, alpha1, prefactor=1.0 / 36.0, n=1,
+                                  r_grid=r)
+        lower, upper, _ = _bracket(v)
+        analytic = 1.0 - mu1.cdf(-alpha1.inverse(36.0 * r))
+        assert np.max(np.abs(lower - analytic)) <= 1e-15
+        assert np.max(np.abs(upper - analytic)) <= 1e-15
+        assert (v.status, v.diagnostics["cells"]) == ("holds", 0)
+        assert v.diagnostics["mass_a"] == 0.5
+
+    @pytest.mark.parametrize("law,cost", [
+        ("exponential", ("alpha1", {})), ("gaussian", ("theta_p", {"p": 2.0})),
+        ("quartic", ("alpha1", {}))])
+    def test_brackets_nest_as_the_lattice_doubles(self, mc_laws, law, cost,
+                                                  monkeypatch):
+        # the lattice at 2 _CELLS refines the one at _CELLS, and each law
+        # is the finer rounding of the same cost: nested up to the slack
+        mu, alpha = mc_laws[law], costs.builtin_cost(cost[0], **cost[1])
+        coarse = _bracket(concentration_bracket(mu, alpha, n=4))
+        monkeypatch.setattr(verify, "_CELLS", 2 * verify._CELLS)
+        fine = _bracket(concentration_bracket(mu, alpha, n=4))
+        slack = 4 * (2 * verify._CELLS + 3) * 2.0 ** -53
+        assert np.all(fine[0] >= coarse[0] - slack)
+        assert np.all(fine[1] <= coarse[1] + slack)
+        assert np.max(fine[1] - fine[0]) < np.max(coarse[1] - coarse[0])
+
+    @pytest.mark.parametrize("law,cost", [
+        ("exponential", ("alpha1", {})), ("gaussian", ("theta_p", {"p": 2.0})),
+        ("quartic", ("alpha1", {}))])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_sampler_lies_inside_the_bracket(self, mc_laws, law, cost, n):
+        # the 99% Wilson interval of 2e5 draws meets the bracket at every r
+        mu, alpha = mc_laws[law], costs.builtin_cost(cost[0], **cost[1])
+        v = concentration_bracket(mu, alpha, A=(-0.5, 1.0), n=n)
+        lower, upper, bound = _bracket(v)
+        rep = concentration_mc(mu, alpha, A=(-0.5, 1.0), n=n,
+                               samples=200_000, seed=n)
+        assert np.all(rep.lower_ci <= upper) and np.all(rep.upper_ci >= lower)
+        np.testing.assert_array_equal(rep.bound, bound)
+        assert v.diagnostics["mass_a"] == rep.mass_a
+        assert v.diagnostics["cells"] == (0 if n == 1 else verify._CELLS)
+
+    def test_oversized_cost_is_a_certified_violation(self, mu1, alpha1):
+        # scale 1 and prefactor 2: the upper end falls below the bound
+        for n in (1, 4):
+            v = concentration_bracket(mu1, alpha1, scale=1.0, prefactor=2.0,
+                                      n=n)
+            lower, upper, bound = _bracket(v)
+            bad = np.flatnonzero(upper < bound)
+            assert v.status == "fails" and bad.size
+            assert len(v.diagnostics["violations"]) == bad.size
+            assert np.all(lower <= upper)
+
+    def test_numeric_inverse_still_brackets_the_sampler(self, mu1, alpha1):
+        # a table cost inverts by bisection; its bracket still holds the
+        # sampler's curve, at n = 1 to within the draws' interval
+        ts = np.linspace(0.0, 40.0, 401)
+        table = costs.cost_from_table(ts, alpha1.fn(ts))
+        for n in (1, 4):
+            lower, upper, _ = _bracket(concentration_bracket(
+                mu1, table, n=n, A=(-0.5, 1.0)))
+            rep = concentration_mc(mu1, table, A=(-0.5, 1.0), n=n,
+                                   samples=200_000, seed=7)
+            assert np.all(rep.lower_ci <= upper)
+            assert np.all(rep.upper_ci >= lower)
+
+    def test_inexact_inverse_only_widens(self, mu1, alpha1):
+        # an inverse off by 1e-9 (far past the ulp steps) and a cost lifted
+        # off 0 whose inverse ignores the lift: each end moves outward
+        for bent in (dataclasses.replace(
+                alpha1, inverse=lambda s: alpha1.inverse(s) * (1.0 + 1e-9)),
+                _lifted_alpha1()):
+            for n in (1, 4):
+                exact = _bracket(concentration_bracket(mu1, alpha1, n=n))
+                lower, upper, _ = _bracket(concentration_bracket(mu1, bent,
+                                                                 n=n))
+                assert np.all(lower <= exact[0]) and np.all(upper >= exact[1])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"A": (1.0, 1.0)}, {"n": 0}, {"r_grid": [1.0, math.nan]},
+        {"r_grid": []}])
+    def test_bad_inputs_raise_before_any_work(self, mu1, alpha1, kwargs,
+                                              monkeypatch):
+        messages = []
+        for check in (concentration_mc, concentration_bracket):
+            with pytest.raises(ValueError) as err:
+                check(mu1, alpha1, **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+        def no_work(*args):
+            raise AssertionError("a mass was computed")
+
+        monkeypatch.setattr(verify, "_interval_mass", no_work)
+        with pytest.raises(ValueError, match=re.escape(messages[0])):
+            concentration_bracket(mu1, alpha1, **kwargs)
 
 
 class TestConcentration:
