@@ -794,6 +794,8 @@ def concentration_bracket(mu: Measure1D, alpha: CostFunction,
         lower = sum_cdf(np.maximum.accumulate(cdf_bound(y[:-1], -1.0)), -slack)
         upper = sum_cdf(np.minimum.accumulate(cdf_bound(y[1:], 1.0)[::-1])
                         [::-1], slack)
+    # a cdf or sf that is not monotone to the last bit can cross the ends
+    upper = np.maximum(upper, lower)
 
     diagnostics = {"rows": [
         {"r": r, "lower": lw, "upper": up, "bound": b} for r, lw, up, b in

@@ -729,6 +729,17 @@ class TestConcentrationBracket:
                                                                  n=n))
                 assert np.all(lower <= exact[0]) and np.all(upper >= exact[1])
 
+    def test_ends_never_cross(self):
+        # scipy's ndtr is not monotone to the last bit: at r = 50 the lower
+        # end's radius is one ulp below the upper end's, yet its mass came
+        # out one ulp above it
+        mu = measures.make_builtin("gaussian", sigma=1e3)
+        for n in (1, 4):
+            lower, upper, _ = _bracket(concentration_bracket(
+                mu, costs.builtin_cost("maurey"), scale=0.7, prefactor=0.3,
+                A=(-math.inf, -3.0), n=n, r_grid=[0.3, 2.0, 50.0]))
+            assert np.all(lower <= upper)
+
     @pytest.mark.parametrize("kwargs", [
         {"A": (1.0, 1.0)}, {"n": 0}, {"r_grid": [1.0, math.nan]},
         {"r_grid": []}])
